@@ -98,16 +98,39 @@ def check_feasible(schedule: Schedule) -> list[tuple[int, int]]:
 
     A pair (i, j) of positions in ``schedule.jobs`` violates feasibility when
     |s_i - s_j| < min(p_i, p_j).  An empty list means the schedule is
-    feasible.
+    feasible; pairs come as (i, j) with i < j, in increasing order.
+
+    A stack sweep in start order: an earlier job i conflicts with j exactly
+    when its window covers s_j (s_i + p_i > s_j) and s_i > s_j - p_j.  Jobs
+    whose window ended before s_j are popped off the top, so the top is the
+    latest-starting earlier job covering s_j, and the walk down the stack
+    stops at the first job starting at or before s_j - p_j.  On a feasible
+    schedule that walk looks at one job, so the check is O(n log n); only a
+    job that conflicts with an earlier one walks further.
     """
     jobs = schedule.jobs
+    starts = schedule.starts
+    stack: list[int] = []
+    stack_starts: list[ExactNumber] = []
+    stack_ends: list[ExactNumber] = []
     bad = []
-    for i in range(len(jobs)):
-        p_i, s_i = jobs[i]
-        for j in range(i + 1, len(jobs)):
-            p_j, s_j = jobs[j]
-            if abs(s_i - s_j) < min(p_i, p_j):
-                bad.append((i, j))
+    for j in sorted(range(len(jobs)), key=starts.__getitem__):
+        p_j, s_j = jobs[j]
+        while stack_ends and stack_ends[-1] <= s_j:
+            stack.pop()
+            stack_starts.pop()
+            stack_ends.pop()
+        reach = s_j - p_j
+        k = len(stack) - 1
+        while k >= 0 and stack_starts[k] > reach:
+            if stack_ends[k] > s_j:
+                i = stack[k]
+                bad.append((i, j) if i < j else (j, i))
+            k -= 1
+        stack.append(j)
+        stack_starts.append(s_j)
+        stack_ends.append(s_j + p_j)
+    bad.sort()
     return bad
 
 

@@ -11,6 +11,8 @@ created the gap it landed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from math import isqrt
 from typing import Iterator
 
 from .core import Instance, Schedule
@@ -63,60 +65,114 @@ def insert_into_gap(
     return placement, (left, right), shift
 
 
-def greedy_steps(instance: Instance) -> Iterator[GreedyStep]:
-    """Run the greedy solver, yielding the state around every insertion."""
-    sizes = instance.sizes
-    starts = [0]
-    # gaps as mutable [start, length, owner] in time order; the owner is the
-    # job whose insertion created the gap (job 1 owns the initial gap)
-    gap_list: list[list[int]] = [[0, sizes[0], 1]]
-    span = sizes[0]
-    first = TraceStep(1, sizes[0], None, None, 0, 0, None, span)
-    yield GreedyStep(first, (), ((0, sizes[0]),), (0,))
+class _GapList:
+    """The gaps of a greedy run in time order, as blocks of parallel lists.
 
+    A gap's length never changes once the gap exists: a shift moves only the
+    starts of later gaps.  So the list stores lengths alone, and a gap's
+    start is the sum of the lengths before it.  Each gap also records its
+    edge (the job sitting at its left end) and its owner (the job whose
+    insertion created it).  Every block keeps its largest length and its
+    length sum, so a step finds the largest gap, earliest on ties, and its
+    start with a few C-level passes over O(sqrt n) items.  A block that
+    reaches twice `block` entries is split in two; about sqrt(n)/2 entries
+    balances the passes over the blocks against those inside one.
+    """
+
+    __slots__ = ("block", "lengths", "edges", "owners", "maxima", "sums", "makespan")
+
+    def __init__(self, size: int, n: int):
+        self.block = max(16, isqrt(n) // 2)
+        self.lengths = [[size]]
+        self.edges = [[1]]
+        self.owners = [[1]]
+        self.maxima = [size]
+        self.sums = [size]
+        self.makespan = size
+
+    def insert(self, job: int, size: int) -> TraceStep:
+        """Place job `job` of the given size into the largest gap."""
+        maxima = self.maxima
+        length = max(maxima)
+        b = maxima.index(length)
+        lengths = self.lengths[b]
+        k = lengths.index(length)
+        gap_start = sum(self.sums[:b]) + sum(lengths[:k])
+        placement, (left, right), shift = insert_into_gap((gap_start, length), size)
+        lengths[k] = left[1]
+        lengths.insert(k + 1, right[1])
+        self.edges[b].insert(k + 1, job)
+        owners = self.owners[b]
+        owner = owners[k]
+        owners[k] = job
+        owners.insert(k + 1, job)
+        self.sums[b] += shift
+        maxima[b] = max(lengths)
+        if len(lengths) >= 2 * self.block:
+            self._split(b)
+        self.makespan += shift
+        return TraceStep(job, size, gap_start, length, placement, shift, owner, self.makespan)
+
+    def _split(self, b: int) -> None:
+        cut = self.block
+        for rows in (self.lengths, self.edges, self.owners):
+            row = rows[b]
+            rows.insert(b + 1, row[cut:])
+            del row[cut:]
+        halves = self.lengths[b:b + 2]
+        self.maxima[b:b + 1] = [max(half) for half in halves]
+        self.sums[b:b + 1] = [sum(half) for half in halves]
+
+    def gaps(self) -> tuple[tuple[int, int], ...]:
+        """(start, length) of every gap, in time order."""
+        lengths = list(chain.from_iterable(self.lengths))
+        return tuple(zip(accumulate(lengths, initial=0), lengths))
+
+    def starts(self) -> tuple[int, ...]:
+        """Current start of every placed job; index k is job k+1."""
+        starts = [0] * sum(map(len, self.edges))
+        edges = chain.from_iterable(self.edges)
+        for edge, start in zip(edges, accumulate(chain.from_iterable(self.lengths), initial=0)):
+            starts[edge - 1] = start
+        return tuple(starts)
+
+
+def _first_step(size: int) -> TraceStep:
+    return TraceStep(1, size, None, None, 0, 0, None, size)
+
+
+def greedy_steps(instance: Instance) -> Iterator[GreedyStep]:
+    """Run the greedy solver, yielding the state around every insertion.
+
+    Each snapshot copies the whole gap list, so this costs O(n^2); it exists
+    for invariant tests.  `greedy_schedule` runs the same insertions without
+    the snapshots.
+    """
+    sizes = instance.sizes
+    gap_list = _GapList(sizes[0], len(sizes))
+    after = gap_list.gaps()
+    yield GreedyStep(_first_step(sizes[0]), (), after, (0,))
     for j in range(2, len(sizes) + 1):
-        p = sizes[j - 1]
-        before = tuple((g[0], g[1]) for g in gap_list)
-        pick = 0
-        for idx in range(1, len(gap_list)):
-            if gap_list[idx][1] > gap_list[pick][1]:
-                pick = idx
-        g_start, g_len, owner = gap_list[pick]
-        placement, (left, right), shift = insert_into_gap((g_start, g_len), p)
-        if shift:
-            # Jobs at or beyond the gap's right edge move.  When g_len == p
-            # the edge job sits exactly at the new placement, so the cutoff
-            # is the gap end, not the placement itself.
-            edge = g_start + g_len
-            for k in range(len(starts)):
-                if starts[k] >= edge:
-                    starts[k] += shift
-            for g in gap_list[pick + 1:]:
-                g[0] += shift
-        starts.append(placement)
-        gap_list[pick:pick + 1] = [
-            [left[0], left[1], j],
-            [right[0], right[1], j],
-        ]
-        span += shift
-        step = TraceStep(j, p, g_start, g_len, placement, shift, owner, span)
-        after = tuple((g[0], g[1]) for g in gap_list)
-        yield GreedyStep(step, before, after, tuple(starts))
+        before = after
+        step = gap_list.insert(j, sizes[j - 1])
+        after = gap_list.gaps()
+        yield GreedyStep(step, before, after, gap_list.starts())
 
 
 def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     """Greedy schedule plus its placement trace.
 
     Output starts are integers; job k of the schedule is the k-th largest
-    size, matching the 1-based labels in the trace.
+    size, matching the 1-based labels in the trace.  Each insertion costs
+    O(sqrt n) steps of C-level list work, and the final starts are prefix
+    sums of the gap lengths.
     """
-    trace = []
-    starts: tuple[int, ...] = ()
-    for state in greedy_steps(instance):
-        trace.append(state.step)
-        starts = state.starts
-    jobs = tuple(zip(instance.sizes, starts))
-    return Schedule(jobs), tuple(trace)
+    sizes = instance.sizes
+    gap_list = _GapList(sizes[0], len(sizes))
+    insert = gap_list.insert
+    trace = [_first_step(sizes[0])]
+    trace.extend(insert(j, sizes[j - 1]) for j in range(2, len(sizes) + 1))
+    return Schedule(tuple(zip(sizes, gap_list.starts()))), tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -161,13 +161,6 @@ class DecodeError(ValueError):
         self.block = block
 
 
-def _classify(tdm: ThreeDMInstance, M: int, size) -> str:
-    for kind, sizes in _type_sizes(tdm, M).items():
-        if size in sizes:
-            return kind
-    raise DecodeError(f"size {size} matches no encoded job type")
-
-
 def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> Matching:
     """Recover a matching from a feasible schedule of makespan <= n*(8M+5D).
 
@@ -191,19 +184,25 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
     if e_starts != expected:
         raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
 
+    kind_of: dict[int, str] = {}
+    for kind, sizes in _type_sizes(tdm, M).items():
+        for size in sizes:
+            kind_of.setdefault(size, kind)
     blocks: dict[int, dict[str, list[int]]] = {
         t: {kind: [] for kind in JOB_TYPES} for t in range(tdm.n)
     }
     for size, start in schedule.jobs:
-        kind = _classify(tdm, M, size)
-        t = start // window
-        blocks[t][kind].append(size)
+        kind = kind_of.get(size)
+        if kind is None:
+            raise DecodeError(f"size {size} matches no encoded job type")
+        blocks[start // window][kind].append(size)
 
-    pools = {
-        "A": list(tdm.a),
-        "B": list(tdm.b),
-        "C": list(tdm.c),
-    }
+    # unused source indices per value, descending, so pop() takes the first
+    unused: dict[str, dict[int, list[int]]] = {}
+    for kind, column in (("A", tdm.a), ("B", tdm.b), ("C", tdm.c)):
+        by_value = unused[kind] = {}
+        for pos in reversed(range(len(column))):
+            by_value.setdefault(column[pos], []).append(pos)
     offsets = {"A": lambda s: (s - 2 * M - tdm.D) // 2, "B": lambda s: s - 2 * M, "C": lambda s: s - M - tdm.D}
     matching = []
     for t in range(tdm.n):
@@ -213,28 +212,20 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
                     f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1",
                     block=t,
                 )
-        indices = {}
+        free = {}
         for kind in ("A", "B", "C"):
             value = offsets[kind](blocks[t][kind][0])
-            found = None
-            for pos, v in enumerate(pools[kind]):
-                if v == value:
-                    found = pos
-                    break
-            if found is None:
+            free[kind] = unused[kind].get(value)
+            if not free[kind]:
                 raise DecodeError(f"no unused {kind} index with value {value}", block=t)
-            indices[kind] = found
-        i = indices["A"]
-        j = indices["B"]
-        k = indices["C"]
+        i, j, k = (free[kind][-1] for kind in ("A", "B", "C"))
         if tdm.a[i] + tdm.b[j] + tdm.c[k] != tdm.D:
             raise DecodeError(
                 f"triplet values sum to {tdm.a[i] + tdm.b[j] + tdm.c[k]}, need {tdm.D}",
                 block=t,
             )
-        pools["A"][i] = None
-        pools["B"][j] = None
-        pools["C"][k] = None
+        for indices in free.values():
+            indices.pop()
         matching.append((i + 1, j + 1, k + 1))
     return tuple(matching)
 

@@ -34,8 +34,9 @@ class ExecutionTrace:
 def simulate(schedule: Schedule, demands) -> ExecutionTrace:
     """Execute a feasible schedule under the given per-job demands.
 
-    Demands align with schedule.jobs.  Raises on infeasible schedules and
-    out-of-range demands.
+    Demands align with schedule.jobs.  Raises ValueError on infeasible
+    schedules, out-of-range demands, and a cancellation that breaks the
+    protection property (which feasibility rules out).
     """
     violations = check_feasible(schedule)
     if violations:
@@ -60,10 +61,11 @@ def simulate(schedule: Schedule, demands) -> ExecutionTrace:
             # Executed intervals are disjoint and ordered, so the only
             # interval that can cover this start is the most recent one.
             canceler = last_executed
-            assert canceler is not None and jobs[canceler][0] > size, (
-                "protection violated: a job may only be canceled by a "
-                "strictly more critical one"
-            )
+            if canceler is None or jobs[canceler][0] <= size:
+                raise ValueError(
+                    f"protection violated: job {i} would be canceled by job "
+                    f"{canceler}, which is not strictly more critical"
+                )
             records[i] = ExecutionRecord(i, size, start, False, None, canceler)
         else:
             end = start + checked[i]

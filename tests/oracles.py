@@ -1,0 +1,69 @@
+"""Quadratic reference implementations, kept as test oracles.
+
+These are the straightforward loops that the library's near-linear
+`check_feasible` and `greedy_schedule` replaced.  Tests cross-check the fast
+paths against them on small inputs.
+"""
+
+from trisched import Instance, Schedule, TraceStep, insert_into_gap
+
+
+def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:
+    """Every pair (i, j), i < j, with |s_i - s_j| < min(p_i, p_j)."""
+    jobs = schedule.jobs
+    bad = []
+    for i in range(len(jobs)):
+        p_i, s_i = jobs[i]
+        for j in range(i + 1, len(jobs)):
+            p_j, s_j = jobs[j]
+            if abs(s_i - s_j) < min(p_i, p_j):
+                bad.append((i, j))
+    return bad
+
+
+def greedy_oracle(instance: Instance):
+    """Greedy by a linear scan for the largest gap and an explicit shift of
+    every later start; yields (step, gaps_before, gaps_after, starts)."""
+    sizes = instance.sizes
+    starts = [0]
+    # gaps as mutable [start, length, owner] in time order
+    gap_list = [[0, sizes[0], 1]]
+    span = sizes[0]
+    first = TraceStep(1, sizes[0], None, None, 0, 0, None, span)
+    yield first, (), ((0, sizes[0]),), (0,)
+
+    for j in range(2, len(sizes) + 1):
+        p = sizes[j - 1]
+        before = tuple((g[0], g[1]) for g in gap_list)
+        pick = 0
+        for idx in range(1, len(gap_list)):
+            if gap_list[idx][1] > gap_list[pick][1]:
+                pick = idx
+        g_start, g_len, owner = gap_list[pick]
+        placement, (left, right), shift = insert_into_gap((g_start, g_len), p)
+        if shift:
+            # jobs at or beyond the gap's right edge move
+            edge = g_start + g_len
+            for k in range(len(starts)):
+                if starts[k] >= edge:
+                    starts[k] += shift
+            for g in gap_list[pick + 1:]:
+                g[0] += shift
+        starts.append(placement)
+        gap_list[pick:pick + 1] = [
+            [left[0], left[1], j],
+            [right[0], right[1], j],
+        ]
+        span += shift
+        step = TraceStep(j, p, g_start, g_len, placement, shift, owner, span)
+        after = tuple((g[0], g[1]) for g in gap_list)
+        yield step, before, after, tuple(starts)
+
+
+def greedy_schedule_oracle(instance: Instance):
+    """(schedule, trace) of the oracle run."""
+    trace = []
+    starts = ()
+    for step, _, _, starts in greedy_oracle(instance):
+        trace.append(step)
+    return Schedule(tuple(zip(instance.sizes, starts))), tuple(trace)

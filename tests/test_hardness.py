@@ -179,6 +179,25 @@ class TestMatchingFromSchedule:
             redone = schedule_from_matching(tdm, M, decoded)
             assert sorted(redone.jobs) == sorted(sched.jobs)
 
+    def test_duplicate_values_take_the_first_unused_index(self):
+        # the k-th window holding a value gets the k-th smallest index of
+        # that value, in every column
+        rng = random.Random(31)
+        for _ in range(10):
+            tdm = random_solvable_tdm(rng, rng.randint(2, 40))
+            M = min_padding(tdm) + rng.randint(0, 3)
+            matching = [(t, t, t) for t in range(1, tdm.n + 1)]
+            rng.shuffle(matching)
+            decoded = matching_from_schedule(
+                tdm, M, schedule_from_matching(tdm, M, tuple(matching))
+            )
+            for coord, column in enumerate((tdm.a, tdm.b, tdm.c)):
+                values = [column[m[coord] - 1] for m in matching]
+                assert [column[d[coord] - 1] for d in decoded] == values
+                for v in set(values):
+                    picked = [d[coord] for d in decoded if column[d[coord] - 1] == v]
+                    assert picked == [i + 1 for i, w in enumerate(column) if w == v]
+
     def test_wrong_sizes_rejected(self):
         sched = Schedule(((154, 0),))
         with pytest.raises(DecodeError):

@@ -1,6 +1,9 @@
 """Runtime execution: cancellation, protection, completion accounting."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +70,28 @@ class TestValidation:
     def test_overlong_demand_rejected(self):
         with pytest.raises(ValueError):
             simulate(STAIRCASE, (7, 1, 1, 1))
+
+    def test_protection_is_checked_under_optimize(self):
+        # job 1 starts inside the smaller job 0's window; with the
+        # feasibility check patched out, only the protection check stops it
+        code = (
+            "import importlib\n"
+            "from trisched import Schedule\n"
+            "sim = importlib.import_module('trisched.simulate')\n"
+            "sim.check_feasible = lambda schedule: []\n"
+            "try:\n"
+            "    sim.simulate(Schedule(((4, 0), (6, 2))), (4, 1))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "protection violated" in result.stdout
 
     def test_float_demand_rejected(self):
         with pytest.raises(TypeError):
