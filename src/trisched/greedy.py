@@ -11,6 +11,7 @@ created the gap it landed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import isqrt
 from typing import Iterator
@@ -73,28 +74,36 @@ class _GapList:
     start is the sum of the lengths before it.  Each gap also records its
     edge (the job sitting at its left end) and its owner (the job whose
     insertion created it).  Every block keeps its largest length and its
-    length sum, so a step finds the largest gap, earliest on ties, and its
-    start with a few C-level passes over O(sqrt n) items.  A block that
-    reaches twice `block` entries is split in two; about sqrt(n)/2 entries
-    balances the passes over the blocks against those inside one.
+    length sum.  A heap of (-maximum, block index) entries names the block
+    holding the largest gap, earliest on ties; an entry whose maximum is no
+    longer the block's is stale and dropped when it reaches the top.  A step
+    then finds the gap and its start with a few C-level passes over
+    O(sqrt n) items.  A block that reaches twice `block` entries is split in
+    two, which shifts the later block indices, so the heap is rebuilt; that
+    happens about once per `block` insertions.
     """
 
-    __slots__ = ("block", "lengths", "edges", "owners", "maxima", "sums", "makespan")
+    __slots__ = ("block", "lengths", "edges", "owners", "maxima", "sums", "heap", "makespan")
 
     def __init__(self, size: int, n: int):
-        self.block = max(16, isqrt(n) // 2)
+        self.block = max(16, isqrt(n) // 3)
         self.lengths = [[size]]
         self.edges = [[1]]
         self.owners = [[1]]
         self.maxima = [size]
         self.sums = [size]
+        self.heap = [(-size, 0)]
         self.makespan = size
 
     def insert(self, job: int, size: int) -> TraceStep:
         """Place job `job` of the given size into the largest gap."""
         maxima = self.maxima
-        length = max(maxima)
-        b = maxima.index(length)
+        heap = self.heap
+        negative, b = heap[0]
+        while maxima[b] != -negative:
+            heappop(heap)
+            negative, b = heap[0]
+        length = -negative
         lengths = self.lengths[b]
         k = lengths.index(length)
         gap_start = sum(self.sums[:b]) + sum(lengths[:k])
@@ -107,9 +116,13 @@ class _GapList:
         owners[k] = job
         owners.insert(k + 1, job)
         self.sums[b] += shift
-        maxima[b] = max(lengths)
         if len(lengths) >= 2 * self.block:
             self._split(b)
+        elif size != length:    # a job as long as its gap leaves two such gaps
+            top = max(lengths)
+            if top != length:
+                maxima[b] = top
+                heappush(heap, (-top, b))
         self.makespan += shift
         return TraceStep(job, size, gap_start, length, placement, shift, owner, self.makespan)
 
@@ -122,6 +135,8 @@ class _GapList:
         halves = self.lengths[b:b + 2]
         self.maxima[b:b + 1] = [max(half) for half in halves]
         self.sums[b:b + 1] = [sum(half) for half in halves]
+        self.heap = [(-top, i) for i, top in enumerate(self.maxima)]
+        heapify(self.heap)
 
     def gaps(self) -> tuple[tuple[int, int], ...]:
         """(start, length) of every gap, in time order."""
