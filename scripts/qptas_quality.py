@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from trisched import makespan, optimal_makespan, qptas_solve, random_instance
+from trisched.exact import DEFAULT_SIZE_LIMIT
 
 
 def main() -> None:
@@ -24,7 +25,9 @@ def main() -> None:
         help="accuracy parameters, rationals like 1/2",
     )
     parser.add_argument("--instances", type=int, default=40)
-    parser.add_argument("--n", type=int, default=7, help="jobs per instance (max 12)")
+    parser.add_argument(
+        "--n", type=int, default=7, help=f"jobs per instance (max {DEFAULT_SIZE_LIMIT})"
+    )
     parser.add_argument("--max-size", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

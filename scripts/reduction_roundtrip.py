@@ -7,8 +7,9 @@ force, lay the matching out as a schedule, confirm the exact oracle agrees
 that the target makespan n*(8M+5D) is optimal, and decode the certificate
 back into a matching.  Any disagreement is a bug in the reduction.
 
-Slot counts above 2 push the encoded instance past 10 jobs, so the oracle
-step is skipped there and only the certificate and decoder are checked.
+Slot counts above 2 push the encoded instance past the exact oracle's size
+cap, so the oracle step is skipped there and only the certificate and
+decoder are checked.
 """
 
 import argparse
@@ -28,8 +29,7 @@ from trisched import (
     schedule_from_matching,
     solve_3dm_bruteforce,
 )
-
-ORACLE_JOB_LIMIT = 12
+from trisched.exact import DEFAULT_SIZE_LIMIT
 
 
 def random_solvable_tdm(rng: random.Random, n: int) -> ThreeDMInstance:
@@ -69,7 +69,7 @@ def main() -> None:
         assert makespan(certificate) == target
 
         oracle = "-"
-        if instance.n <= ORACLE_JOB_LIMIT:
+        if instance.n <= DEFAULT_SIZE_LIMIT:
             opt, _ = optimal_makespan(instance)
             assert opt == target, f"oracle found {opt}, certificate says {target}"
             oracle = str(opt)

@@ -7,7 +7,6 @@ minimize the makespan max_j (s_j + p_j).
 
 from .core import (
     ExactNumber,
-    GapList,
     Instance,
     Schedule,
     as_exact,
@@ -18,32 +17,9 @@ from .core import (
     makespan,
     new_instance,
 )
-from .exact import (
-    InstanceTooLargeError,
-    canonical_schedule_for_order,
-    grid_exhaustive_optimum,
-    optimal_makespan,
-)
-from .generators import (
-    FIXTURES,
-    KINDS,
-    GeneratorSpec,
-    fixture_instance,
-    generate,
-    random_instance,
-    ratio_bounded_instance,
-)
-from .greedy import (
-    GreedyStep,
-    GreedyTrace,
-    GreedyTree,
-    TraceStep,
-    greedy_schedule,
-    greedy_steps,
-    greedy_tree,
-    insert_into_gap,
-    tree_to_dot,
-)
+from .exact import InstanceTooLargeError, grid_exhaustive_optimum, optimal_makespan
+from .generators import FIXTURES, fixture_instance, random_instance, ratio_bounded_instance
+from .greedy import GreedyTrace, GreedyTree, greedy_schedule, greedy_tree, tree_to_dot
 from .hardness import (
     DecodeError,
     Matching,
@@ -56,24 +32,11 @@ from .hardness import (
     schedule_from_matching,
     solve_3dm_bruteforce,
 )
-from .qptas import (
-    DPResult,
-    Grid,
-    QptasStats,
-    RoundedInstance,
-    StateBudgetExceeded,
-    dp_solve,
-    make_grid,
-    qptas_schedule,
-    qptas_solve,
-    round_sizes,
-    split_small,
-)
+from .qptas import QptasStats, StateBudgetExceeded, qptas_solve
 from .simulate import ExecutionRecord, ExecutionTrace, simulate
 
 __all__ = [
     "ExactNumber",
-    "GapList",
     "Instance",
     "Schedule",
     "as_exact",
@@ -84,24 +47,16 @@ __all__ = [
     "makespan",
     "new_instance",
     "InstanceTooLargeError",
-    "canonical_schedule_for_order",
     "grid_exhaustive_optimum",
     "optimal_makespan",
     "FIXTURES",
-    "KINDS",
-    "GeneratorSpec",
     "fixture_instance",
-    "generate",
     "random_instance",
     "ratio_bounded_instance",
-    "GreedyStep",
     "GreedyTrace",
     "GreedyTree",
-    "TraceStep",
     "greedy_schedule",
-    "greedy_steps",
     "greedy_tree",
-    "insert_into_gap",
     "tree_to_dot",
     "DecodeError",
     "Matching",
@@ -113,17 +68,9 @@ __all__ = [
     "ratio_excess",
     "schedule_from_matching",
     "solve_3dm_bruteforce",
-    "DPResult",
-    "Grid",
     "QptasStats",
-    "RoundedInstance",
     "StateBudgetExceeded",
-    "dp_solve",
-    "make_grid",
-    "qptas_schedule",
     "qptas_solve",
-    "round_sizes",
-    "split_small",
     "ExecutionRecord",
     "ExecutionTrace",
     "simulate",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Instance, makespan
-from .exact import optimal_makespan
+from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .generators import fixture_instance, random_instance, ratio_bounded_instance
 from .greedy import greedy_schedule
 
@@ -52,7 +52,6 @@ def ratio_search(
     seed: int,
     max_size: int = 50,
     bound: Fraction | None = None,
-    oracle_limit: int = 12,
 ) -> RatioSearchReport:
     """Evaluate `iterations` random instances of size n plus the fixture.
 
@@ -60,8 +59,8 @@ def ratio_search(
     skipped (it would defeat the restriction).  Instances beating the
     fixture's 21/20 land in `findings`.
     """
-    if n > oracle_limit:
-        raise ValueError(f"n must stay within the exact oracle limit {oracle_limit}")
+    if n > DEFAULT_SIZE_LIMIT:
+        raise ValueError(f"n must stay within the exact oracle limit {DEFAULT_SIZE_LIMIT}")
     rng = random.Random(seed)
     pool = []
     if bound is None:

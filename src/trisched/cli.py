@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bench, generators, qptas, render, serialize
 from .core import check_feasible, lower_bound, makespan
-from .exact import optimal_makespan
+from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .greedy import greedy_schedule, greedy_tree, tree_to_dot
 from .simulate import simulate
 
@@ -117,6 +117,8 @@ def _cmd_simulate(args) -> int:
     if args.demands is not None:
         demands = serialize.demands_from_obj(serialize.read_json(args.demands))
     else:
+        if not all(isinstance(size, int) for size in schedule.sizes):
+            raise ValueError("--random draws integer demands from integer sizes; pass --demands")
         rng = random.Random(args.seed)
         demands = tuple(rng.randint(1, size) for size, _ in schedule.jobs)
     trace = simulate(schedule, demands)
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=("greedy", "exact", "qptas", "lb"), required=True)
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
-    solve.add_argument("--limit", type=int, default=12, help="exact search size cap")
+    solve.add_argument("--limit", type=int, default=DEFAULT_SIZE_LIMIT, help="exact search size cap")
     solve.add_argument("--trace", help="write the greedy placement trace JSON here")
     solve.add_argument("--tree", help="write the greedy insertion tree DOT here")
     solve.add_argument("-o", "--output", help="write the schedule JSON here")

@@ -52,29 +52,11 @@ def canonical_schedule_for_order(sizes: Sequence[int]) -> Schedule:
     return Schedule(tuple(zip(tuple(sizes), tuple(starts))))
 
 
-def _suffix_bound(remaining: list[int]) -> int:
-    # Charging bound on the unplaced multiset: the gaps among the appended
-    # jobs cover twice the smaller half plus the middle when odd (the same
-    # count used by lower_bound, applied to the suffix alone).
-    rem = sorted(remaining, reverse=True)
-    k = len(rem)
-    total = 2 * sum(rem[(k + 1) // 2 :])
-    if k % 2:
-        total += rem[k // 2]
-    return total
-
-
-def optimal_makespan(
-    instance: Instance,
-    limit: int = DEFAULT_SIZE_LIMIT,
-    suffix_bound: bool = False,
-) -> tuple[int, Schedule]:
+def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
     """Exact optimum makespan with a witness schedule.
 
     `limit` caps the instance size (the search is factorial in the worst
     case, though the dominance table makes typical instances far cheaper).
-    `suffix_bound` turns on an extra admissible bound on the unplaced jobs;
-    off by default.
     """
     n = instance.n
     if n > limit:
@@ -124,10 +106,6 @@ def optimal_makespan(
                         return
                 bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
                 bucket.append(vec)
-            if suffix_bound:
-                rest = [p for j, p in enumerate(distinct) for _ in range(cnt[j])]
-                if vec[-1] + _suffix_bound(rest) >= best[0]:
-                    return
         for j in range(m):
             if not cnt[j]:
                 continue

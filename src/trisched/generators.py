@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, binary_tree_ratio, new_instance
-from .hardness import ThreeDMInstance, encode
 
 FIXTURES = {
     # Greedy pays 42 against an optimum of 40 here; the worst known gap.
@@ -36,8 +35,6 @@ class GeneratorSpec:
     max_size: int = 100
     bound: Fraction | None = None
     fixture: str | None = None
-    tdm: ThreeDMInstance | None = None
-    M: int | None = None
 
 
 def random_instance(rng: random.Random, n: int, max_size: int) -> Instance:
@@ -78,10 +75,7 @@ def generate(spec: GeneratorSpec) -> Instance:
             raise ValueError("fixture generation needs `fixture`")
         return fixture_instance(spec.fixture)
     if spec.kind == "reduction":
-        if spec.tdm is None or spec.M is None:
-            raise ValueError("reduction generation needs `tdm` and `M`")
-        instance, _ = encode(spec.tdm, spec.M)
-        return instance
+        raise ValueError("reduction instances come from hardness.encode, not generate")
     if spec.n is None:
         raise ValueError(f"{spec.kind} generation needs `n`")
     rng = random.Random(spec.seed)

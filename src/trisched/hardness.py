@@ -76,9 +76,12 @@ class ReductionLabels:
 
 
 def _type_sizes(tdm: ThreeDMInstance, M: int) -> dict[str, tuple[int, ...]]:
+    """Job sizes per type, in source-index order; E is the window 8M+5D."""
+    if M < min_padding(tdm):
+        raise ValueError(f"M must be at least ceil(5D/4) = {min_padding(tdm)}, got {M}")
     return {
-        "E": tuple(8 * M + 5 * tdm.D for _ in range(tdm.n)),
-        "F": tuple(4 * M for _ in range(tdm.n)),
+        "E": (8 * M + 5 * tdm.D,) * tdm.n,
+        "F": (4 * M,) * tdm.n,
         "A": tuple(2 * M + 2 * v + tdm.D for v in tdm.a),
         "B": tuple(2 * M + v for v in tdm.b),
         "C": tuple(M + v + tdm.D for v in tdm.c),
@@ -91,15 +94,13 @@ def encode(tdm: ThreeDMInstance, M: int) -> tuple[Instance, ReductionLabels]:
     With M >= ceil(5D/4) the size ranges order strictly as
     E > F > A_i > B_j > C_k, so a job's size identifies its type.
     """
-    if M < min_padding(tdm):
-        raise ValueError(f"M must be at least ceil(5D/4) = {min_padding(tdm)}, got {M}")
     sizes_by_type = _type_sizes(tdm, M)
     labeled = []
     for kind in JOB_TYPES:
         for index, size in enumerate(sizes_by_type[kind], start=1):
             labeled.append((kind, index, size))
     instance = new_instance(size for _, _, size in labeled)
-    target = tdm.n * (8 * M + 5 * tdm.D)
+    target = tdm.n * sizes_by_type["E"][0]
     return instance, ReductionLabels(M=M, target=target, jobs=tuple(labeled))
 
 
@@ -133,20 +134,17 @@ def schedule_from_matching(tdm: ThreeDMInstance, M: int, matching: Matching) -> 
     after B is 2M + 2D - 2a - b - 2c, exactly B's size when the triplet sums
     to D, so consecutive windows meet without slack.
     """
-    if M < min_padding(tdm):
-        raise ValueError(f"M must be at least ceil(5D/4) = {min_padding(tdm)}, got {M}")
+    sizes = _type_sizes(tdm, M)
     _validate_matching(tdm, matching)
-    window = 8 * M + 5 * tdm.D
+    window, size_f = sizes["E"][0], sizes["F"][0]
     jobs = []
     for t, (i, j, k) in enumerate(matching):
         offset = t * window
-        size_a = 2 * M + 2 * tdm.a[i - 1] + tdm.D
-        size_b = 2 * M + tdm.b[j - 1]
-        size_c = M + tdm.c[k - 1] + tdm.D
+        size_a, size_b, size_c = sizes["A"][i - 1], sizes["B"][j - 1], sizes["C"][k - 1]
         jobs.append((window, offset))
         jobs.append((size_a, offset + size_a))
         jobs.append((size_c, offset + size_a + size_c))
-        jobs.append((4 * M, offset + size_a + 2 * size_c))
+        jobs.append((size_f, offset + size_a + 2 * size_c))
         jobs.append((size_b, offset + size_a + 2 * size_c + size_b))
     return Schedule(tuple(jobs))
 
@@ -174,8 +172,8 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
     violations = check_feasible(schedule)
     if violations:
         raise DecodeError(f"schedule is infeasible at pairs {violations}")
-    window = 8 * M + 5 * tdm.D
-    target = tdm.n * window
+    target = labels.target
+    window = target // tdm.n
     if makespan(schedule) > target:
         raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
 
@@ -184,10 +182,7 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
     if e_starts != expected:
         raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
 
-    kind_of: dict[int, str] = {}
-    for kind, sizes in _type_sizes(tdm, M).items():
-        for size in sizes:
-            kind_of.setdefault(size, kind)
+    kind_of = {size: kind for kind, _, size in labels.jobs}
     blocks: dict[int, dict[str, list[int]]] = {
         t: {kind: [] for kind in JOB_TYPES} for t in range(tdm.n)
     }

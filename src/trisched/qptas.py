@@ -38,23 +38,23 @@ def _rational_eps(eps) -> Fraction:
     return Fraction(eps)
 
 
-def split_small(instance: Instance, eps) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def split_small(instance: Instance, eps) -> tuple[tuple[int, ...], tuple[int, ...], Fraction]:
     """Partition sizes into (large, small) at the threshold eps*p_1/n.
 
-    Small means strictly below the threshold.  Within the large part the
-    size spread is at most n/eps, which keeps the rounded class count
-    logarithmic.
+    Returns (large, small, threshold).  Small means strictly below the
+    threshold.  Within the large part the size spread is at most n/eps,
+    which keeps the rounded class count logarithmic.
     """
     eps = _rational_eps(eps)
     threshold = Fraction(eps * instance.sizes[0], instance.n)
     large = tuple(p for p in instance.sizes if p >= threshold)
     small = tuple(p for p in instance.sizes if p < threshold)
-    return large, small
+    return large, small, threshold
 
 
 @dataclass(frozen=True)
 class RoundedInstance:
-    """Rounded large jobs plus the untouched small ones.
+    """Sizes rounded up onto the ladder unit*(1+eps)^k.
 
     `large` pairs each original size with its rounded value, non-increasing
     by original size; `classes` lists the distinct rounded values
@@ -65,11 +65,10 @@ class RoundedInstance:
     eps: Fraction
     unit: int
     large: tuple[tuple[int, Fraction], ...]
-    small: tuple[int, ...]
     classes: tuple[Fraction, ...]
 
 
-def round_sizes(instance: Instance, eps, small: tuple[int, ...] = ()) -> RoundedInstance:
+def round_sizes(instance: Instance, eps) -> RoundedInstance:
     """Round every size of `instance` up to the nearest unit*(1+eps)^k.
 
     The unit is the smallest size present, so the ladder starts exactly at
@@ -88,7 +87,7 @@ def round_sizes(instance: Instance, eps, small: tuple[int, ...] = ()) -> Rounded
         pairs.append((p, rung))
     pairs.reverse()
     classes = tuple(sorted({r for _, r in pairs}, reverse=True))
-    return RoundedInstance(eps=eps, unit=unit, large=tuple(pairs), small=tuple(small), classes=classes)
+    return RoundedInstance(eps=eps, unit=unit, large=tuple(pairs), classes=classes)
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,6 @@ class Grid:
 
     step: Fraction
     points: int
-
-    def point(self, index: int) -> Fraction:
-        return self.step * index
 
 
 def make_grid(rounded: RoundedInstance, n: int) -> Grid:
@@ -203,18 +199,18 @@ class QptasStats:
     dp_states: int
 
 
-def qptas_solve(instance: Instance, eps, budget: int = DEFAULT_STATE_BUDGET) -> tuple[Schedule, QptasStats]:
-    """Full pipeline; returns the schedule (original sizes) and run stats."""
+def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
+    """Full pipeline; returns a schedule of the original sizes within
+    (1+eps)^3 of the optimal makespan, and the run stats."""
     eps = _rational_eps(eps)
-    threshold = Fraction(eps * instance.sizes[0], instance.n)
-    large, small = split_small(instance, eps)
+    large, small, threshold = split_small(instance, eps)
 
     jobs: list[tuple[int, Fraction | int]] = []
     classes = grid_points = dp_states = 0
     if large:
-        rounded = round_sizes(new_instance(large), eps, small=small)
+        rounded = round_sizes(new_instance(large), eps)
         grid = make_grid(rounded, instance.n)
-        result = dp_solve(rounded, grid, budget=budget)
+        result = dp_solve(rounded, grid)
         classes = len(rounded.classes)
         grid_points = grid.points
         dp_states = result.states
@@ -246,8 +242,3 @@ def qptas_solve(instance: Instance, eps, budget: int = DEFAULT_STATE_BUDGET) -> 
     )
     return schedule, stats
 
-
-def qptas_schedule(instance: Instance, eps, budget: int = DEFAULT_STATE_BUDGET) -> Schedule:
-    """Feasible schedule within (1+eps)^3 of the optimal makespan."""
-    schedule, _ = qptas_solve(instance, eps, budget=budget)
-    return schedule

@@ -2,12 +2,14 @@
 
 Exact rationals travel as "num/den" strings and integers stay bare JSON
 numbers; floats are rejected on load so wire data can never smuggle rounding
-error into the solvers.
+error into the solvers.  Every loader reads its fields through `_field`, so
+a malformed file raises ValueError naming the field, never a KeyError.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -42,17 +44,26 @@ def decode_exact(value: Any) -> ExactNumber:
     raise ValueError(f"expected int or \"num/den\" string, got {value!r}")
 
 
+def _field(obj: Any, key: str, what: str, array: bool = False) -> Any:
+    """obj[key], where `obj` must be a JSON object holding `key` (an array
+    when `array` is set); anything else raises a one-line ValueError."""
+    try:
+        value = obj[key]
+    except (KeyError, TypeError):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}") from None
+        raise ValueError(f"{what} has no {key!r} field") from None
+    if array and not isinstance(value, list):
+        raise ValueError(f"{what} field {key!r} must be an array, got {type(value).__name__}")
+    return value
+
+
 def instance_to_obj(instance: Instance) -> dict:
     return {"sizes": list(instance.sizes)}
 
 
 def instance_from_obj(obj: Any) -> Instance:
-    if not isinstance(obj, dict) or "sizes" not in obj:
-        raise ValueError("instance JSON must be an object with a \"sizes\" array")
-    sizes = obj["sizes"]
-    if not isinstance(sizes, list):
-        raise ValueError("\"sizes\" must be an array")
-    return new_instance([decode_exact(p) for p in sizes])
+    return new_instance([decode_exact(p) for p in _field(obj, "sizes", "instance JSON", array=True)])
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:
@@ -65,13 +76,10 @@ def schedule_to_obj(schedule: Schedule) -> dict:
 
 
 def schedule_from_obj(obj: Any) -> Schedule:
-    if not isinstance(obj, dict) or "jobs" not in obj or not isinstance(obj["jobs"], list):
-        raise ValueError("schedule JSON must be an object with a \"jobs\" array")
     jobs = []
-    for entry in obj["jobs"]:
-        if not isinstance(entry, dict) or "size" not in entry or "start" not in entry:
-            raise ValueError(f"schedule job entries need \"size\" and \"start\": {entry!r}")
-        jobs.append((decode_exact(entry["size"]), decode_exact(entry["start"])))
+    for entry in _field(obj, "jobs", "schedule JSON", array=True):
+        size, start = _field(entry, "size", "schedule job"), _field(entry, "start", "schedule job")
+        jobs.append((decode_exact(size), decode_exact(start)))
     return Schedule(tuple(jobs))
 
 
@@ -80,19 +88,15 @@ def tdm_to_obj(tdm: ThreeDMInstance) -> dict:
 
 
 def tdm_from_obj(obj: Any) -> ThreeDMInstance:
-    if not isinstance(obj, dict):
-        raise ValueError("3DM JSON must be an object with D, a, b, c")
-    try:
-        d = obj["D"]
-        columns = [obj[key] for key in ("a", "b", "c")]
-    except KeyError as exc:
-        raise ValueError(f"3DM JSON missing key {exc}") from exc
-    cols = []
-    for column in columns:
-        if not isinstance(column, list):
-            raise ValueError("3DM columns must be arrays")
-        cols.append(tuple(int(decode_exact(v)) for v in column))
-    return ThreeDMInstance(D=int(decode_exact(d)), a=cols[0], b=cols[1], c=cols[2])
+    def integer(value: Any) -> int:
+        number = decode_exact(value)
+        if not isinstance(number, int):
+            raise ValueError(f"3DM values must be integers, got {value!r}")
+        return number
+
+    d = integer(_field(obj, "D", "3DM JSON"))
+    a, b, c = (tuple(integer(v) for v in _field(obj, key, "3DM JSON", array=True)) for key in "abc")
+    return ThreeDMInstance(D=d, a=a, b=b, c=c)
 
 
 def labels_to_obj(labels: ReductionLabels) -> dict:
@@ -125,20 +129,10 @@ def greedy_trace_to_obj(trace: GreedyTrace) -> dict:
 
 
 def greedy_trace_from_obj(obj: Any) -> GreedyTrace:
-    if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
-        raise ValueError("trace JSON must be an object with a \"steps\" array")
+    names = [f.name for f in fields(TraceStep)]
     return tuple(
-        TraceStep(
-            job=s["job"],
-            size=s["size"],
-            gap_start=s["gap_start"],
-            gap_length=s["gap_length"],
-            placement=s["placement"],
-            shift=s["shift"],
-            parent=s["parent"],
-            makespan=s["makespan"],
-        )
-        for s in obj["steps"]
+        TraceStep(**{name: _field(s, name, "trace step") for name in names})
+        for s in _field(obj, "steps", "trace JSON", array=True)
     )
 
 
@@ -160,22 +154,24 @@ def execution_trace_to_obj(trace: ExecutionTrace) -> dict:
 
 
 def execution_trace_from_obj(obj: Any) -> ExecutionTrace:
-    if not isinstance(obj, dict) or not isinstance(obj.get("records"), list):
-        raise ValueError("execution trace JSON must be an object with a \"records\" array")
     records = []
-    for r in obj["records"]:
-        executed = r.get("status") == "executed"
+    for r in _field(obj, "records", "execution trace JSON", array=True):
+        status = _field(r, "status", "trace record")
+        if status not in ("executed", "canceled"):
+            raise ValueError(f"trace record status must be executed or canceled, got {status!r}")
+        executed = status == "executed"
         records.append(
             ExecutionRecord(
-                job=r["job"],
-                size=decode_exact(r["size"]),
-                start=decode_exact(r["start"]),
+                job=_field(r, "job", "trace record"),
+                size=decode_exact(_field(r, "size", "trace record")),
+                start=decode_exact(_field(r, "start", "trace record")),
                 executed=executed,
-                end=decode_exact(r["end"]) if executed else None,
+                end=decode_exact(_field(r, "end", "trace record")) if executed else None,
                 canceled_by=None if executed else r.get("canceled_by"),
             )
         )
-    return ExecutionTrace(records=tuple(records), completion=decode_exact(obj["completion"]))
+    completion = decode_exact(_field(obj, "completion", "execution trace JSON"))
+    return ExecutionTrace(records=tuple(records), completion=completion)
 
 
 def demands_to_obj(demands) -> dict:
@@ -183,9 +179,7 @@ def demands_to_obj(demands) -> dict:
 
 
 def demands_from_obj(obj: Any) -> tuple[ExactNumber, ...]:
-    if not isinstance(obj, dict) or not isinstance(obj.get("demands"), list):
-        raise ValueError("demands JSON must be an object with a \"demands\" array")
-    return tuple(decode_exact(d) for d in obj["demands"])
+    return tuple(decode_exact(d) for d in _field(obj, "demands", "demands JSON", array=True))
 
 
 def dumps(obj: dict) -> str:

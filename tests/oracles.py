@@ -5,7 +5,8 @@ These are the straightforward loops that the library's near-linear
 paths against them on small inputs.
 """
 
-from trisched import Instance, Schedule, TraceStep, insert_into_gap
+from trisched import Instance, Schedule
+from trisched.greedy import TraceStep, insert_into_gap
 
 
 def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:

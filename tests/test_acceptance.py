@@ -21,7 +21,6 @@ from trisched import (
     encode,
     fixture_instance,
     greedy_schedule,
-    greedy_steps,
     grid_exhaustive_optimum,
     lower_bound,
     makespan,
@@ -35,6 +34,7 @@ from trisched import (
     schedule_from_matching,
     simulate,
 )
+from trisched.greedy import greedy_steps
 
 TDM1 = ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,))
 TDM2 = ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))

@@ -49,7 +49,7 @@ class TestRatioSearch:
         report = ratio_search(n=8, iterations=10, seed=3, bound=Fraction(2))
         assert report.ratio == 1
 
-    def test_oracle_limit_enforced(self):
+    def test_size_limit_enforced(self):
         with pytest.raises(ValueError):
             ratio_search(n=13, iterations=1, seed=0)
 

@@ -203,6 +203,14 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_random_needs_integer_sizes(self, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        sched.write_text('{"jobs": [{"size": "7/2", "start": 0}]}')
+        code, _, err = run(capsys, "simulate", "--schedule", str(sched), "--random")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--demands" in err
+
 
 class TestRender:
     def test_ascii_schedule(self, staircase_schedule, capsys):
@@ -242,6 +250,40 @@ class TestBench:
         assert out.startswith("ratio ")
         obj = read_json(report)
         assert obj["iterations"] == 3
+
+
+# BAD stands for the malformed file, SCHEDULE for a valid schedule file.
+SOLVE = ("solve", "BAD", "--algo", "greedy")
+SIMULATE = ("simulate", "--schedule", "SCHEDULE", "--demands", "BAD")
+RENDER = ("render", "--trace", "BAD")
+GEN = ("gen", "--kind", "reduction", "--M", "13", "--tdm", "BAD")
+MALFORMED = [
+    pytest.param(SOLVE, '{"sizes": [3, "x"]}', id="solve-bad-size"),
+    pytest.param(SOLVE, "[6, 5]", id="solve-not-object"),
+    pytest.param(("check", "BAD"), '{"jobs": [{"size": 6}]}', id="check-no-start"),
+    pytest.param(("check", "BAD"), '{"jobs": [[6, 0]]}', id="check-job-not-object"),
+    pytest.param(SIMULATE, '{"demands": {"0": 1}}', id="demands-not-array"),
+    pytest.param(SIMULATE, '{"demands": [1, 1, 1, 0.5]}', id="demands-float"),
+    pytest.param(
+        RENDER,
+        '{"records": [{"status": "executed", "size": 6, "start": 0, "end": 6}], "completion": 6}',
+        id="render-no-job",
+    ),
+    pytest.param(RENDER, '{"records": [{"job": 0, "status": "executed"}]}', id="render-no-size"),
+    pytest.param(RENDER, '{"records": []', id="render-bad-json"),
+    pytest.param(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
+    pytest.param(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
+]
+
+
+@pytest.mark.parametrize("argv, text", MALFORMED)
+def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, argv, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"BAD": str(bad), "SCHEDULE": str(staircase_schedule)}
+    code, _, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from trisched import (
     InstanceTooLargeError,
     Schedule,
-    canonical_schedule_for_order,
     check_feasible,
     greedy_schedule,
     grid_exhaustive_optimum,
@@ -19,6 +18,7 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
+from trisched.exact import canonical_schedule_for_order
 
 small_sizes = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8)
 
@@ -92,15 +92,6 @@ class TestOptimalMakespan:
             optimal_makespan(inst)
         value, _ = optimal_makespan(inst, limit=13)
         assert value == 13
-
-    def test_suffix_bound_changes_nothing(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            sizes = [rng.randint(1, 40) for _ in range(rng.randint(1, 9))]
-            inst = new_instance(sizes)
-            plain, _ = optimal_makespan(inst)
-            bounded, _ = optimal_makespan(inst, suffix_bound=True)
-            assert plain == bounded
 
     def test_bounded_by_greedy_and_lower_bound(self):
         rng = random.Random(4)

@@ -13,11 +13,11 @@ from trisched import (
     Schedule,
     check_feasible,
     greedy_schedule,
-    greedy_steps,
     lower_bound,
     makespan,
     new_instance,
 )
+from trisched.greedy import greedy_steps
 
 int_jobs = st.tuples(st.integers(1, 12), st.integers(0, 60))
 fraction_jobs = st.tuples(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisched import ThreeDMInstance, binary_tree_ratio, encode
+from trisched import binary_tree_ratio
 from trisched.generators import (
     FIXTURES,
     KINDS,
@@ -88,19 +88,13 @@ class TestGenerateDispatch:
         spec = GeneratorSpec(kind="fixture", fixture="staircase-4")
         assert generate(spec).sizes == (6, 5, 4, 3)
 
-    def test_reduction_kind(self):
-        tdm = ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,))
-        spec = GeneratorSpec(kind="reduction", tdm=tdm, M=13)
-        instance, _ = encode(tdm, 13)
-        assert generate(spec) == instance
-
     @pytest.mark.parametrize(
         "spec",
         [
             GeneratorSpec(kind="random"),                       # missing n
             GeneratorSpec(kind="ratio-bounded", n=4),           # missing bound
             GeneratorSpec(kind="fixture"),                      # missing fixture
-            GeneratorSpec(kind="reduction"),                    # missing tdm/M
+            GeneratorSpec(kind="reduction", n=3),               # built by hardness.encode
             GeneratorSpec(kind="alien", n=3),                   # unknown kind
         ],
     )

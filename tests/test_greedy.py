@@ -11,15 +11,14 @@ from trisched import (
     binary_tree_ratio,
     check_feasible,
     greedy_schedule,
-    greedy_steps,
     greedy_tree,
-    insert_into_gap,
     lower_bound,
     makespan,
     new_instance,
     tree_to_dot,
 )
 from trisched.generators import ratio_bounded_instance
+from trisched.greedy import greedy_steps, insert_into_gap
 
 sizes_lists = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=14)
 

@@ -10,34 +10,31 @@ from hypothesis import strategies as st
 from trisched import (
     StateBudgetExceeded,
     check_feasible,
-    dp_solve,
-    make_grid,
     makespan,
     new_instance,
     optimal_makespan,
-    qptas_schedule,
     qptas_solve,
-    round_sizes,
-    split_small,
 )
+from trisched.qptas import dp_solve, make_grid, round_sizes, split_small
 
 EPS_VALUES = (1, Fraction(1, 2), Fraction(1, 4))
 
 
 class TestSplitSmall:
     def test_threshold_is_eps_p1_over_n(self):
-        large, small = split_small(new_instance([40, 1, 1]), 1)
+        large, small, threshold = split_small(new_instance([40, 1, 1]), 1)
         assert large == (40,)
         assert small == (1, 1)
+        assert threshold == Fraction(40, 3)
 
     def test_no_small_jobs_when_sizes_are_close(self):
-        large, small = split_small(new_instance([6, 5, 4, 3]), Fraction(1, 2))
+        large, small, _ = split_small(new_instance([6, 5, 4, 3]), Fraction(1, 2))
         assert large == (6, 5, 4, 3)
         assert small == ()
 
     def test_boundary_size_counts_as_large(self):
         # threshold 8*1/4 = 2; a size-2 job is large (strictly below is small)
-        large, small = split_small(new_instance([8, 2, 1, 1]), 1)
+        large, small, _ = split_small(new_instance([8, 2, 1, 1]), 1)
         assert large == (8, 2)
         assert small == (1, 1)
 
@@ -89,7 +86,6 @@ class TestMakeGrid:
         grid = make_grid(rounded, 4)
         assert grid.step == Fraction(27, 32)
         assert grid.points == 33
-        assert grid.point(2) == Fraction(27, 16)
 
     def test_point_count_grows_with_precision(self):
         inst = new_instance([6, 5, 4, 3])
@@ -146,13 +142,13 @@ class TestQptasPipeline:
 
     def test_original_sizes_come_back(self):
         inst = new_instance([17, 13, 11, 7, 5])
-        sched = qptas_schedule(inst, Fraction(1, 4))
+        sched, _ = qptas_solve(inst, Fraction(1, 4))
         assert sorted(sched.sizes, reverse=True) == list(inst.sizes)
         assert check_feasible(sched) == []
 
     def test_float_eps_rejected(self):
         with pytest.raises(TypeError):
-            qptas_schedule(new_instance([4, 3]), 0.25)
+            qptas_solve(new_instance([4, 3]), 0.25)
 
     @pytest.mark.parametrize("eps", EPS_VALUES)
     def test_guarantee_on_seeded_instances(self, eps):
@@ -161,7 +157,7 @@ class TestQptasPipeline:
             inst = new_instance(
                 [rng.randint(1, 40) for _ in range(rng.randint(1, 6))]
             )
-            sched = qptas_schedule(inst, eps)
+            sched, _ = qptas_solve(inst, eps)
             assert check_feasible(sched) == []
             opt, _ = optimal_makespan(inst)
             guarantee = (1 + Fraction(eps)) ** 3 * opt
@@ -174,7 +170,7 @@ class TestQptasPipeline:
     @settings(max_examples=60, deadline=None)
     def test_guarantee_property(self, sizes, eps):
         inst = new_instance(sizes)
-        sched = qptas_schedule(inst, eps)
+        sched, _ = qptas_solve(inst, eps)
         assert check_feasible(sched) == []
         opt, _ = optimal_makespan(inst)
         assert opt <= makespan(sched) <= (1 + Fraction(eps)) ** 3 * opt

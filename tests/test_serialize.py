@@ -103,6 +103,14 @@ class TestTdmWire:
         with pytest.raises(ValueError):
             tdm_from_obj({"D": 10, "a": [3], "b": [3]})
 
+    @pytest.mark.parametrize("key", ["D", "a", "b", "c"])
+    def test_non_integer_rejected(self, key):
+        # int() would load "7/2" as 3 and yield a different, valid instance
+        obj = {"D": 10, "a": [3], "b": [3], "c": [4]}
+        obj[key] = "21/2" if key == "D" else ["7/2"]
+        with pytest.raises(ValueError, match="integers"):
+            tdm_from_obj(obj)
+
     def test_labels_object(self):
         tdm = ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,))
         _, labels = encode(tdm, 13)
@@ -125,6 +133,33 @@ class TestTraceWire:
         statuses = {r["status"] for r in obj["records"]}
         assert statuses <= {"executed", "canceled"}
         assert execution_trace_from_obj(obj) == trace
+
+    @pytest.mark.parametrize("key", ["job", "status", "size", "start", "end"])
+    def test_execution_record_missing_field(self, key):
+        sched, _ = greedy_schedule(new_instance([6, 5, 4, 3]))
+        obj = execution_trace_to_obj(simulate(sched, (6, 5, 4, 3)))
+        del obj["records"][0][key]
+        with pytest.raises(ValueError, match=key):
+            execution_trace_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"records": [], "status": "executed"},                  # no completion
+            {"records": [7], "completion": 0},                      # record not an object
+            {"records": [{"job": 0, "status": "done", "size": 1, "start": 0}], "completion": 0},
+        ],
+    )
+    def test_execution_trace_shape_errors(self, bad):
+        with pytest.raises(ValueError):
+            execution_trace_from_obj(bad)
+
+    def test_greedy_step_missing_field(self):
+        _, trace = greedy_schedule(new_instance([6, 5, 4, 3]))
+        obj = greedy_trace_to_obj(trace)
+        del obj["steps"][1]["job"]
+        with pytest.raises(ValueError, match="job"):
+            greedy_trace_from_obj(obj)
 
     def test_canceled_records_have_no_end(self):
         trace = simulate(Schedule(((6, 0), (4, 4))), (6, 1))
