@@ -105,22 +105,33 @@ def report_to_obj(report: RatioSearchReport) -> dict:
 
 
 def report_from_obj(obj) -> RatioSearchReport:
-    """Load a report, recomputing the witness ratio to keep reports honest."""
-    from .core import new_instance
-    from .serialize import decode_exact
+    """Load a report, recomputing the witness ratio to keep reports honest.
 
-    witness = tuple(int(p) for p in obj["witness"])
-    claimed = Fraction(decode_exact(obj["ratio"]))
+    Sizes, `iterations` and `seed` must be integers and every field but
+    `findings` must be present; anything else raises a one-line ValueError.
+    """
+    from .core import new_instance
+    from .serialize import _field, _integer, decode_exact
+
+    def sizes(holder, key: str, what: str) -> tuple[int, ...]:
+        return tuple(_integer(p, f"{what} {key}") for p in _field(holder, key, what, array=True))
+
+    witness = sizes(obj, "witness", "report")
+    claimed = Fraction(decode_exact(_field(obj, "ratio", "report")))
     actual = evaluate_ratio(new_instance(witness))
     if actual != claimed:
         raise ValueError(f"report claims ratio {claimed} but the witness yields {actual}")
+    findings = _field(obj, "findings", "report", array=True) if "findings" in obj else []
     return RatioSearchReport(
         ratio=claimed,
         witness=witness,
-        iterations=int(obj["iterations"]),
-        seed=int(obj["seed"]),
+        iterations=_integer(_field(obj, "iterations", "report"), "report seed and iterations"),
+        seed=_integer(_field(obj, "seed", "report"), "report seed and iterations"),
         findings=tuple(
-            (tuple(int(p) for p in f["sizes"]), Fraction(decode_exact(f["ratio"])))
-            for f in obj.get("findings", [])
+            (
+                sizes(f, "sizes", "report finding"),
+                Fraction(decode_exact(_field(f, "ratio", "report finding"))),
+            )
+            for f in findings
         ),
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 ExactNumber = int | Fraction
 
@@ -181,7 +181,11 @@ def lower_bound(instance: Instance) -> int:
     floor(n/2) jobs at most twice, plus the median size m once when n is
     odd.
     """
-    p = instance.sizes
+    return _half_sum_bound(instance.sizes)
+
+
+def _half_sum_bound(p: Sequence[int]) -> int:
+    """`lower_bound` of the sizes `p`, given sorted non-increasing."""
     n = len(p)
     half_sum = sum(p[(n + 1) // 2:])
     middle = p[n // 2] if n % 2 else 0

@@ -1,19 +1,29 @@
-"""Exact minimum makespan via branch and bound over start orders.
+"""Exact minimum makespan via a deadline search over start orders.
 
 Any feasible schedule can be left-shifted, job by job in start order, until
 every job sits exactly at max_i (s_i + min(p_i, p_k)) over the jobs before
 it.  That canonical form is determined by the order alone, so the optimum is
-the best canonical makespan over all orders of the size multiset.  The
-search branches on distinct sizes (equal sizes are interchangeable), seeds
-its incumbent with the greedy schedule, and prunes branches whose partial
-makespan already ties the incumbent.
+the best canonical makespan over all orders of the size multiset.
 
-A prefix of placed jobs matters to the future only through the unplaced
-multiset, the makespan so far, and the earliest feasible next start for each
-remaining size (every later placement is a monotone function of those).  The
-search keeps a table of explored prefixes keyed by the unplaced multiset and
-cuts any prefix that is pointwise no better than a stored one; that
-dominance rule is what makes 10-job instances with distinct sizes tractable.
+The search is a sequence of decision questions.  Greedy seeds the
+incumbent; then it asks whether some order ends every job at or below one
+less than the incumbent, takes any order it finds as the new incumbent, and
+asks again, until the answer is no or the incumbent reaches `lower_bound`.
+Each question branches on distinct sizes (equal sizes are interchangeable)
+and cuts:
+
+- a placement that would end past the target;
+- a prefix whose unplaced jobs of size >= some live size d already cannot
+  fit: they all start at or after the next start for d, and among
+  themselves they need the half-sum bound of `lower_bound`;
+- a prefix dominated by an explored one.  With the target fixed, a prefix
+  matters to the future only through the unplaced multiset and the earliest
+  next start of each remaining size, so a table keyed by the multiset holds
+  the minimal next-start vectors that failed, and a prefix pointwise >= one
+  of them fails too.
+
+Almost all of the work proves the greedy incumbent optimal, which is why
+the cuts are strong rather than the nodes cheap.
 
 `grid_exhaustive_optimum` is an independent cross-check: it never uses the
 canonicalization, just raw integer start tuples.
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Instance, Schedule, lower_bound, makespan
+from .core import Instance, Schedule, _half_sum_bound, lower_bound, makespan
 from .greedy import greedy_schedule
 
 DEFAULT_SIZE_LIMIT = 12
@@ -56,82 +66,101 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
     """Exact optimum makespan with a witness schedule.
 
     `limit` caps the instance size (the search is factorial in the worst
-    case, though the dominance table makes typical instances far cheaper).
+    case, though the bound and the dominance table make typical instances
+    far cheaper).
     """
     n = instance.n
     if n > limit:
         raise InstanceTooLargeError(
             f"exact search limited to {limit} jobs, got {n}; raise `limit` to override"
         )
-    seed_schedule, _ = greedy_schedule(instance)
+    best, _ = greedy_schedule(instance)
+    best_val = makespan(best)
     floor = lower_bound(instance)
-    best_val = makespan(seed_schedule)
     if best_val == floor:
-        return best_val, seed_schedule
+        return best_val, best
 
     distinct = sorted(set(instance.sizes), reverse=True)
     m = len(distinct)
-    cnt = [0] * m
-    for p in instance.sizes:
-        cnt[distinct.index(p)] += 1
+    counts = [instance.sizes.count(p) for p in distinct]
+    # caps[j][r] = min(distinct[j], distinct[r]): placing a job of class j at
+    # s pushes the next start of class r to at least s + caps[j][r].
+    caps = [[min(p, q) for q in distinct] for p in distinct]
+    # unplaced multiset -> [(r, half-sum bound of the unplaced jobs of size
+    # >= distinct[r])] over the live classes r
+    suffix_bounds: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
-    # next_start[j] = earliest feasible start for a job of size distinct[j]
-    # given the placed prefix: max over placed of (s_i + min(p_i, distinct[j])).
-    next_start = [0] * m
-    order: list[int] = []
-    best_order: list[tuple[int, ...]] = []
-    best = [best_val]
-    # Explored-prefix table: unplaced multiset -> minimal (span, next starts)
-    # vectors.  A new prefix pointwise >= a stored one cannot beat anything
-    # the stored one reached, so it is cut (sound alongside the incumbent:
-    # the stored prefix's subtree was only ever pruned against values that
-    # the incumbent already covers).
-    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    def live_bounds(key: tuple[int, ...]) -> list[tuple[int, int]]:
+        bounds = []
+        suffix: list[int] = []
+        for r in range(m):
+            if key[r]:
+                suffix += [distinct[r]] * key[r]
+                bounds.append((r, _half_sum_bound(suffix)))
+        suffix_bounds[key] = bounds
+        return bounds
 
-    def descend(depth: int, span: int) -> None:
-        if depth == n:
-            if span < best[0]:
-                best[0] = span
-                best_order[:] = [tuple(order)]
-            return
-        if depth:
+    def fits(target: int) -> list[int] | None:
+        """An order whose canonical schedule ends by `target`, or None."""
+        cnt = counts[:]
+        # next_start[r]: earliest start of a job of size distinct[r] after the
+        # placed prefix, non-increasing in r.
+        next_start = [0] * m
+        order: list[int] = []
+        # unplaced multiset -> minimal next-start vectors (live classes only)
+        # of the prefixes explored so far, all of which failed
+        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+        def descend(depth: int) -> bool:
+            if depth == n:
+                return True
             key = tuple(cnt)
-            vec = (span,) + tuple(next_start[j] for j in range(m) if cnt[j])
+            bounds = suffix_bounds.get(key) or live_bounds(key)
+            for r, bound in bounds:
+                if next_start[r] + bound > target:
+                    return False
+            vec = tuple([next_start[r] for r, _ in bounds])
             bucket = table.get(key)
             if bucket is None:
                 table[key] = [vec]
             else:
                 for old in bucket:
                     if all(a <= b for a, b in zip(old, vec)):
-                        return
+                        return False
                 bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
                 bucket.append(vec)
-        for j in range(m):
-            if not cnt[j]:
-                continue
-            p = distinct[j]
-            s = next_start[j]
-            new_span = span if span > s + p else s + p
-            if new_span >= best[0]:
-                continue
-            cnt[j] -= 1
-            order.append(p)
-            saved = next_start[:]
-            for r in range(m):
-                need = s + (p if p < distinct[r] else distinct[r])
-                if need > next_start[r]:
-                    next_start[r] = need
-            descend(depth + 1, new_span)
-            next_start[:] = saved
-            order.pop()
-            cnt[j] += 1
-            if best[0] == floor:
-                return
+            for j in range(m):
+                if not cnt[j]:
+                    continue
+                p = distinct[j]
+                s = next_start[j]
+                if s + p > target:
+                    continue
+                cnt[j] -= 1
+                order.append(p)
+                saved = next_start[:]
+                cap = caps[j]
+                for r in range(m):
+                    need = s + cap[r]
+                    if need > next_start[r]:
+                        next_start[r] = need
+                if descend(depth + 1):
+                    return True
+                next_start[:] = saved
+                order.pop()
+                cnt[j] += 1
+            return False
 
-    descend(0, 0)
-    if not best_order:
-        return best_val, seed_schedule
-    return best[0], canonical_schedule_for_order(best_order[0])
+        return order if descend(0) else None
+
+    # Ask for an order ending one below the incumbent until none exists.
+    while best_val > floor:
+        order = fits(best_val - 1)
+        if order is None:
+            break
+        best = canonical_schedule_for_order(order)
+        best_val = makespan(best)
+    return best_val, best
 
 
 def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:

@@ -58,6 +58,15 @@ def _field(obj: Any, key: str, what: str, array: bool = False) -> Any:
     return value
 
 
+def _integer(value: Any, what: str) -> int:
+    """decode_exact(value), which must be an integer: `what` names the values
+    in the one-line ValueError otherwise."""
+    number = decode_exact(value)
+    if not isinstance(number, int):
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return number
+
+
 def instance_to_obj(instance: Instance) -> dict:
     return {"sizes": list(instance.sizes)}
 
@@ -88,14 +97,11 @@ def tdm_to_obj(tdm: ThreeDMInstance) -> dict:
 
 
 def tdm_from_obj(obj: Any) -> ThreeDMInstance:
-    def integer(value: Any) -> int:
-        number = decode_exact(value)
-        if not isinstance(number, int):
-            raise ValueError(f"3DM values must be integers, got {value!r}")
-        return number
-
-    d = integer(_field(obj, "D", "3DM JSON"))
-    a, b, c = (tuple(integer(v) for v in _field(obj, key, "3DM JSON", array=True)) for key in "abc")
+    d = _integer(_field(obj, "D", "3DM JSON"), "3DM values")
+    a, b, c = (
+        tuple(_integer(v, "3DM values") for v in _field(obj, key, "3DM JSON", array=True))
+        for key in "abc"
+    )
     return ThreeDMInstance(D=d, a=a, b=b, c=c)
 
 

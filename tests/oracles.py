@@ -1,11 +1,15 @@
-"""Quadratic reference implementations, kept as test oracles.
+"""Reference implementations, kept as test oracles.
 
 These are the straightforward loops that the library's near-linear
-`check_feasible` and `greedy_schedule` replaced.  Tests cross-check the fast
-paths against them on small inputs.
+`check_feasible` and `greedy_schedule` replaced, and the optimization-form
+branch and bound that the exact oracle's deadline search replaced.  Tests
+cross-check the fast paths against them on small inputs.
 """
 
-from trisched import Instance, Schedule
+import itertools
+
+from trisched import Instance, Schedule, greedy_schedule, lower_bound, makespan
+from trisched.exact import canonical_schedule_for_order
 from trisched.greedy import TraceStep, insert_into_gap
 
 
@@ -68,3 +72,80 @@ def greedy_schedule_oracle(instance: Instance):
     for step, _, _, starts in greedy_oracle(instance):
         trace.append(step)
     return Schedule(tuple(zip(instance.sizes, starts))), tuple(trace)
+
+
+def optimal_makespan_oracle(instance: Instance) -> tuple[int, Schedule]:
+    """Branch and bound over start orders, pruning against the incumbent.
+
+    Branches on distinct sizes, seeds the incumbent with greedy, and keeps a
+    table of explored prefixes keyed by the unplaced multiset whose vectors
+    are (makespan so far, next start of each live class); a prefix pointwise
+    >= a stored one is cut.
+    """
+    n = instance.n
+    seed_schedule, _ = greedy_schedule(instance)
+    floor = lower_bound(instance)
+    best_val = makespan(seed_schedule)
+    if best_val == floor:
+        return best_val, seed_schedule
+
+    distinct = sorted(set(instance.sizes), reverse=True)
+    m = len(distinct)
+    cnt = [0] * m
+    for p in instance.sizes:
+        cnt[distinct.index(p)] += 1
+    next_start = [0] * m
+    order: list[int] = []
+    best_order: list[tuple[int, ...]] = []
+    best = [best_val]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def descend(depth: int, span: int) -> None:
+        if depth == n:
+            if span < best[0]:
+                best[0] = span
+                best_order[:] = [tuple(order)]
+            return
+        if depth:
+            key = tuple(cnt)
+            vec = (span,) + tuple(next_start[j] for j in range(m) if cnt[j])
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [vec]
+            else:
+                for old in bucket:
+                    if all(a <= b for a, b in zip(old, vec)):
+                        return
+                bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
+                bucket.append(vec)
+        for j in range(m):
+            if not cnt[j]:
+                continue
+            p = distinct[j]
+            s = next_start[j]
+            new_span = span if span > s + p else s + p
+            if new_span >= best[0]:
+                continue
+            cnt[j] -= 1
+            order.append(p)
+            saved = next_start[:]
+            for r in range(m):
+                need = s + (p if p < distinct[r] else distinct[r])
+                if need > next_start[r]:
+                    next_start[r] = need
+            descend(depth + 1, new_span)
+            next_start[:] = saved
+            order.pop()
+            cnt[j] += 1
+            if best[0] == floor:
+                return
+
+    descend(0, 0)
+    if not best_order:
+        return best_val, seed_schedule
+    return best[0], canonical_schedule_for_order(best_order[0])
+
+
+def order_brute_force_optimum(sizes) -> int:
+    """Minimum canonical makespan over every distinct order of `sizes`."""
+    return min(makespan(canonical_schedule_for_order(order)) for order in set(itertools.permutations(sizes)))

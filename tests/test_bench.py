@@ -78,3 +78,33 @@ class TestReportWire:
         assert obj["ratio"] == "21/20"
         assert obj["witness"] == [20, 20, 10, 5, 5, 4, 4, 4, 4]
         assert obj["findings"] == []
+
+    @pytest.mark.parametrize("key", ["witness", "ratio", "iterations", "seed"])
+    def test_missing_field_rejected(self, key):
+        obj = report_to_obj(ratio_search(n=4, iterations=2, seed=0))
+        del obj[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            report_from_obj(obj)
+
+    @pytest.mark.parametrize("bad", [5.9, "59/10"])
+    def test_fractional_witness_size_rejected(self, bad):
+        # int(...) used to load 5.9 as 5: a different witness, whose ratio
+        # the report then matched
+        ratio = evaluate_ratio(new_instance([6, 5, 4, 3]))
+        obj = {"ratio": f"{ratio.numerator}/{ratio.denominator}", "witness": [6, bad, 4, 3],
+               "iterations": 1, "seed": 0}
+        with pytest.raises(ValueError):
+            report_from_obj(obj)
+
+    @pytest.mark.parametrize("key,bad", [("iterations", "3/2"), ("seed", 0.5)])
+    def test_fractional_counts_rejected(self, key, bad):
+        obj = report_to_obj(ratio_search(n=4, iterations=2, seed=0))
+        obj[key] = bad
+        with pytest.raises(ValueError):
+            report_from_obj(obj)
+
+    def test_finding_without_ratio_rejected(self):
+        obj = report_to_obj(ratio_search(n=4, iterations=2, seed=0))
+        obj["findings"] = [{"sizes": [3, 2, 1]}]
+        with pytest.raises(ValueError, match="'ratio'"):
+            report_from_obj(obj)

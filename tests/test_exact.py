@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from trisched import (
     optimal_makespan,
 )
 from trisched.exact import canonical_schedule_for_order
+from trisched.generators import random_instance
 
 small_sizes = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8)
 
@@ -129,6 +131,19 @@ class TestOptimalMakespan:
                 for order in itertools.permutations(sizes)
             )
             assert value == brute
+
+
+def test_n12_scale_gate():
+    # about half a second in total; without the per-class suffix bound the
+    # same thirty instances take over 30 s
+    rng = random.Random(12)
+    instances = [random_instance(rng, 12, 50) for _ in range(30)]
+    t0 = time.perf_counter()
+    for inst in instances:
+        value, witness = optimal_makespan(inst)
+        assert lower_bound(inst) <= value == makespan(witness)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"30 exact solves at n=12 took {elapsed:.1f}s"
 
 
 class TestGridExhaustiveOptimum:

@@ -1,14 +1,21 @@
 """The near-linear `check_feasible` and greedy against their quadratic
-oracles, and a scale gate that a quadratic regression fails."""
+oracles, a scale gate that a quadratic regression fails, and the exact
+oracle's deadline search against the branch and bound it replaced."""
 
 import random
 import time
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_oracle, greedy_schedule_oracle, pairs_oracle
+from oracles import (
+    greedy_oracle,
+    greedy_schedule_oracle,
+    optimal_makespan_oracle,
+    order_brute_force_optimum,
+    pairs_oracle,
+)
 from trisched import (
     Schedule,
     check_feasible,
@@ -16,6 +23,7 @@ from trisched import (
     lower_bound,
     makespan,
     new_instance,
+    optimal_makespan,
 )
 from trisched.greedy import greedy_steps
 
@@ -124,3 +132,55 @@ def test_greedy_and_check_scale_near_linearly():
         if len(set(sizes)) == 1:
             assert makespan(schedule) == lower_bound(inst)
         assert elapsed < 20.0, f"greedy plus check took {elapsed:.1f}s at n={n}"
+
+
+def check_exact(sizes, expected):
+    value, witness = optimal_makespan(new_instance(sizes))
+    assert value == expected
+    assert check_feasible(witness) == []
+    assert sorted(witness.sizes) == sorted(sizes)
+    assert makespan(witness) == value
+
+
+def check_exact_against_reference(sizes):
+    check_exact(sizes, optimal_makespan_oracle(new_instance(sizes))[0])
+
+
+spread_sizes = st.lists(st.integers(1, 50), min_size=1, max_size=9)
+# few distinct sizes: many equal jobs, so many orders tie
+duplicate_sizes = st.lists(st.integers(1, 4), min_size=1, max_size=9)
+
+# The nine-job fixture on which greedy makes 42 against an optimum of 40,
+# scaled by k and each size moved by up to k: about three instances in ten
+# leave greedy above the optimum (about one in three thousand uniform ones
+# do), so the search has an incumbent to improve on, once or several times.
+fixture_like_sizes = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(*(st.integers(k * (p - 1), k * (p + 1)) for p in (20, 20, 10, 5, 5, 4, 4, 4, 4)))
+).map(list)
+
+
+class TestExactMatchesBranchAndBound:
+    @given(spread_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_spread_sizes(self, sizes):
+        check_exact_against_reference(sizes)
+
+    @given(duplicate_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_duplicate_sizes(self, sizes):
+        check_exact_against_reference(sizes)
+
+    @given(fixture_like_sizes)
+    # optimum 42 and 84: a dominance cut that fires when any one coordinate
+    # of a stored vector is no larger returns 43 and 85 on these
+    @example([21, 21, 10, 6, 4, 4, 4, 4, 4])
+    @example([41, 40, 22, 12, 9, 9, 9, 7, 7])
+    @settings(max_examples=150, deadline=None)
+    def test_sizes_where_greedy_is_not_optimal(self, sizes):
+        check_exact_against_reference(sizes)
+
+    @given(st.one_of(st.lists(st.integers(1, 50), min_size=1, max_size=7),
+                     st.lists(st.integers(1, 4), min_size=1, max_size=7)))
+    @settings(max_examples=80, deadline=None)
+    def test_every_order(self, sizes):
+        check_exact(sizes, order_brute_force_optimum(sizes))
