@@ -15,9 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bench, generators, qptas, render, serialize
-from .core import check_feasible, lower_bound, makespan
+from .core import Schedule, check_feasible, lower_bound, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .greedy import greedy_schedule, greedy_tree, tree_to_dot
+from .hardness import encode
 from .simulate import simulate
 
 
@@ -29,7 +30,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("TS_SEED", "0"))
+    text = os.environ.get("TS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TS_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -44,8 +49,6 @@ def _cmd_gen(args) -> int:
         if args.tdm is None or args.M is None:
             raise ValueError("--kind reduction needs --tdm and --M")
         tdm = serialize.tdm_from_obj(serialize.read_json(args.tdm))
-        from .hardness import encode
-
         instance, labels = encode(tdm, args.M)
         _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
         if args.output is not None:
@@ -132,8 +135,6 @@ def _cmd_render(args) -> int:
     trace = None
     if args.trace is not None:
         trace = serialize.execution_trace_from_obj(serialize.read_json(args.trace))
-        from .core import Schedule
-
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
         schedule = serialize.schedule_from_obj(serialize.read_json(args.schedule))
@@ -153,7 +154,7 @@ def _cmd_bench(args) -> int:
         max_size=args.max_size,
         bound=args.bound,
     )
-    obj = bench.report_to_obj(report)
+    obj = serialize.report_to_obj(report)
     print(f"ratio {obj['ratio']} witness {report.witness}")
     if args.output is not None:
         serialize.write_json(args.output, obj)
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance")
     gen.add_argument("--kind", choices=generators.KINDS, required=True)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--max-size", type=int, default=100)
     gen.add_argument("--bound", type=_rational)
     gen.add_argument("--fixture", choices=sorted(generators.FIXTURES))
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = sim.add_mutually_exclusive_group(required=True)
     group.add_argument("--demands", help="demands JSON file")
     group.add_argument("--random", action="store_true", help="draw demands uniformly")
-    sim.add_argument("--seed", type=int, default=_default_seed())
+    sim.add_argument("--seed", type=int)
     sim.add_argument("-o", "--output", help="write the execution trace JSON here")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     ratio = bench_sub.add_parser("ratio-search", help="hunt bad greedy/optimal ratios")
     ratio.add_argument("--n", type=int, default=9)
     ratio.add_argument("--iterations", type=int, default=50)
-    ratio.add_argument("--seed", type=int, default=_default_seed())
+    ratio.add_argument("--seed", type=int)
     ratio.add_argument("--max-size", type=int, default=50)
     ratio.add_argument("--bound", type=_rational, help="restrict the pool to this ratio bound")
     ratio.add_argument("--findings", help="write instances beating 21/20 here")
@@ -238,6 +239,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import isqrt
-from typing import Iterator
 
 from .core import Instance, Schedule
 
@@ -32,20 +31,6 @@ class TraceStep:
 
 
 GreedyTrace = tuple[TraceStep, ...]
-
-
-@dataclass(frozen=True)
-class GreedyStep:
-    """One insertion with the full solver state around it.
-
-    `starts` holds the current start of every placed job (index k is job
-    k+1), after this step's shift.  Invariant tests consume these snapshots.
-    """
-
-    step: TraceStep
-    gaps_before: tuple[tuple[int, int], ...]
-    gaps_after: tuple[tuple[int, int], ...]
-    starts: tuple[int, ...]
 
 
 def insert_into_gap(
@@ -138,11 +123,6 @@ class _GapList:
         self.heap = [(-top, i) for i, top in enumerate(self.maxima)]
         heapify(self.heap)
 
-    def gaps(self) -> tuple[tuple[int, int], ...]:
-        """(start, length) of every gap, in time order."""
-        lengths = list(chain.from_iterable(self.lengths))
-        return tuple(zip(accumulate(lengths, initial=0), lengths))
-
     def starts(self) -> tuple[int, ...]:
         """Current start of every placed job; index k is job k+1."""
         starts = [0] * sum(map(len, self.edges))
@@ -150,28 +130,6 @@ class _GapList:
         for edge, start in zip(edges, accumulate(chain.from_iterable(self.lengths), initial=0)):
             starts[edge - 1] = start
         return tuple(starts)
-
-
-def _first_step(size: int) -> TraceStep:
-    return TraceStep(1, size, None, None, 0, 0, None, size)
-
-
-def greedy_steps(instance: Instance) -> Iterator[GreedyStep]:
-    """Run the greedy solver, yielding the state around every insertion.
-
-    Each snapshot copies the whole gap list, so this costs O(n^2); it exists
-    for invariant tests.  `greedy_schedule` runs the same insertions without
-    the snapshots.
-    """
-    sizes = instance.sizes
-    gap_list = _GapList(sizes[0], len(sizes))
-    after = gap_list.gaps()
-    yield GreedyStep(_first_step(sizes[0]), (), after, (0,))
-    for j in range(2, len(sizes) + 1):
-        before = after
-        step = gap_list.insert(j, sizes[j - 1])
-        after = gap_list.gaps()
-        yield GreedyStep(step, before, after, gap_list.starts())
 
 
 def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
@@ -185,7 +143,7 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     sizes = instance.sizes
     gap_list = _GapList(sizes[0], len(sizes))
     insert = gap_list.insert
-    trace = [_first_step(sizes[0])]
+    trace = [TraceStep(1, sizes[0], None, None, 0, 0, None, sizes[0])]
     trace.extend(insert(j, sizes[j - 1]) for j in range(2, len(sizes) + 1))
     return Schedule(tuple(zip(sizes, gap_list.starts()))), tuple(trace)
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .core import Instance, Schedule, as_exact, makespan, new_instance
+from .core import Instance, Schedule, as_exact, new_instance
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
@@ -54,7 +55,7 @@ def split_small(instance: Instance, eps) -> tuple[tuple[int, ...], tuple[int, ..
 
 @dataclass(frozen=True)
 class RoundedInstance:
-    """Sizes rounded up onto the ladder unit*(1+eps)^k.
+    """Sizes rounded up onto the ladder unit*(1+eps)^k, unit = classes[-1].
 
     `large` pairs each original size with its rounded value, non-increasing
     by original size; `classes` lists the distinct rounded values
@@ -63,7 +64,6 @@ class RoundedInstance:
     """
 
     eps: Fraction
-    unit: int
     large: tuple[tuple[int, Fraction], ...]
     classes: tuple[Fraction, ...]
 
@@ -76,9 +76,8 @@ def round_sizes(instance: Instance, eps) -> RoundedInstance:
     ceil(log_{1+eps}(spread)) + 1.
     """
     eps = _rational_eps(eps)
-    unit = instance.sizes[-1]
     factor = 1 + eps
-    ladder = [Fraction(unit)]
+    ladder = [Fraction(instance.sizes[-1])]
     pairs = []
     for p in sorted(instance.sizes):
         while ladder[-1] < p:
@@ -87,7 +86,7 @@ def round_sizes(instance: Instance, eps) -> RoundedInstance:
         pairs.append((p, rung))
     pairs.reverse()
     classes = tuple(sorted({r for _, r in pairs}, reverse=True))
-    return RoundedInstance(eps=eps, unit=unit, large=tuple(pairs), classes=classes)
+    return RoundedInstance(eps=eps, large=tuple(pairs), classes=classes)
 
 
 @dataclass(frozen=True)
@@ -116,76 +115,76 @@ def make_grid(rounded: RoundedInstance, n: int) -> Grid:
 class DPResult:
     makespan: Fraction
     schedule: Schedule          # rounded sizes at grid starts
-    states: int                 # memoized states expanded
+    states: int                 # non-final configurations reached
 
 
 def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_BUDGET) -> DPResult:
     """Best grid-restricted schedule of the rounded large jobs.
 
-    A configuration maps each size class to the grid index of its rightmost
-    placed job (-1 when empty, which stands for the sentinel start -x, so an
-    empty class never constrains anything).  Placing a job of class z costs
-    the smallest grid point t >= max over classes x of (C_x + min(x, z));
-    that keeps every placement feasible against all earlier jobs, and
-    left-shifting shows no grid schedule does better.  The value of a
-    completed configuration is max over classes of (C_x + x).
+    A state is one tuple: the grid index C_x of the last placed job of each
+    class x, then the unplaced count of each class.  A job of class z goes
+    to the first grid index at or after every C_x*step + min(x, z), which
+    keeps it feasible against all earlier jobs (left-shifting shows no grid
+    schedule does better): max(0, C_x + reach[z][x]) with reach[z][x] =
+    ceil(min(x, z)/step).  An empty class sits at -reach[0][0] and constrains
+    nothing.  A completed state is worth max over x of C_x*step + x, kept as
+    an int in units of 1/scale, the common denominator of step and classes.
+
+    States are enumerated one placed job per layer and solved from the last
+    layer back, each taking the first best move in class order.  More than
+    `budget` states before the last job raise StateBudgetExceeded.
     """
     classes = rounded.classes
-    z_count = len(classes)
-    if z_count == 0:
+    if not classes:
         return DPResult(Fraction(0), Schedule(()), 0)
     step = grid.step
-    top_index = grid.points - 1
-    counts0 = tuple(sum(1 for _, r in rounded.large if r == z) for z in classes)
-    empty = (-1,) * z_count
-    memo: dict[tuple, tuple] = {}
+    top = grid.points - 1
+    scale = math.lcm(step.denominator, *(x.denominator for x in classes))
+    tick = int(step * scale)
+    sizes = [int(x * scale) for x in classes]
+    reach = [[-(-min(x, z) // tick) for x in sizes] for z in sizes]
+    m = len(classes)
+    counts = tuple(sum(1 for _, r in rounded.large if r == z) for z in classes)
+    root = (-reach[0][0],) * m + counts
 
-    def value_at(cfg_index: int, x: Fraction) -> Fraction:
-        return step * cfg_index if cfg_index >= 0 else -x
+    layers = [{root: None}]
+    states = 0
+    for _ in range(sum(counts)):
+        layer, following = layers[-1], {}
+        states += len(layer)
+        if states > budget:
+            raise StateBudgetExceeded(budget)
+        for state in layer:
+            layer[state] = moves = []
+            for zi in range(m):
+                left = state[m + zi]
+                if left:
+                    index = max(0, max(map(add, state, reach[zi])))
+                    if index <= top:
+                        child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
+                        # a state reached twice keeps one tuple, the first
+                        moves.append((zi, index, following.setdefault(child, child)))
+        layers.append(following)
 
-    def solve(config: tuple[int, ...], counts: tuple[int, ...]):
-        if not any(counts):
-            return max(value_at(ci, x) + x for ci, x in zip(config, classes))
-        key = (config, counts)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        if len(memo) >= budget:
-            raise StateBudgetExceeded(len(memo))
-        best = None
-        move = None
-        for zi in range(z_count):
-            if counts[zi] == 0:
-                continue
-            z = classes[zi]
-            need = max(value_at(ci, x) + min(x, z) for ci, x in zip(config, classes))
-            index = max(0, math.ceil(need / step))
-            if index > top_index:
-                continue
-            val = solve(
-                config[:zi] + (index,) + config[zi + 1:],
-                counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:],
-            )
-            if val is not None and (best is None or val < best):
-                best = val
-                move = (zi, index)
-        memo[key] = (best, move)
-        return best
+    layers[-1] = {state: (max(c * tick + x for c, x in zip(state, sizes)), None) for state in layers[-1]}
+    for layer, following in zip(layers[-2::-1], layers[::-1]):
+        for state, moves in layer.items():
+            best = chosen = None
+            for move in moves:
+                value = following[move[2]][0]
+                if value is not None and (best is None or value < best):
+                    best, chosen = value, move
+            layer[state] = (best, chosen)
 
-    result = solve(empty, counts0)
-    if result is None:
+    best = layers[0][root][0]
+    if best is None:
         raise ValueError("no rounded schedule fits the grid")
-
     placements = []
-    config, counts = empty, counts0
-    while any(counts):
-        _, move = memo[(config, counts)]
-        zi, index = move
+    state = root
+    for layer in layers[:-1]:
+        zi, index, state = layer[state][1]
         placements.append((classes[zi], step * index))
-        config = config[:zi] + (index,) + config[zi + 1:]
-        counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
-    schedule = Schedule(tuple(placements))
-    return DPResult(makespan=result, schedule=schedule, states=len(memo))
+    return DPResult(makespan=Fraction(best, scale), schedule=Schedule(tuple(placements)), states=states)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
+from .bench import RatioSearchReport, evaluate_ratio
 from .core import ExactNumber, Instance, Schedule, new_instance
 from .greedy import GreedyTrace, TraceStep
 from .hardness import ReductionLabels, ThreeDMInstance
@@ -186,6 +187,50 @@ def demands_to_obj(demands) -> dict:
 
 def demands_from_obj(obj: Any) -> tuple[ExactNumber, ...]:
     return tuple(decode_exact(d) for d in _field(obj, "demands", "demands JSON", array=True))
+
+
+def report_to_obj(report: RatioSearchReport) -> dict:
+    return {
+        "ratio": encode_exact(Fraction(report.ratio)),
+        "witness": list(report.witness),
+        "iterations": report.iterations,
+        "seed": report.seed,
+        "findings": [
+            {"sizes": list(sizes), "ratio": encode_exact(Fraction(ratio))}
+            for sizes, ratio in report.findings
+        ],
+    }
+
+
+def report_from_obj(obj: Any) -> RatioSearchReport:
+    """Load a report, recomputing the witness ratio to keep reports honest.
+
+    Sizes, `iterations` and `seed` must be integers and every field but
+    `findings` must be present; anything else raises a one-line ValueError.
+    """
+
+    def sizes(holder, key: str, what: str) -> tuple[int, ...]:
+        return tuple(_integer(p, f"{what} {key}") for p in _field(holder, key, what, array=True))
+
+    witness = sizes(obj, "witness", "report")
+    claimed = Fraction(decode_exact(_field(obj, "ratio", "report")))
+    actual = evaluate_ratio(new_instance(witness))
+    if actual != claimed:
+        raise ValueError(f"report claims ratio {claimed} but the witness yields {actual}")
+    findings = _field(obj, "findings", "report", array=True) if "findings" in obj else []
+    return RatioSearchReport(
+        ratio=claimed,
+        witness=witness,
+        iterations=_integer(_field(obj, "iterations", "report"), "report seed and iterations"),
+        seed=_integer(_field(obj, "seed", "report"), "report seed and iterations"),
+        findings=tuple(
+            (
+                sizes(f, "sizes", "report finding"),
+                Fraction(decode_exact(_field(f, "ratio", "report finding"))),
+            )
+            for f in findings
+        ),
+    )
 
 
 def dumps(obj: dict) -> str:

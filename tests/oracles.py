@@ -1,16 +1,20 @@
 """Reference implementations, kept as test oracles.
 
 These are the straightforward loops that the library's near-linear
-`check_feasible` and `greedy_schedule` replaced, and the optimization-form
-branch and bound that the exact oracle's deadline search replaced.  Tests
+`check_feasible` and `greedy_schedule` replaced, the optimization-form
+branch and bound that the exact oracle's deadline search replaced, and the
+recursive Fraction DP that the QPTAS's integer layered DP replaced.  Tests
 cross-check the fast paths against them on small inputs.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from trisched import Instance, Schedule, greedy_schedule, lower_bound, makespan
 from trisched.exact import canonical_schedule_for_order
 from trisched.greedy import TraceStep, insert_into_gap
+from trisched.qptas import DPResult, Grid, RoundedInstance
 
 
 def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:
@@ -149,3 +153,67 @@ def optimal_makespan_oracle(instance: Instance) -> tuple[int, Schedule]:
 def order_brute_force_optimum(sizes) -> int:
     """Minimum canonical makespan over every distinct order of `sizes`."""
     return min(makespan(canonical_schedule_for_order(order)) for order in set(itertools.permutations(sizes)))
+
+
+def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
+    """The QPTAS configuration DP as a memoized recursion on Fractions.
+
+    A configuration maps each class to the grid index of its rightmost
+    placed job, -1 when empty (the sentinel start -x).  Placing a job of
+    class z costs the smallest grid point at or after max over classes x of
+    (C_x + min(x, z)); ties go to the first class.  `states` counts the
+    memoized configurations.
+    """
+    classes = rounded.classes
+    z_count = len(classes)
+    if z_count == 0:
+        return DPResult(Fraction(0), Schedule(()), 0)
+    step = grid.step
+    top_index = grid.points - 1
+    counts0 = tuple(sum(1 for _, r in rounded.large if r == z) for z in classes)
+    empty = (-1,) * z_count
+    memo: dict[tuple, tuple] = {}
+
+    def value_at(cfg_index: int, x: Fraction) -> Fraction:
+        return step * cfg_index if cfg_index >= 0 else -x
+
+    def solve(config: tuple[int, ...], counts: tuple[int, ...]):
+        if not any(counts):
+            return max(value_at(ci, x) + x for ci, x in zip(config, classes))
+        key = (config, counts)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        best = None
+        move = None
+        for zi in range(z_count):
+            if counts[zi] == 0:
+                continue
+            z = classes[zi]
+            need = max(value_at(ci, x) + min(x, z) for ci, x in zip(config, classes))
+            index = max(0, math.ceil(need / step))
+            if index > top_index:
+                continue
+            val = solve(
+                config[:zi] + (index,) + config[zi + 1:],
+                counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:],
+            )
+            if val is not None and (best is None or val < best):
+                best = val
+                move = (zi, index)
+        memo[key] = (best, move)
+        return best
+
+    result = solve(empty, counts0)
+    if result is None:
+        raise ValueError("no rounded schedule fits the grid")
+
+    placements = []
+    config, counts = empty, counts0
+    while any(counts):
+        _, move = memo[(config, counts)]
+        zi, index = move
+        placements.append((classes[zi], step * index))
+        config = config[:zi] + (index,) + config[zi + 1:]
+        counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
+    return DPResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))

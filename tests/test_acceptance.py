@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+from oracles import greedy_oracle
 from trisched import (
     Instance,
     Schedule,
@@ -34,7 +35,6 @@ from trisched import (
     schedule_from_matching,
     simulate,
 )
-from trisched.greedy import greedy_steps
 
 TDM1 = ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,))
 TDM2 = ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
@@ -148,13 +148,12 @@ def test_criterion_06_greedy_step_invariants():
     steps_seen = 0
     for instance in ratio_bounded_pool() + random_pool():
         prev_makespan = 0
-        for snap in greedy_steps(instance):
+        for step, before, after, _ in greedy_oracle(instance):
             steps_seen += 1
-            size = snap.step.size
-            ok = ok and all(length >= size for _, length in snap.gaps_after)
-            if snap.step.makespan > prev_makespan:
-                ok = ok and all(length < 2 * size for _, length in snap.gaps_before)
-            prev_makespan = snap.step.makespan
+            ok = ok and all(length >= step.size for _, length in after)
+            if step.makespan > prev_makespan:
+                ok = ok and all(length < 2 * step.size for _, length in before)
+            prev_makespan = step.makespan
     elapsed = time.perf_counter() - t0
     report(6, ok, f"step invariants held on {steps_seen} insertions in {elapsed:.1f}s")
 

@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 
 from trisched import new_instance
-from trisched.bench import (
-    FIXTURE_RATIO,
-    RatioSearchReport,
-    evaluate_ratio,
-    ratio_search,
-    report_from_obj,
-    report_to_obj,
-)
+from trisched.bench import FIXTURE_RATIO, RatioSearchReport, evaluate_ratio, ratio_search
+from trisched.serialize import report_from_obj, report_to_obj
 
 
 class TestEvaluateRatio:

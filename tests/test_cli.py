@@ -126,6 +126,14 @@ class TestSolve:
         assert lines[2] == "grid-points 33"
         assert lines[3] == "dp-states 23"
 
+    def test_qptas_on_a_long_chain_of_equal_sizes(self, tmp_path, capsys):
+        # one DP state per placed job, far deeper than the recursion limit
+        instance = tmp_path / "i.json"
+        instance.write_text(json.dumps({"sizes": [7] * 1200}))
+        code, out, _ = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["classes 1", "grid-points 2880001", "dp-states 1200"]
+
     def test_qptas_needs_eps(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
         instance.write_text('{"sizes": [6, 5, 4, 3]}')
@@ -257,27 +265,37 @@ SOLVE = ("solve", "BAD", "--algo", "greedy")
 SIMULATE = ("simulate", "--schedule", "SCHEDULE", "--demands", "BAD")
 RENDER = ("render", "--trace", "BAD")
 GEN = ("gen", "--kind", "reduction", "--M", "13", "--tdm", "BAD")
+
+
+def case(argv, text, id, env=None):
+    """A malformed-input case; `env` sets environment variables for it."""
+    return pytest.param(argv, text, env or {}, id=id)
+
+
 MALFORMED = [
-    pytest.param(SOLVE, '{"sizes": [3, "x"]}', id="solve-bad-size"),
-    pytest.param(SOLVE, "[6, 5]", id="solve-not-object"),
-    pytest.param(("check", "BAD"), '{"jobs": [{"size": 6}]}', id="check-no-start"),
-    pytest.param(("check", "BAD"), '{"jobs": [[6, 0]]}', id="check-job-not-object"),
-    pytest.param(SIMULATE, '{"demands": {"0": 1}}', id="demands-not-array"),
-    pytest.param(SIMULATE, '{"demands": [1, 1, 1, 0.5]}', id="demands-float"),
-    pytest.param(
+    case(SOLVE, '{"sizes": [3, "x"]}', id="solve-bad-size"),
+    case(SOLVE, "[6, 5]", id="solve-not-object"),
+    case(("check", "BAD"), '{"jobs": [{"size": 6}]}', id="check-no-start"),
+    case(("check", "BAD"), '{"jobs": [[6, 0]]}', id="check-job-not-object"),
+    case(SIMULATE, '{"demands": {"0": 1}}', id="demands-not-array"),
+    case(SIMULATE, '{"demands": [1, 1, 1, 0.5]}', id="demands-float"),
+    case(
         RENDER,
         '{"records": [{"status": "executed", "size": 6, "start": 0, "end": 6}], "completion": 6}',
         id="render-no-job",
     ),
-    pytest.param(RENDER, '{"records": [{"job": 0, "status": "executed"}]}', id="render-no-size"),
-    pytest.param(RENDER, '{"records": []', id="render-bad-json"),
-    pytest.param(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
-    pytest.param(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
+    case(RENDER, '{"records": [{"job": 0, "status": "executed"}]}', id="render-no-size"),
+    case(RENDER, '{"records": []', id="render-bad-json"),
+    case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
+    case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
+    case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
 ]
 
 
-@pytest.mark.parametrize("argv, text", MALFORMED)
-def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, argv, text):
+@pytest.mark.parametrize("argv, text, env", MALFORMED)
+def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, monkeypatch, argv, text, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     paths = {"BAD": str(bad), "SCHEDULE": str(staircase_schedule)}

@@ -1,6 +1,7 @@
 """The near-linear `check_feasible` and greedy against their quadratic
-oracles, a scale gate that a quadratic regression fails, and the exact
-oracle's deadline search against the branch and bound it replaced."""
+oracles, a scale gate that a quadratic regression fails, the exact
+oracle's deadline search against the branch and bound it replaced, and the
+QPTAS's integer layered DP against the recursive Fraction DP it replaced."""
 
 import random
 import time
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    greedy_oracle,
+    dp_solve_oracle,
     greedy_schedule_oracle,
     optimal_makespan_oracle,
     order_brute_force_optimum,
@@ -25,7 +26,7 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
-from trisched.greedy import greedy_steps
+from trisched.qptas import dp_solve, make_grid, round_sizes
 
 int_jobs = st.tuples(st.integers(1, 12), st.integers(0, 60))
 fraction_jobs = st.tuples(
@@ -100,13 +101,6 @@ class TestGreedyMatchesOracle:
     def test_halving_ladder_sizes(self, sizes):
         inst = new_instance(sizes)
         assert greedy_schedule(inst) == greedy_schedule_oracle(inst)
-
-    @given(st.one_of(uniform_sizes, equal_sizes, ladder_sizes))
-    @settings(max_examples=60)
-    def test_step_snapshots(self, sizes):
-        inst = new_instance(sizes)
-        observed = [(s.step, s.gaps_before, s.gaps_after, s.starts) for s in greedy_steps(inst)]
-        assert observed == list(greedy_oracle(inst))
 
     def test_many_blocks(self):
         # large enough that the gap list splits into dozens of blocks
@@ -184,3 +178,30 @@ class TestExactMatchesBranchAndBound:
     @settings(max_examples=80, deadline=None)
     def test_every_order(self, sizes):
         check_exact(sizes, order_brute_force_optimum(sizes))
+
+
+dp_sizes = st.one_of(
+    st.lists(st.integers(1, 50), min_size=1, max_size=7),
+    st.tuples(st.integers(1, 50), st.integers(1, 7)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+def dp_outcome(solve, rounded, grid):
+    try:
+        return solve(rounded, grid)
+    except ValueError as exc:   # no rounded schedule fits the grid
+        return str(exc)
+
+
+class TestDpMatchesFractionOracle:
+    # eps = 3 makes the grid's last point bind: 7 equal sizes do not fit at all
+    @given(dp_sizes, st.sampled_from((3, 2, 1, Fraction(1, 2), Fraction(1, 3))))
+    @settings(max_examples=100, deadline=None)
+    @example([7] * 7, 3)
+    @example([7] * 4, 3)
+    def test_same_makespan_schedule_and_states(self, sizes, eps):
+        inst = new_instance(sizes)
+        rounded = round_sizes(inst, eps)
+        grid = make_grid(rounded, inst.n)
+        # DPResult equality covers makespan, schedule and states
+        assert dp_outcome(dp_solve, rounded, grid) == dp_outcome(dp_solve_oracle, rounded, grid)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import greedy_oracle
 from trisched import (
     binary_tree_ratio,
     check_feasible,
@@ -18,7 +19,7 @@ from trisched import (
     tree_to_dot,
 )
 from trisched.generators import ratio_bounded_instance
-from trisched.greedy import greedy_steps, insert_into_gap
+from trisched.greedy import insert_into_gap
 
 sizes_lists = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=14)
 
@@ -114,44 +115,45 @@ class TestGreedySchedule:
 
 
 class TestGreedySteps:
+    """Invariants of every insertion, read from the oracle's snapshots
+    (`test_fast_paths` checks that greedy_schedule makes the same steps)."""
+
     def test_chosen_gap_is_largest_then_earliest(self):
-        for state in greedy_steps(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4])):
-            if state.step.gap_start is None:
+        for step, before, _, _ in greedy_oracle(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4])):
+            if step.gap_start is None:
                 continue
-            best = max(length for _, length in state.gaps_before)
-            assert state.step.gap_length == best
-            earliest = min(s for s, length in state.gaps_before if length == best)
-            assert state.step.gap_start == earliest
+            best = max(length for _, length in before)
+            assert step.gap_length == best
+            earliest = min(s for s, length in before if length == best)
+            assert step.gap_start == earliest
 
     def test_step_snapshots_are_consistent(self):
-        states = list(greedy_steps(new_instance([8, 8, 4, 4, 4])))
-        for prev, state in zip(states, states[1:]):
-            assert state.gaps_before == prev.gaps_after
-            assert len(state.starts) == state.step.job
+        states = list(greedy_oracle(new_instance([8, 8, 4, 4, 4])))
+        for (_, _, prev_after, _), (step, before, _, starts) in zip(states, states[1:]):
+            assert before == prev_after
+            assert len(starts) == step.job
         # starts snapshot of the last step is the final schedule
         sched, _ = greedy_schedule(new_instance([8, 8, 4, 4, 4]))
-        assert states[-1].starts == sched.starts
+        assert states[-1][3] == sched.starts
 
     def test_gaps_partition_the_span(self):
-        for state in greedy_steps(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4])):
-            total = sum(length for _, length in state.gaps_after)
-            assert total == state.step.makespan
+        for step, _, after, _ in greedy_oracle(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4])):
+            total = sum(length for _, length in after)
+            assert total == step.makespan
 
     @given(sizes_lists)
     @settings(max_examples=100)
     def test_all_gaps_at_least_current_size_after_insertion(self, sizes):
-        for state in greedy_steps(new_instance(sizes)):
-            assert all(length >= state.step.size for _, length in state.gaps_after)
+        for step, _, after, _ in greedy_oracle(new_instance(sizes)):
+            assert all(length >= step.size for _, length in after)
 
     @given(sizes_lists)
     @settings(max_examples=100)
     def test_makespan_grows_only_when_no_gap_had_room(self, sizes):
-        states = list(greedy_steps(new_instance(sizes)))
-        for prev, state in zip(states, states[1:]):
-            if state.step.makespan > prev.step.makespan:
-                assert all(
-                    length < 2 * state.step.size for _, length in state.gaps_before
-                )
+        states = list(greedy_oracle(new_instance(sizes)))
+        for (prev, _, _, _), (step, before, _, _) in zip(states, states[1:]):
+            if step.makespan > prev.makespan:
+                assert all(length < 2 * step.size for _, length in before)
 
 
 class TestGapMultisetInvariant:
@@ -170,18 +172,18 @@ class TestGapMultisetInvariant:
 
     def test_on_halving_ladder(self):
         sizes = (16, 16, 8, 8, 8, 8, 4, 4)
-        for state in greedy_steps(new_instance(sizes)):
-            observed = sorted(length for _, length in state.gaps_after)
-            assert observed == self.expected_gaps(sizes, state.step.job)
+        for step, _, after, _ in greedy_oracle(new_instance(sizes)):
+            observed = sorted(length for _, length in after)
+            assert observed == self.expected_gaps(sizes, step.job)
 
     def test_on_seeded_ratio_bounded_instances(self):
         rng = random.Random(5)
         for _ in range(40):
             inst = ratio_bounded_instance(rng, rng.randint(1, 18), 2, 60)
             assert binary_tree_ratio(inst) <= 2
-            for state in greedy_steps(inst):
-                observed = sorted(length for _, length in state.gaps_after)
-                assert observed == self.expected_gaps(inst.sizes, state.step.job)
+            for step, _, after, _ in greedy_oracle(inst):
+                observed = sorted(length for _, length in after)
+                assert observed == self.expected_gaps(inst.sizes, step.job)
 
 
 class TestGreedyTree:

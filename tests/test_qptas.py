@@ -50,7 +50,6 @@ class TestSplitSmall:
 class TestRoundSizes:
     def test_four_job_ladder(self):
         rounded = round_sizes(new_instance([6, 5, 4, 3]), Fraction(1, 2))
-        assert rounded.unit == 3
         assert rounded.large == (
             (6, Fraction(27, 4)),
             (5, Fraction(27, 4)),
@@ -118,6 +117,22 @@ class TestDpSolve:
         with pytest.raises(StateBudgetExceeded) as info:
             dp_solve(rounded, grid, budget=1)
         assert info.value.states == 1
+
+    @pytest.mark.parametrize(
+        "sizes, eps",
+        [([6, 3], 1), ([6, 5, 4, 3], Fraction(1, 2)), ([4, 4, 4], 1), ([9, 7, 7, 2, 2], Fraction(1, 3))],
+        ids=["two-classes", "four-jobs", "chain", "five-jobs"],
+    )
+    def test_budget_fires_past_the_reachable_states(self, sizes, eps):
+        # [4, 4, 4] is a chain of three states, the others branch
+        rounded = round_sizes(new_instance(sizes), eps)
+        grid = make_grid(rounded, len(sizes))
+        states = dp_solve(rounded, grid).states
+        assert dp_solve(rounded, grid, budget=states).states == states
+        for budget in (1, states - 1):
+            with pytest.raises(StateBudgetExceeded) as info:
+                dp_solve(rounded, grid, budget=budget)
+            assert info.value.states == budget
 
 
 class TestQptasPipeline:
