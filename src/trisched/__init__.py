@@ -17,7 +17,7 @@ from .core import (
     makespan,
     new_instance,
 )
-from .exact import InstanceTooLargeError, grid_exhaustive_optimum, optimal_makespan
+from .exact import InstanceTooLargeError, optimal_makespan
 from .generators import FIXTURES, fixture_instance, random_instance, ratio_bounded_instance
 from .greedy import GreedyTrace, GreedyTree, greedy_schedule, greedy_tree, tree_to_dot
 from .hardness import (
@@ -47,7 +47,6 @@ __all__ = [
     "makespan",
     "new_instance",
     "InstanceTooLargeError",
-    "grid_exhaustive_optimum",
     "optimal_makespan",
     "FIXTURES",
     "fixture_instance",

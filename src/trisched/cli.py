@@ -242,7 +242,7 @@ def cli_main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ValueError, OSError, AssertionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

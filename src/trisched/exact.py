@@ -24,9 +24,6 @@ and cuts:
 
 Almost all of the work proves the greedy incumbent optimal, which is why
 the cuts are strong rather than the nodes cheap.
-
-`grid_exhaustive_optimum` is an independent cross-check: it never uses the
-canonicalization, just raw integer start tuples.
 """
 
 from __future__ import annotations
@@ -162,43 +159,3 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
         best_val = makespan(best)
     return best_val, best
 
-
-def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:
-    """Minimum makespan over feasible integer-start schedules in [0, horizon].
-
-    Pure brute force over start tuples with no order canonicalization,
-    pruning only start prefixes that are already pairwise infeasible (a
-    violated pair never heals).  Conclusive whenever the horizon is at least
-    the sum of all sizes.  Hard-limited to 4 jobs and horizon 30.
-    """
-    if instance.n > 4:
-        raise InstanceTooLargeError("grid search limited to 4 jobs")
-    if horizon > 30:
-        raise ValueError("grid search limited to horizon 30")
-    sizes = instance.sizes
-    n = instance.n
-    chosen: list[int] = []
-    best: list[int | None] = [None]
-
-    def assign(k: int, span: int) -> None:
-        if best[0] is not None and span >= best[0]:
-            return
-        if k == n:
-            best[0] = span
-            return
-        p = sizes[k]
-        for s in range(horizon + 1):
-            ok = True
-            for i in range(k):
-                if abs(s - chosen[i]) < min(sizes[i], p):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(s)
-                assign(k + 1, max(span, s + p))
-                chosen.pop()
-
-    assign(0, 0)
-    if best[0] is None:
-        raise ValueError(f"no feasible integer schedule within horizon {horizon}")
-    return best[0]

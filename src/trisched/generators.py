@@ -4,8 +4,7 @@ Everything is deterministic per seed.  The ratio-bounded generator draws
 p_i uniformly from [ceil(p_anchor/bound), min(p_anchor, p_(i-1))] where the
 anchor is p_ceil(i/2).  Capping at the previous draw keeps the sequence
 non-increasing, so the anchor really is position ceil(i/2) of the finished
-instance and the binary tree ratio stays within the bound; the function
-asserts that before returning.
+instance and the binary tree ratio stays within the bound.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, binary_tree_ratio, new_instance
+from .core import Instance, new_instance
 
 FIXTURES = {
     # Greedy pays 42 against an optimum of 40 here; the worst known gap.
@@ -56,9 +55,7 @@ def ratio_bounded_instance(rng: random.Random, n: int, bound, max_size: int) -> 
         # the previous draw already sits above its own (weaker) floor, so
         # the range stays non-empty and the sequence non-increasing
         drawn.append(rng.randint(low, min(anchor, drawn[-1])))
-    instance = new_instance(drawn)
-    assert binary_tree_ratio(instance) <= bound
-    return instance
+    return new_instance(drawn)
 
 
 def fixture_instance(name: str) -> Instance:

@@ -182,23 +182,18 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
     if e_starts != expected:
         raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
 
-    kind_of = {size: kind for kind, _, size in labels.jobs}
+    # size -> (type, unused 1-based source indices, descending so pop()
+    # takes the first); a size names one type and one value, so after the
+    # multiset check every size has as many jobs as indices
+    free: dict[int, tuple[str, list[int]]] = {}
+    for kind, index, size in reversed(labels.jobs):
+        free.setdefault(size, (kind, []))[1].append(index)
     blocks: dict[int, dict[str, list[int]]] = {
         t: {kind: [] for kind in JOB_TYPES} for t in range(tdm.n)
     }
     for size, start in schedule.jobs:
-        kind = kind_of.get(size)
-        if kind is None:
-            raise DecodeError(f"size {size} matches no encoded job type")
-        blocks[start // window][kind].append(size)
+        blocks[start // window][free[size][0]].append(size)
 
-    # unused source indices per value, descending, so pop() takes the first
-    unused: dict[str, dict[int, list[int]]] = {}
-    for kind, column in (("A", tdm.a), ("B", tdm.b), ("C", tdm.c)):
-        by_value = unused[kind] = {}
-        for pos in reversed(range(len(column))):
-            by_value.setdefault(column[pos], []).append(pos)
-    offsets = {"A": lambda s: (s - 2 * M - tdm.D) // 2, "B": lambda s: s - 2 * M, "C": lambda s: s - M - tdm.D}
     matching = []
     for t in range(tdm.n):
         for kind in JOB_TYPES:
@@ -207,21 +202,14 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
                     f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1",
                     block=t,
                 )
-        free = {}
-        for kind in ("A", "B", "C"):
-            value = offsets[kind](blocks[t][kind][0])
-            free[kind] = unused[kind].get(value)
-            if not free[kind]:
-                raise DecodeError(f"no unused {kind} index with value {value}", block=t)
-        i, j, k = (free[kind][-1] for kind in ("A", "B", "C"))
-        if tdm.a[i] + tdm.b[j] + tdm.c[k] != tdm.D:
-            raise DecodeError(
-                f"triplet values sum to {tdm.a[i] + tdm.b[j] + tdm.c[k]}, need {tdm.D}",
-                block=t,
-            )
-        for indices in free.values():
+        unused = [free[blocks[t][kind][0]][1] for kind in ("A", "B", "C")]
+        i, j, k = (indices[-1] for indices in unused)
+        total = tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1]
+        if total != tdm.D:
+            raise DecodeError(f"triplet values sum to {total}, need {tdm.D}", block=t)
+        for indices in unused:
             indices.pop()
-        matching.append((i + 1, j + 1, k + 1))
+        matching.append((i, j, k))
     return tuple(matching)
 
 

@@ -24,7 +24,7 @@ from .core import Instance, Schedule, as_exact, new_instance
 DEFAULT_STATE_BUDGET = 5_000_000
 
 
-class StateBudgetExceeded(RuntimeError):
+class StateBudgetExceeded(ValueError):
     """The configuration DP hit its memoized-state budget."""
 
     def __init__(self, states: int):
@@ -91,7 +91,7 @@ def round_sizes(instance: Instance, eps) -> RoundedInstance:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform start grid {0, K, 2K, ...} with ceil(n^2/eps) + 1 points."""
+    """Uniform start grid {0, K, 2K, ...} of `points` points."""
 
     step: Fraction
     points: int
@@ -101,13 +101,16 @@ def make_grid(rounded: RoundedInstance, n: int) -> Grid:
     """Grid with step K = eps * (largest rounded size) / n.
 
     n is the size of the whole original instance.  Snapping any schedule of
-    the rounded jobs onto this grid costs at most n*K = eps * p_1(rounded),
-    and the top point n*p_1(rounded) still fits the stacked schedule.
+    the rounded jobs onto this grid costs at most n*K = eps * p_1(rounded).
+    Each DP placement lands at most ceil(n/eps) points past the latest start
+    so far, so the L rounded jobs fit by index (L-1)*ceil(n/eps); the grid
+    reaches index max(ceil(n^2/eps), (L-1)*ceil(n/eps)).
     """
     if not rounded.classes:
         raise ValueError("grid needs at least one rounded class")
     step = Fraction(rounded.eps * rounded.classes[0], n)
-    points = math.ceil(Fraction(n * n, 1) / rounded.eps) + 1
+    stride = math.ceil(n / rounded.eps)
+    points = max(math.ceil(Fraction(n * n, 1) / rounded.eps), (len(rounded.large) - 1) * stride) + 1
     return Grid(step=step, points=points)
 
 
@@ -138,7 +141,6 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
     if not classes:
         return DPResult(Fraction(0), Schedule(()), 0)
     step = grid.step
-    top = grid.points - 1
     scale = math.lcm(step.denominator, *(x.denominator for x in classes))
     tick = int(step * scale)
     sizes = [int(x * scale) for x in classes]
@@ -160,10 +162,9 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
                 left = state[m + zi]
                 if left:
                     index = max(0, max(map(add, state, reach[zi])))
-                    if index <= top:
-                        child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
-                        # a state reached twice keeps one tuple, the first
-                        moves.append((zi, index, following.setdefault(child, child)))
+                    child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
+                    # a state reached twice keeps one tuple, the first
+                    moves.append((zi, index, following.setdefault(child, child)))
         layers.append(following)
 
     layers[-1] = {state: (max(c * tick + x for c, x in zip(state, sizes)), None) for state in layers[-1]}
@@ -172,13 +173,11 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
             best = chosen = None
             for move in moves:
                 value = following[move[2]][0]
-                if value is not None and (best is None or value < best):
+                if best is None or value < best:
                     best, chosen = value, move
             layer[state] = (best, chosen)
 
     best = layers[0][root][0]
-    if best is None:
-        raise ValueError("no rounded schedule fits the grid")
     placements = []
     state = root
     for layer in layers[:-1]:

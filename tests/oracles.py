@@ -2,9 +2,11 @@
 
 These are the straightforward loops that the library's near-linear
 `check_feasible` and `greedy_schedule` replaced, the optimization-form
-branch and bound that the exact oracle's deadline search replaced, and the
-recursive Fraction DP that the QPTAS's integer layered DP replaced.  Tests
-cross-check the fast paths against them on small inputs.
+branch and bound that the exact oracle's deadline search replaced, the
+recursive Fraction DP that the QPTAS's integer layered DP replaced, and a
+brute force over integer start tuples that never uses the exact oracle's
+canonical form.  Tests cross-check the fast paths against them on small
+inputs.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 from fractions import Fraction
 
 from trisched import Instance, Schedule, greedy_schedule, lower_bound, makespan
-from trisched.exact import canonical_schedule_for_order
+from trisched.exact import InstanceTooLargeError, canonical_schedule_for_order
 from trisched.greedy import TraceStep, insert_into_gap
 from trisched.qptas import DPResult, Grid, RoundedInstance
 
@@ -217,3 +219,44 @@ def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
         config = config[:zi] + (index,) + config[zi + 1:]
         counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
     return DPResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))
+
+
+def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:
+    """Minimum makespan over feasible integer-start schedules in [0, horizon].
+
+    Pure brute force over start tuples with no order canonicalization,
+    pruning only start prefixes that are already pairwise infeasible (a
+    violated pair never heals).  Conclusive whenever the horizon is at least
+    the sum of all sizes.  Hard-limited to 4 jobs and horizon 30.
+    """
+    if instance.n > 4:
+        raise InstanceTooLargeError("grid search limited to 4 jobs")
+    if horizon > 30:
+        raise ValueError("grid search limited to horizon 30")
+    sizes = instance.sizes
+    n = instance.n
+    chosen: list[int] = []
+    best: list[int | None] = [None]
+
+    def assign(k: int, span: int) -> None:
+        if best[0] is not None and span >= best[0]:
+            return
+        if k == n:
+            best[0] = span
+            return
+        p = sizes[k]
+        for s in range(horizon + 1):
+            ok = True
+            for i in range(k):
+                if abs(s - chosen[i]) < min(sizes[i], p):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(s)
+                assign(k + 1, max(span, s + p))
+                chosen.pop()
+
+    assign(0, 0)
+    if best[0] is None:
+        raise ValueError(f"no feasible integer schedule within horizon {horizon}")
+    return best[0]

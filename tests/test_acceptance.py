@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from oracles import greedy_oracle
+from oracles import greedy_oracle, grid_exhaustive_optimum
 from trisched import (
     Instance,
     Schedule,
@@ -22,7 +22,6 @@ from trisched import (
     encode,
     fixture_instance,
     greedy_schedule,
-    grid_exhaustive_optimum,
     lower_bound,
     makespan,
     matching_from_schedule,

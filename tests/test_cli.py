@@ -1,10 +1,20 @@
 """Command line surface: every subcommand end to end, plus exit codes."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trisched import new_instance, optimal_makespan
 from trisched.cli import cli_main
+from trisched.qptas import dp_solve
 from trisched.serialize import read_json
 
 
@@ -133,6 +143,25 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 0
         assert out.splitlines()[1:] == ["classes 1", "grid-points 2880001", "dp-states 1200"]
+
+    def test_qptas_where_the_stacked_jobs_pass_n_squared_over_eps(self, tmp_path, capsys):
+        # 7 equal sizes at eps = 3 stack up to grid index 6*ceil(7/3) = 18,
+        # past ceil(49/3) = 17
+        instance = tmp_path / "i.json"
+        instance.write_text(json.dumps({"sizes": [7] * 7}))
+        code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "grid-points 19"
+        optimum, _ = optimal_makespan(new_instance([7] * 7))
+        assert Fraction(out.splitlines()[0].split()[1]) <= (1 + 3) ** 3 * optimum
+
+    def test_qptas_past_the_state_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("trisched.qptas.dp_solve", functools.partial(dp_solve, budget=100))
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [20, 20, 10, 5, 5, 4, 4, 4, 4]}')
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
+        assert code == 1
+        assert err == "error: dp state budget exceeded after 100 states\n"
 
     def test_qptas_needs_eps(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
@@ -317,3 +346,82 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"sizes": [0]}')
         assert run(capsys, "solve", str(bad), "--algo", "greedy")[0] == 1
+
+
+STAIRCASE = {"jobs": [
+    {"size": 6, "start": 0}, {"size": 4, "start": 4},
+    {"size": 3, "start": 7}, {"size": 5, "start": 10},
+]}
+TRACE = {"completion": 12, "records": [
+    {"job": 0, "size": 6, "start": 0, "status": "executed", "end": 4},
+    {"job": 1, "size": 4, "start": 4, "status": "executed", "end": 5},
+    {"job": 2, "size": 3, "start": 7, "status": "executed", "end": 10},
+    {"job": 3, "size": 5, "start": 10, "status": "executed", "end": 12},
+]}
+# (argv, valid JSON that the mutations start from); BAD is the mutated file
+FUZZ_TARGETS = {
+    **{f"solve-{algo}": (("solve", "BAD", "--algo", algo) + extra, {"sizes": [6, 5, 4, 3]})
+       for algo, extra in (("greedy", ()), ("exact", ()), ("qptas", ("--eps", "1/2")), ("lb", ()))},
+    "check": (("check", "BAD"), STAIRCASE),
+    "simulate-demands": (SIMULATE, {"demands": [4, 1, 3, 2]}),
+    "render-trace": (RENDER, TRACE),
+    "gen-reduction": (GEN, {"D": 10, "a": [3, 4], "b": [3, 3], "c": [4, 3]}),
+}
+
+
+def paths(value, prefix=()):
+    """Every position in a JSON value, the root first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+non_integer_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(
+    lambda f: f.denominator > 1
+).map(lambda f: f"{f.numerator}/{f.denominator}")
+replacements = st.one_of(
+    st.just(None),                                                  # drop the field
+    st.sampled_from(("x", None, True, {}, [], "", "1/0", -1, 0)).map(lambda v: lambda _: v),
+    st.floats(-20, 20, allow_nan=False).map(lambda v: lambda _: v),
+    non_integer_rationals.map(lambda v: lambda _: v),
+    st.just(lambda node: [node]),                                   # nest in an array
+    st.just(lambda node: float(node) if type(node) is int else node),
+)
+
+
+@st.composite
+def mutated_json(draw, value):
+    """`value` with one to three nodes, itself included, dropped or replaced."""
+    holder = [copy.deepcopy(value)]
+    for _ in range(draw(st.integers(1, 3))):
+        *route, key = draw(st.sampled_from(list(paths(holder))[1:]))
+        parent = functools.reduce(operator.getitem, route, holder)
+        mutation = draw(replacements)
+        if mutation is not None:
+            parent[key] = mutation(parent[key])
+        elif parent is not holder:
+            del parent[key]
+    return holder[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "schedule.json").write_text(json.dumps(STAIRCASE))
+    return directory
+
+
+@pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_json_never_escapes_as_a_traceback(fuzz_dir, target, data):
+    argv, valid = FUZZ_TARGETS[target]
+    bad = fuzz_dir / "bad.json"
+    bad.write_text(json.dumps(data.draw(mutated_json(valid))))
+    files = {"BAD": str(bad), "SCHEDULE": str(fuzz_dir / "schedule.json")}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([files.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grid_exhaustive_optimum
 from trisched import (
     InstanceTooLargeError,
     Schedule,
     check_feasible,
     greedy_schedule,
-    grid_exhaustive_optimum,
     lower_bound,
     makespan,
     new_instance,

@@ -51,6 +51,17 @@ class TestRatioBoundedInstance:
         inst = ratio_bounded_instance(random.Random(seed), n, bound, 60)
         assert binary_tree_ratio(inst) <= bound
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 30),
+        st.fractions(min_value=1, max_value=5, max_denominator=12),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_respects_any_bound(self, seed, n, bound, max_size):
+        inst = ratio_bounded_instance(random.Random(seed), n, bound, max_size)
+        assert inst.n == n and binary_tree_ratio(inst) <= bound
+
     def test_bound_one_forces_equal_sizes(self):
         inst = ratio_bounded_instance(random.Random(2), 10, 1, 50)
         assert len(set(inst.sizes)) == 1

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisched import (
@@ -18,6 +18,11 @@ from trisched import (
 from trisched.qptas import dp_solve, make_grid, round_sizes, split_small
 
 EPS_VALUES = (1, Fraction(1, 2), Fraction(1, 4))
+
+random_or_equal_sizes = st.one_of(
+    st.lists(st.integers(1, 50), min_size=1, max_size=7),
+    st.tuples(st.integers(1, 50), st.integers(1, 12)).map(lambda t: [t[0]] * t[1]),
+)
 
 
 class TestSplitSmall:
@@ -110,6 +115,18 @@ class TestDpSolve:
         assert result.states == 23
         assert check_feasible(result.schedule) == []
         assert all(start % grid.step == 0 for start in result.schedule.starts)
+
+    @given(random_or_equal_sizes, st.sampled_from((Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 4)))
+    # equal sizes stack to index (n-1)*ceil(n/eps): 18 here, past ceil(n^2/eps) = 17
+    @example([7] * 7, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_every_placement_is_a_grid_point(self, sizes, eps):
+        inst = new_instance(sizes)
+        rounded = round_sizes(inst, eps)
+        grid = make_grid(rounded, inst.n)
+        for _, start in dp_solve(rounded, grid).schedule.jobs:
+            index = start / grid.step
+            assert index.denominator == 1 and 0 <= index < grid.points
 
     def test_budget_exhaustion(self):
         rounded = round_sizes(new_instance([6, 3]), 1)
