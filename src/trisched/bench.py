@@ -56,11 +56,15 @@ def ratio_search(
     """Evaluate `iterations` random instances of size n plus the fixture.
 
     With `bound` set the pool is ratio-bounded instead and the fixture is
-    skipped (it would defeat the restriction).  Instances beating the
-    fixture's 21/20 land in `findings`.
+    skipped (it would defeat the restriction), so it needs at least one
+    iteration.  Instances beating the fixture's 21/20 land in `findings`.
     """
     if n > DEFAULT_SIZE_LIMIT:
         raise ValueError(f"n must stay within the exact oracle limit {DEFAULT_SIZE_LIMIT}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
+    if bound is not None and iterations == 0:
+        raise ValueError("a ratio-bounded search needs at least one iteration")
     rng = random.Random(seed)
     pool = []
     if bound is None:

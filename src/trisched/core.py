@@ -23,6 +23,8 @@ GapList = tuple[tuple[ExactNumber, ExactNumber], ...]
 
 def as_exact(value: ExactNumber) -> ExactNumber:
     """Validate an exact number, collapsing integral Fractions to int."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"floats are not allowed in exact arithmetic: {value!r}")
     if isinstance(value, Fraction):

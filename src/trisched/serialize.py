@@ -21,6 +21,8 @@ from .simulate import ExecutionRecord, ExecutionTrace
 
 
 def encode_exact(value: ExactNumber) -> int | str:
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -135,10 +137,20 @@ def greedy_trace_to_obj(trace: GreedyTrace) -> dict:
     }
 
 
+# the TraceStep fields that hold None on the first step
+_OPTIONAL_STEP_FIELDS = frozenset(("gap_start", "gap_length", "parent"))
+
+
 def greedy_trace_from_obj(obj: Any) -> GreedyTrace:
+    def step_field(step, name: str) -> int | None:
+        value = _field(step, name, "trace step")
+        if value is None and name in _OPTIONAL_STEP_FIELDS:
+            return None
+        return _integer(value, f"trace step {name!r} values")
+
     names = [f.name for f in fields(TraceStep)]
     return tuple(
-        TraceStep(**{name: _field(s, name, "trace step") for name in names})
+        TraceStep(**{name: step_field(s, name) for name in names})
         for s in _field(obj, "steps", "trace JSON", array=True)
     )
 
@@ -161,22 +173,30 @@ def execution_trace_to_obj(trace: ExecutionTrace) -> dict:
 
 
 def execution_trace_from_obj(obj: Any) -> ExecutionTrace:
+    """Load a trace that `simulate` could have written: record k is job k,
+    an executed record has start < end <= start + size, and a canceled one
+    names an executed record as its canceler."""
     records = []
-    for r in _field(obj, "records", "execution trace JSON", array=True):
+    for k, r in enumerate(_field(obj, "records", "execution trace JSON", array=True)):
+        job = _integer(_field(r, "job", "trace record"), "trace record jobs")
+        if job != k:
+            raise ValueError(f"trace record {k} must be job {k}, got job {job}")
         status = _field(r, "status", "trace record")
         if status not in ("executed", "canceled"):
             raise ValueError(f"trace record status must be executed or canceled, got {status!r}")
-        executed = status == "executed"
-        records.append(
-            ExecutionRecord(
-                job=_field(r, "job", "trace record"),
-                size=decode_exact(_field(r, "size", "trace record")),
-                start=decode_exact(_field(r, "start", "trace record")),
-                executed=executed,
-                end=decode_exact(_field(r, "end", "trace record")) if executed else None,
-                canceled_by=None if executed else r.get("canceled_by"),
-            )
-        )
+        size = decode_exact(_field(r, "size", "trace record"))
+        start = decode_exact(_field(r, "start", "trace record"))
+        if status == "executed":
+            end = decode_exact(_field(r, "end", "trace record"))
+            if not start < end <= start + size:
+                raise ValueError(f"trace record {k} runs [{start}, {end}), but needs start < end <= start + {size}")
+            records.append(ExecutionRecord(k, size, start, True, end, None))
+        else:
+            canceler = _integer(_field(r, "canceled_by", "trace record"), "trace record cancelers")
+            records.append(ExecutionRecord(k, size, start, False, None, canceler))
+    for r in records:
+        if not r.executed and not (0 <= r.canceled_by < len(records) and records[r.canceled_by].executed):
+            raise ValueError(f"trace record {r.job} is canceled by {r.canceled_by}, which is not an executed record")
     completion = decode_exact(_field(obj, "completion", "execution trace JSON"))
     return ExecutionTrace(records=tuple(records), completion=completion)
 
@@ -234,7 +254,10 @@ def report_from_obj(obj: Any) -> RatioSearchReport:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One line of sorted-key JSON.  An `indent` would make CPython fall back
+    from its C encoder to the pure-Python one, about three times slower on
+    a large trace; loaders ignore whitespace, so indented files still load."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def loads(text: str) -> Any:

@@ -43,6 +43,15 @@ class TestRatioSearch:
         report = ratio_search(n=8, iterations=10, seed=3, bound=Fraction(2))
         assert report.ratio == 1
 
+    @pytest.mark.parametrize("iterations, bound", [(-1, None), (-1, Fraction(2)), (0, Fraction(2))])
+    def test_iterations_that_leave_no_report_rejected(self, iterations, bound):
+        with pytest.raises(ValueError, match="iteration"):
+            ratio_search(n=3, iterations=iterations, seed=0, bound=bound)
+
+    def test_zero_iterations_report_the_fixture(self):
+        report = ratio_search(n=3, iterations=0, seed=0)
+        assert report.ratio == FIXTURE_RATIO and report.iterations == 0
+
     def test_size_limit_enforced(self):
         with pytest.raises(ValueError):
             ratio_search(n=13, iterations=1, seed=0)

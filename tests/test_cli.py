@@ -9,7 +9,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisched import new_instance, optimal_makespan
@@ -318,6 +318,8 @@ MALFORMED = [
     case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
     case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
+    case(("bench", "ratio-search", "--n", "3", "--iterations", "0", "--bound", "2"), "", id="bounded-search-no-iterations"),
+    case(("bench", "ratio-search", "--n", "3", "--iterations", "-1"), "", id="search-negative-iterations"),
 ]
 
 
@@ -425,3 +427,82 @@ def test_mutated_json_never_escapes_as_a_traceback(fuzz_dir, target, data):
         code = cli_main([files.get(arg, arg) for arg in argv])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+
+# Every subcommand with valid options; the inputs sit in the working directory.
+ARGV_TARGETS = {
+    "gen-random": ("gen", "--kind", "random", "--n", "5", "--seed", "3", "--max-size", "20", "-o", "out.json"),
+    "gen-ratio-bounded": ("gen", "--kind", "ratio-bounded", "--n", "5", "--bound", "2", "--seed", "3"),
+    "gen-fixture": ("gen", "--kind", "fixture", "--fixture", "staircase-4"),
+    "gen-reduction": ("gen", "--kind", "reduction", "--tdm", "tdm.json", "--M", "13", "-o", "out.json"),
+    "solve-greedy": ("solve", "instance.json", "--algo", "greedy", "--trace", "trace.json", "--tree", "tree.dot",
+                     "-o", "out.json"),
+    "solve-exact": ("solve", "instance.json", "--algo", "exact", "--limit", "8", "-o", "out.json"),
+    "solve-qptas": ("solve", "instance.json", "--algo", "qptas", "--eps", "1/2", "-o", "out.json"),
+    "solve-lb": ("solve", "instance.json", "--algo", "lb"),
+    "check": ("check", "schedule.json"),
+    "simulate-random": ("simulate", "--schedule", "schedule.json", "--random", "--seed", "1", "-o", "out.json"),
+    "simulate-demands": ("simulate", "--schedule", "schedule.json", "--demands", "demands.json"),
+    "render-schedule": ("render", "--schedule", "schedule.json", "--format", "ascii", "--scale", "2",
+                        "-o", "out.txt"),
+    "render-trace": ("render", "--trace", "execution.json", "--format", "svg"),
+    "bench-ratio-search": ("bench", "ratio-search", "--n", "3", "--iterations", "2", "--bound", "2", "--seed", "0",
+                           "--max-size", "10", "-o", "out.json", "--findings", "findings.json"),
+}
+ARGV_INPUTS = {
+    "instance.json": {"sizes": [6, 5, 4, 3]},
+    "tdm.json": {"D": 10, "a": [3, 4], "b": [3, 3], "c": [4, 3]},
+    "schedule.json": STAIRCASE,
+    "demands.json": {"demands": [4, 1, 3, 2]},
+    "execution.json": TRACE,
+}
+RETYPED = ("x", "", "-1", "0", "1/2", "2.5", "3", "1/0", ".", "-", "--", "instance.json")
+UNKNOWN_FLAGS = ("--bogus", "--bogus=1", "-z", "--output-dir")
+positions = st.integers(0, 40)
+argv_mutations = st.one_of(
+    st.tuples(st.sampled_from(("drop", "repeat")), positions, st.none()),
+    st.tuples(st.just("retype"), positions, st.sampled_from(RETYPED)),
+    st.tuples(st.just("flag"), positions, st.sampled_from(UNKNOWN_FLAGS)),
+)
+
+
+def mutate_argv(argv, mutations):
+    """Apply (kind, position, value) mutations; positions wrap around argv."""
+    argv = list(argv)
+    for kind, position, value in mutations:
+        if kind == "flag":
+            argv.insert(position % (len(argv) + 1), value)
+            continue
+        if not argv:
+            continue
+        i = position % len(argv)
+        if kind == "drop":
+            del argv[i]
+        elif kind == "repeat":
+            argv.insert(i, argv[i])
+        else:
+            argv[i] = value
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@given(target=st.sampled_from(sorted(ARGV_TARGETS)), mutations=st.lists(argv_mutations, min_size=1, max_size=3))
+@example(target="bench-ratio-search", mutations=[("retype", 5, "0")])    # --iterations 0 with --bound 2
+@example(target="bench-ratio-search", mutations=[("retype", 5, "-1")])   # --iterations -1
+@settings(max_examples=300, deadline=None)
+def test_mutated_argv_never_escapes_as_a_traceback(argv_dir, target, mutations):
+    argv = mutate_argv(ARGV_TARGETS[target], mutations)
+    for name, obj in ARGV_INPUTS.items():   # an earlier example may have written over one
+        (argv_dir / name).write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.chdir(argv_dir)
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:   # argparse prints its usage line before the error line
+        assert err.getvalue().count("\n") <= 1

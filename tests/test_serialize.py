@@ -4,8 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisched import Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
+from trisched.bench import RatioSearchReport
 from trisched.serialize import (
     decode_exact,
     demands_from_obj,
@@ -20,6 +23,7 @@ from trisched.serialize import (
     instance_to_obj,
     labels_to_obj,
     read_json,
+    report_to_obj,
     schedule_from_obj,
     schedule_to_obj,
     tdm_from_obj,
@@ -179,13 +183,155 @@ class TestDemandsWire:
             demands_from_obj({"demands": 3})
 
 
+class TestTraceConsistency:
+    """Loaded traces must be ones the solvers could have written."""
+
+    def executed_and_canceled(self):
+        obj = execution_trace_to_obj(simulate(Schedule(((6, 0), (4, 4))), (6, 1)))
+        assert [r["status"] for r in obj["records"]] == ["executed", "canceled"]
+        return obj
+
+    @pytest.mark.parametrize(
+        "record, change, message",
+        [
+            (1, {"job": 0}, "must be job 1"),
+            (0, {"job": "x"}, "rational"),
+            (0, {"job": "1/2"}, "jobs must be integers"),
+            (0, {"end": 0}, "start < end"),             # ends where it starts
+            (0, {"end": 7}, "start < end"),             # runs longer than its size
+            (0, {"start": 4, "end": 2}, "start < end"), # ends before it starts
+            (1, {"canceled_by": "nobody"}, "rational"),
+            (1, {"canceled_by": "1/2"}, "cancelers must be integers"),
+            (1, {"canceled_by": 1}, "not an executed record"),
+            (1, {"canceled_by": 2}, "not an executed record"),
+            (1, {"canceled_by": -1}, "not an executed record"),
+            (1, {"canceled_by": None}, "expected int"),
+        ],
+    )
+    def test_execution_trace_inconsistency_rejected(self, record, change, message):
+        obj = self.executed_and_canceled()
+        obj["records"][record].update(change)
+        with pytest.raises(ValueError, match=message):
+            execution_trace_from_obj(obj)
+
+    def test_canceled_record_needs_a_canceler(self):
+        obj = self.executed_and_canceled()
+        del obj["records"][1]["canceled_by"]
+        with pytest.raises(ValueError, match="canceled_by"):
+            execution_trace_from_obj(obj)
+
+    def test_canceled_by_a_canceled_record_rejected(self):
+        obj = self.executed_and_canceled()
+        obj["records"][0] = {"job": 0, "size": 6, "start": 0, "status": "canceled", "canceled_by": 1}
+        with pytest.raises(ValueError, match="not an executed record"):
+            execution_trace_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "step, key, value",
+        [
+            (1, "job", "x"),
+            (1, "size", 5.5),
+            (1, "makespan", [1]),
+            (1, "placement", "7/2"),
+            (1, "shift", True),
+            (1, "gap_start", {}),
+            (0, "job", None),
+            (0, "size", None),
+        ],
+    )
+    def test_greedy_step_non_integer_rejected(self, step, key, value):
+        _, trace = greedy_schedule(new_instance([6, 5, 4, 3]))
+        obj = greedy_trace_to_obj(trace)
+        obj["steps"][step][key] = value
+        with pytest.raises(ValueError):
+            greedy_trace_from_obj(obj)
+
+    def test_greedy_first_step_keeps_its_nulls(self):
+        _, trace = greedy_schedule(new_instance([6, 5, 4, 3]))
+        obj = greedy_trace_to_obj(trace)
+        assert all(obj["steps"][0][key] is None for key in ("gap_start", "gap_length", "parent"))
+        assert greedy_trace_from_obj(obj) == trace
+
+
 class TestFileFormat:
     def test_dumps_is_stable_and_newline_terminated(self):
+        # one line of sorted-key JSON, written by the C encoder
         text = dumps({"b": 1, "a": [2]})
-        assert text == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+        assert text == '{"a": [2], "b": 1}\n'
         assert json.loads(text) == {"a": [2], "b": 1}
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "instance.json"
         write_json(path, instance_to_obj(new_instance([4, 4, 20])))
         assert instance_from_obj(read_json(path)).sizes == (20, 4, 4)
+
+    def test_indented_files_still_load(self, tmp_path):
+        sched, trace = greedy_schedule(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4]))
+        execution = simulate(Schedule(((6, 0), (4, 4), (5, Fraction(21, 2)))), (6, 1, Fraction(3, 2)))
+        cases = [
+            (sched, schedule_to_obj, schedule_from_obj),
+            (trace, greedy_trace_to_obj, greedy_trace_from_obj),
+            (execution, execution_trace_to_obj, execution_trace_from_obj),
+        ]
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        for value, to_obj, from_obj in cases:
+            # the form dumps wrote before it went to one line
+            old.write_text(json.dumps(to_obj(value), indent=2, sort_keys=True) + "\n")
+            write_json(new, to_obj(value))
+            assert read_json(old) == read_json(new)
+            assert from_obj(read_json(old)) == value
+
+
+sizes = st.integers(1, 60)
+exact_numbers = st.one_of(sizes, st.fractions(min_value=1, max_value=60, max_denominator=12))
+instances = st.lists(sizes, min_size=1, max_size=12).map(new_instance)
+
+
+@st.composite
+def schedules(draw):
+    starts = st.fractions(min_value=0, max_value=200, max_denominator=12)
+    return Schedule(tuple(draw(st.lists(st.tuples(sizes, starts), min_size=1, max_size=12))))
+
+
+@st.composite
+def execution_traces(draw):
+    sched, _ = greedy_schedule(draw(instances))
+    demands = [draw(st.fractions(min_value=1, max_value=size, max_denominator=6)) for size in sched.sizes]
+    return simulate(sched, demands)
+
+
+@st.composite
+def labels(draw):
+    rows = draw(st.lists(st.permutations((3, 3, 4)), min_size=1, max_size=4))
+    tdm = ThreeDMInstance(D=10, a=tuple(r[0] for r in rows), b=tuple(r[1] for r in rows), c=tuple(r[2] for r in rows))
+    return encode(tdm, draw(st.integers(13, 40)))[1]
+
+
+ratios = st.fractions(min_value=1, max_value=2, max_denominator=50)
+reports = st.builds(
+    RatioSearchReport,
+    ratio=ratios,
+    witness=st.lists(sizes, min_size=1, max_size=9).map(tuple),
+    iterations=st.integers(0, 1000),
+    seed=st.integers(-(2**40), 2**40),
+    findings=st.lists(st.tuples(st.lists(sizes, min_size=1, max_size=9).map(tuple), ratios)).map(tuple),
+)
+WIRE_OBJECTS = {
+    "instance": instances.map(instance_to_obj),
+    "schedule": schedules().map(schedule_to_obj),
+    "labels": labels().map(labels_to_obj),
+    "greedy-trace": instances.map(lambda i: greedy_trace_to_obj(greedy_schedule(i)[1])),
+    "execution-trace": execution_traces().map(execution_trace_to_obj),
+    "demands": st.lists(exact_numbers, max_size=12).map(demands_to_obj),
+    "report": reports.map(report_to_obj),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WIRE_OBJECTS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dumps_round_trips_every_wire_shape(shape, data):
+    obj = data.draw(WIRE_OBJECTS[shape])
+    text = dumps(obj)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == obj
