@@ -12,14 +12,13 @@ from .core import (
     as_exact,
     binary_tree_ratio,
     check_feasible,
-    gaps,
     lower_bound,
     makespan,
     new_instance,
 )
 from .exact import InstanceTooLargeError, optimal_makespan
 from .generators import FIXTURES, fixture_instance, random_instance, ratio_bounded_instance
-from .greedy import GreedyTrace, GreedyTree, greedy_schedule, greedy_tree, tree_to_dot
+from .greedy import GreedyTrace, greedy_schedule, tree_to_dot
 from .hardness import (
     DecodeError,
     Matching,
@@ -42,7 +41,6 @@ __all__ = [
     "as_exact",
     "binary_tree_ratio",
     "check_feasible",
-    "gaps",
     "lower_bound",
     "makespan",
     "new_instance",
@@ -53,9 +51,7 @@ __all__ = [
     "random_instance",
     "ratio_bounded_instance",
     "GreedyTrace",
-    "GreedyTree",
     "greedy_schedule",
-    "greedy_tree",
     "tree_to_dot",
     "DecodeError",
     "Matching",

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench, generators, qptas, render, serialize
 from .core import Schedule, check_feasible, lower_bound, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
-from .greedy import greedy_schedule, greedy_tree, tree_to_dot
+from .greedy import greedy_schedule, tree_to_dot
 from .hardness import encode
 from .simulate import simulate
 
@@ -56,15 +56,20 @@ def _cmd_gen(args) -> int:
             sidecar = out.with_name(out.stem + ".labels" + out.suffix)
             serialize.write_json(sidecar, serialize.labels_to_obj(labels))
         return 0
-    spec = generators.GeneratorSpec(
-        kind=args.kind,
-        n=args.n,
-        seed=args.seed,
-        max_size=args.max_size,
-        bound=args.bound,
-        fixture=args.fixture,
-    )
-    instance = generators.generate(spec)
+    if args.kind == "fixture":
+        if args.fixture is None:
+            raise ValueError("--kind fixture needs --fixture")
+        instance = generators.fixture_instance(args.fixture)
+    else:
+        if args.n is None:
+            raise ValueError(f"--kind {args.kind} needs --n")
+        rng = random.Random(args.seed)
+        if args.kind == "random":
+            instance = generators.random_instance(rng, args.n, args.max_size)
+        else:
+            if args.bound is None:
+                raise ValueError("--kind ratio-bounded needs --bound")
+            instance = generators.ratio_bounded_instance(rng, args.n, args.bound, args.max_size)
     _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
     return 0
 
@@ -79,7 +84,7 @@ def _cmd_solve(args) -> int:
         if args.trace is not None:
             serialize.write_json(args.trace, serialize.greedy_trace_to_obj(trace))
         if args.tree is not None:
-            Path(args.tree).write_text(tree_to_dot(greedy_tree(trace)), encoding="utf-8")
+            Path(args.tree).write_text(tree_to_dot(trace), encoding="utf-8")
     elif args.algo == "exact":
         _, schedule = optimal_makespan(instance, limit=args.limit)
     elif args.algo == "qptas":

@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 
 ExactNumber = int | Fraction
 
-GapList = tuple[tuple[ExactNumber, ExactNumber], ...]
-
 
 def as_exact(value: ExactNumber) -> ExactNumber:
     """Validate an exact number, collapsing integral Fractions to int."""
@@ -141,25 +139,6 @@ def makespan(schedule: Schedule) -> ExactNumber:
     if not schedule.jobs:
         raise ValueError("makespan of an empty schedule is undefined")
     return max(start + size for size, start in schedule.jobs)
-
-
-def gaps(schedule: Schedule) -> GapList:
-    """Intervals between successive starts, in time order.
-
-    The last gap runs from the latest start to the makespan, so the gap count
-    equals the job count and the lengths sum to makespan minus the earliest
-    start.  Coincident starts are rejected; they only occur in infeasible
-    schedules and would make the notion of a gap meaningless.
-    """
-    if not schedule.jobs:
-        raise ValueError("an empty schedule has no gaps")
-    starts = sorted(schedule.starts)
-    for a, b in zip(starts, starts[1:]):
-        if a == b:
-            raise ValueError(f"coincident starts at {a!r}")
-    end = makespan(schedule)
-    bounds = starts + [end]
-    return tuple((bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(starts)))
 
 
 def binary_tree_ratio(instance: Instance) -> Fraction:

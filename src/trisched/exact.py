@@ -28,8 +28,6 @@ the cuts are strong rather than the nodes cheap.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import Instance, Schedule, _half_sum_bound, lower_bound, makespan
 from .greedy import greedy_schedule
 
@@ -38,25 +36,6 @@ DEFAULT_SIZE_LIMIT = 12
 
 class InstanceTooLargeError(ValueError):
     """The exact search refuses instances beyond its configured size."""
-
-
-def canonical_schedule_for_order(sizes: Sequence[int]) -> Schedule:
-    """Left-shifted schedule for jobs taken in the given order.
-
-    Job k starts at the smallest time respecting every earlier job, which is
-    max over placed i of (s_i + min(p_i, p_k)); the first job starts at 0.
-    """
-    if not sizes:
-        raise ValueError("order must contain at least one job")
-    starts: list[int] = []
-    for k, p in enumerate(sizes):
-        s = 0
-        for i in range(k):
-            need = starts[i] + min(sizes[i], p)
-            if need > s:
-                s = need
-        starts.append(s)
-    return Schedule(tuple(zip(tuple(sizes), tuple(starts))))
 
 
 def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
@@ -97,13 +76,14 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
         suffix_bounds[key] = bounds
         return bounds
 
-    def fits(target: int) -> list[int] | None:
-        """An order whose canonical schedule ends by `target`, or None."""
+    def fits(target: int) -> list[tuple[int, int]] | None:
+        """The (size, start) jobs, in start order, of a canonical schedule
+        that ends by `target`, or None."""
         cnt = counts[:]
         # next_start[r]: earliest start of a job of size distinct[r] after the
         # placed prefix, non-increasing in r.
         next_start = [0] * m
-        order: list[int] = []
+        jobs: list[tuple[int, int]] = []
         # unplaced multiset -> minimal next-start vectors (live classes only)
         # of the prefixes explored so far, all of which failed
         table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -134,7 +114,7 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
                 if s + p > target:
                     continue
                 cnt[j] -= 1
-                order.append(p)
+                jobs.append((p, s))
                 saved = next_start[:]
                 cap = caps[j]
                 for r in range(m):
@@ -144,18 +124,18 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
                 if descend(depth + 1):
                     return True
                 next_start[:] = saved
-                order.pop()
+                jobs.pop()
                 cnt[j] += 1
             return False
 
-        return order if descend(0) else None
+        return jobs if descend(0) else None
 
     # Ask for an order ending one below the incumbent until none exists.
     while best_val > floor:
-        order = fits(best_val - 1)
-        if order is None:
+        jobs = fits(best_val - 1)
+        if jobs is None:
             break
-        best = canonical_schedule_for_order(order)
+        best = Schedule(tuple(jobs))
         best_val = makespan(best)
     return best_val, best
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, new_instance
@@ -24,16 +23,6 @@ FIXTURES = {
 }
 
 KINDS = ("random", "ratio-bounded", "reduction", "fixture")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: str
-    n: int | None = None
-    seed: int = 0
-    max_size: int = 100
-    bound: Fraction | None = None
-    fixture: str | None = None
 
 
 def random_instance(rng: random.Random, n: int, max_size: int) -> Instance:
@@ -64,22 +53,3 @@ def fixture_instance(name: str) -> Instance:
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None
 
-
-def generate(spec: GeneratorSpec) -> Instance:
-    """Build an instance from a GeneratorSpec; deterministic per seed."""
-    if spec.kind == "fixture":
-        if spec.fixture is None:
-            raise ValueError("fixture generation needs `fixture`")
-        return fixture_instance(spec.fixture)
-    if spec.kind == "reduction":
-        raise ValueError("reduction instances come from hardness.encode, not generate")
-    if spec.n is None:
-        raise ValueError(f"{spec.kind} generation needs `n`")
-    rng = random.Random(spec.seed)
-    if spec.kind == "random":
-        return random_instance(rng, spec.n, spec.max_size)
-    if spec.kind == "ratio-bounded":
-        if spec.bound is None:
-            raise ValueError("ratio-bounded generation needs `bound`")
-        return ratio_bounded_instance(rng, spec.n, spec.bound, spec.max_size)
-    raise ValueError(f"unknown generator kind {spec.kind!r}; have {KINDS}")

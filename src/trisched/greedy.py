@@ -148,43 +148,10 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     return Schedule(tuple(zip(sizes, gap_list.starts()))), tuple(trace)
 
 
-@dataclass(frozen=True)
-class GreedyTree:
-    """Parent structure of a greedy run: job 1 at the root, children in
-    placement order."""
-
-    root: int
-    parents: tuple[tuple[int, int], ...]   # (job, parent) for every job >= 2
-
-    def children(self, job: int) -> tuple[int, ...]:
-        return tuple(child for child, parent in self.parents if parent == job)
-
-    def as_dict(self) -> dict[int, tuple[int, ...]]:
-        nodes = {self.root} | {j for j, _ in self.parents}
-        return {node: self.children(node) for node in sorted(nodes)}
-
-
-def greedy_tree(trace: GreedyTrace) -> GreedyTree:
-    """Build the insertion tree from a trace; n nodes, n-1 edges, connected."""
-    if not trace:
-        raise ValueError("empty trace")
-    parents = tuple((s.job, s.parent) for s in trace[1:])
-    tree = GreedyTree(root=trace[0].job, parents=parents)
-    reached = {tree.root}
-    for job, parent in parents:
-        if parent not in reached:
-            raise ValueError(f"disconnected tree: job {job} hangs off unseen {parent}")
-        reached.add(job)
-    if len(reached) != len(trace):
-        raise ValueError("tree does not cover every placed job")
-    return tree
-
-
-def tree_to_dot(tree: GreedyTree) -> str:
-    """DOT text for the insertion tree."""
-    lines = ["digraph greedy_tree {"]
-    lines.append(f"  {tree.root};")
-    for job, parent in tree.parents:
-        lines.append(f"  {parent} -> {job};")
+def tree_to_dot(trace: GreedyTrace) -> str:
+    """DOT text for the insertion tree: job 1 at the root and an edge from
+    each later job's parent to it, in placement order."""
+    lines = ["digraph greedy_tree {", f"  {trace[0].job};"]
+    lines.extend(f"  {step.parent} -> {step.job};" for step in trace[1:])
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ violating pairs instead.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .core import Schedule, check_feasible, makespan
@@ -23,8 +24,15 @@ def _require_feasible(schedule: Schedule) -> None:
         raise ValueError("refusing to render an empty schedule")
 
 
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a coordinate is too large to draw") from None
+
+
 def _fmt(value) -> str:
-    return f"{float(value):g}"
+    return f"{_float(value):g}"
 
 
 def render_svg(schedule: Schedule, scale=1, trace: ExecutionTrace | None = None) -> str:
@@ -77,7 +85,10 @@ def render_ascii(schedule: Schedule, scale=1, trace: ExecutionTrace | None = Non
         raise ValueError("scale must be positive")
 
     def cells(value) -> int:
-        return int(round(float(value * scale)))
+        count = round(_float(value * scale))
+        if count > sys.maxsize:
+            raise ValueError("a coordinate is too large to draw")
+        return count
 
     span = makespan(schedule)
     lines = []

@@ -9,13 +9,12 @@ a malformed file raises ValueError naming the field, never a KeyError.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
-from .bench import RatioSearchReport, evaluate_ratio
+from .bench import RatioSearchReport
 from .core import ExactNumber, Instance, Schedule, new_instance
-from .greedy import GreedyTrace, TraceStep
+from .greedy import GreedyTrace
 from .hardness import ReductionLabels, ThreeDMInstance
 from .simulate import ExecutionRecord, ExecutionTrace
 
@@ -95,10 +94,6 @@ def schedule_from_obj(obj: Any) -> Schedule:
     return Schedule(tuple(jobs))
 
 
-def tdm_to_obj(tdm: ThreeDMInstance) -> dict:
-    return {"D": tdm.D, "a": list(tdm.a), "b": list(tdm.b), "c": list(tdm.c)}
-
-
 def tdm_from_obj(obj: Any) -> ThreeDMInstance:
     d = _integer(_field(obj, "D", "3DM JSON"), "3DM values")
     a, b, c = (
@@ -135,24 +130,6 @@ def greedy_trace_to_obj(trace: GreedyTrace) -> dict:
             for s in trace
         ]
     }
-
-
-# the TraceStep fields that hold None on the first step
-_OPTIONAL_STEP_FIELDS = frozenset(("gap_start", "gap_length", "parent"))
-
-
-def greedy_trace_from_obj(obj: Any) -> GreedyTrace:
-    def step_field(step, name: str) -> int | None:
-        value = _field(step, name, "trace step")
-        if value is None and name in _OPTIONAL_STEP_FIELDS:
-            return None
-        return _integer(value, f"trace step {name!r} values")
-
-    names = [f.name for f in fields(TraceStep)]
-    return tuple(
-        TraceStep(**{name: step_field(s, name) for name in names})
-        for s in _field(obj, "steps", "trace JSON", array=True)
-    )
 
 
 def execution_trace_to_obj(trace: ExecutionTrace) -> dict:
@@ -201,10 +178,6 @@ def execution_trace_from_obj(obj: Any) -> ExecutionTrace:
     return ExecutionTrace(records=tuple(records), completion=completion)
 
 
-def demands_to_obj(demands) -> dict:
-    return {"demands": [encode_exact(d) for d in demands]}
-
-
 def demands_from_obj(obj: Any) -> tuple[ExactNumber, ...]:
     return tuple(decode_exact(d) for d in _field(obj, "demands", "demands JSON", array=True))
 
@@ -222,46 +195,11 @@ def report_to_obj(report: RatioSearchReport) -> dict:
     }
 
 
-def report_from_obj(obj: Any) -> RatioSearchReport:
-    """Load a report, recomputing the witness ratio to keep reports honest.
-
-    Sizes, `iterations` and `seed` must be integers and every field but
-    `findings` must be present; anything else raises a one-line ValueError.
-    """
-
-    def sizes(holder, key: str, what: str) -> tuple[int, ...]:
-        return tuple(_integer(p, f"{what} {key}") for p in _field(holder, key, what, array=True))
-
-    witness = sizes(obj, "witness", "report")
-    claimed = Fraction(decode_exact(_field(obj, "ratio", "report")))
-    actual = evaluate_ratio(new_instance(witness))
-    if actual != claimed:
-        raise ValueError(f"report claims ratio {claimed} but the witness yields {actual}")
-    findings = _field(obj, "findings", "report", array=True) if "findings" in obj else []
-    return RatioSearchReport(
-        ratio=claimed,
-        witness=witness,
-        iterations=_integer(_field(obj, "iterations", "report"), "report seed and iterations"),
-        seed=_integer(_field(obj, "seed", "report"), "report seed and iterations"),
-        findings=tuple(
-            (
-                sizes(f, "sizes", "report finding"),
-                Fraction(decode_exact(_field(f, "ratio", "report finding"))),
-            )
-            for f in findings
-        ),
-    )
-
-
 def dumps(obj: dict) -> str:
     """One line of sorted-key JSON.  An `indent` would make CPython fall back
     from its C encoder to the pure-Python one, about three times slower on
     a large trace; loaders ignore whitespace, so indented files still load."""
     return json.dumps(obj, sort_keys=True) + "\n"
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)
 
 
 def write_json(path, obj: dict) -> None:
@@ -271,4 +209,8 @@ def write_json(path, obj: dict) -> None:
 
 def read_json(path) -> Any:
     with open(path, encoding="utf-8") as handle:
-        return json.loads(handle.read())
+        text = handle.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to load") from None

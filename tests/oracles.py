@@ -6,17 +6,63 @@ branch and bound that the exact oracle's deadline search replaced, the
 recursive Fraction DP that the QPTAS's integer layered DP replaced, and a
 brute force over integer start tuples that never uses the exact oracle's
 canonical form.  Tests cross-check the fast paths against them on small
-inputs.
+inputs.  The canonical schedule of an order is the reference for the exact
+oracle's witness, and the two strict readers load the greedy trace and
+ratio-search report files that the CLI writes but never reads.
 """
 
 import itertools
 import math
+from dataclasses import fields
 from fractions import Fraction
+from typing import Any, Sequence
 
-from trisched import Instance, Schedule, greedy_schedule, lower_bound, makespan
-from trisched.exact import InstanceTooLargeError, canonical_schedule_for_order
-from trisched.greedy import TraceStep, insert_into_gap
+from trisched import ExactNumber, Instance, Schedule, greedy_schedule, lower_bound, makespan, new_instance
+from trisched.bench import RatioSearchReport, evaluate_ratio
+from trisched.exact import InstanceTooLargeError
+from trisched.greedy import GreedyTrace, TraceStep, insert_into_gap
 from trisched.qptas import DPResult, Grid, RoundedInstance
+from trisched.serialize import _field, _integer, decode_exact
+
+GapList = tuple[tuple[ExactNumber, ExactNumber], ...]
+
+
+def gaps(schedule: Schedule) -> GapList:
+    """Intervals between successive starts, in time order.
+
+    The last gap runs from the latest start to the makespan, so the gap count
+    equals the job count and the lengths sum to makespan minus the earliest
+    start.  Coincident starts are rejected; they only occur in infeasible
+    schedules and would make the notion of a gap meaningless.
+    """
+    if not schedule.jobs:
+        raise ValueError("an empty schedule has no gaps")
+    starts = sorted(schedule.starts)
+    for a, b in zip(starts, starts[1:]):
+        if a == b:
+            raise ValueError(f"coincident starts at {a!r}")
+    end = makespan(schedule)
+    bounds = starts + [end]
+    return tuple((bounds[i], bounds[i + 1] - bounds[i]) for i in range(len(starts)))
+
+
+def canonical_schedule_for_order(sizes: Sequence[int]) -> Schedule:
+    """Left-shifted schedule for jobs taken in the given order.
+
+    Job k starts at the smallest time respecting every earlier job, which is
+    max over placed i of (s_i + min(p_i, p_k)); the first job starts at 0.
+    """
+    if not sizes:
+        raise ValueError("order must contain at least one job")
+    starts: list[int] = []
+    for k, p in enumerate(sizes):
+        s = 0
+        for i in range(k):
+            need = starts[i] + min(sizes[i], p)
+            if need > s:
+                s = need
+        starts.append(s)
+    return Schedule(tuple(zip(tuple(sizes), tuple(starts))))
 
 
 def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:
@@ -260,3 +306,55 @@ def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:
     if best[0] is None:
         raise ValueError(f"no feasible integer schedule within horizon {horizon}")
     return best[0]
+
+
+# the TraceStep fields that hold None on the first step
+_OPTIONAL_STEP_FIELDS = frozenset(("gap_start", "gap_length", "parent"))
+
+
+def greedy_trace_from_obj(obj: Any) -> GreedyTrace:
+    """Load a greedy trace file; every field must be an integer (or None
+    where the first step has none), else a one-line ValueError."""
+
+    def step_field(step, name: str) -> int | None:
+        value = _field(step, name, "trace step")
+        if value is None and name in _OPTIONAL_STEP_FIELDS:
+            return None
+        return _integer(value, f"trace step {name!r} values")
+
+    names = [f.name for f in fields(TraceStep)]
+    return tuple(
+        TraceStep(**{name: step_field(s, name) for name in names})
+        for s in _field(obj, "steps", "trace JSON", array=True)
+    )
+
+
+def report_from_obj(obj: Any) -> RatioSearchReport:
+    """Load a report, recomputing the witness ratio to keep reports honest.
+
+    Sizes, `iterations` and `seed` must be integers and every field but
+    `findings` must be present; anything else raises a one-line ValueError.
+    """
+
+    def sizes(holder, key: str, what: str) -> tuple[int, ...]:
+        return tuple(_integer(p, f"{what} {key}") for p in _field(holder, key, what, array=True))
+
+    witness = sizes(obj, "witness", "report")
+    claimed = Fraction(decode_exact(_field(obj, "ratio", "report")))
+    actual = evaluate_ratio(new_instance(witness))
+    if actual != claimed:
+        raise ValueError(f"report claims ratio {claimed} but the witness yields {actual}")
+    findings = _field(obj, "findings", "report", array=True) if "findings" in obj else []
+    return RatioSearchReport(
+        ratio=claimed,
+        witness=witness,
+        iterations=_integer(_field(obj, "iterations", "report"), "report seed and iterations"),
+        seed=_integer(_field(obj, "seed", "report"), "report seed and iterations"),
+        findings=tuple(
+            (
+                sizes(f, "sizes", "report finding"),
+                Fraction(decode_exact(_field(f, "ratio", "report finding"))),
+            )
+            for f in findings
+        ),
+    )

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import report_from_obj
 from trisched import new_instance
 from trisched.bench import FIXTURE_RATIO, RatioSearchReport, evaluate_ratio, ratio_search
-from trisched.serialize import report_from_obj, report_to_obj
+from trisched.serialize import report_to_obj
 
 
 class TestEvaluateRatio:

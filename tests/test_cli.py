@@ -6,13 +6,18 @@ import functools
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trisched import new_instance, optimal_makespan
+from oracles import greedy_trace_from_obj, report_from_obj
+from trisched import greedy_schedule, new_instance, optimal_makespan
 from trisched.cli import cli_main
 from trisched.qptas import dp_solve
 from trisched.serialize import read_json
@@ -76,6 +81,15 @@ class TestGen:
         labels = read_json(tmp_path / "encoded.labels.json")
         assert labels["target"] == 154
 
+    def test_python_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-m", "trisched", "gen", "--kind", "fixture", "--fixture", "staircase-4"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, '{"sizes": [6, 5, 4, 3]}\n', "")
+
     def test_reduction_needs_tdm(self, capsys):
         code, _, err = run(capsys, "gen", "--kind", "reduction", "--M", "13")
         assert code == 1
@@ -102,7 +116,8 @@ class TestSolve:
         )
         assert code == 0
         assert out == "makespan 42\n"
-        assert len(read_json(trace)["steps"]) == 9
+        _, expected = greedy_schedule(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4]))
+        assert greedy_trace_from_obj(read_json(trace)) == expected
         assert tree.read_text().startswith("digraph greedy_tree")
         assert len(read_json(sched)["jobs"]) == 9
 
@@ -285,14 +300,15 @@ class TestBench:
         )
         assert code == 0
         assert out.startswith("ratio ")
-        obj = read_json(report)
-        assert obj["iterations"] == 3
+        assert report_from_obj(read_json(report)).iterations == 3   # the reader recomputes the ratio
 
 
 # BAD stands for the malformed file, SCHEDULE for a valid schedule file.
 SOLVE = ("solve", "BAD", "--algo", "greedy")
 SIMULATE = ("simulate", "--schedule", "SCHEDULE", "--demands", "BAD")
 RENDER = ("render", "--trace", "BAD")
+RENDER_SCHEDULE = ("render", "--schedule", "BAD")
+DEEP = 10**5
 GEN = ("gen", "--kind", "reduction", "--M", "13", "--tdm", "BAD")
 
 
@@ -304,6 +320,7 @@ def case(argv, text, id, env=None):
 MALFORMED = [
     case(SOLVE, '{"sizes": [3, "x"]}', id="solve-bad-size"),
     case(SOLVE, "[6, 5]", id="solve-not-object"),
+    case(SOLVE, '{"sizes": ' + "[" * DEEP + "]" * DEEP + "}", id="solve-nested-too-deeply"),
     case(("check", "BAD"), '{"jobs": [{"size": 6}]}', id="check-no-start"),
     case(("check", "BAD"), '{"jobs": [[6, 0]]}', id="check-job-not-object"),
     case(SIMULATE, '{"demands": {"0": 1}}', id="demands-not-array"),
@@ -315,6 +332,12 @@ MALFORMED = [
     ),
     case(RENDER, '{"records": [{"job": 0, "status": "executed"}]}', id="render-no-size"),
     case(RENDER, '{"records": []', id="render-bad-json"),
+    # starts past a float, and an ASCII row longer than an index can count
+    case(RENDER_SCHEDULE, f'{{"jobs": [{{"size": 3, "start": {10**400}}}]}}', id="render-svg-start-past-float"),
+    case(RENDER_SCHEDULE + ("--format", "ascii"), f'{{"jobs": [{{"size": 3, "start": {10**400}}}]}}',
+         id="render-ascii-start-past-float"),
+    case(RENDER_SCHEDULE + ("--format", "ascii"), f'{{"jobs": [{{"size": 3, "start": {10**300}}}]}}',
+         id="render-ascii-start-past-index"),
     case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
     case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),

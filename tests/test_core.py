@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import gaps
 from trisched import (
     Instance,
     Schedule,
     as_exact,
     binary_tree_ratio,
     check_feasible,
-    gaps,
     lower_bound,
     makespan,
     new_instance,

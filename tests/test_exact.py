@@ -5,10 +5,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_exhaustive_optimum
+from oracles import canonical_schedule_for_order, grid_exhaustive_optimum
 from trisched import (
     InstanceTooLargeError,
     Schedule,
@@ -19,10 +19,18 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
-from trisched.exact import canonical_schedule_for_order
 from trisched.generators import random_instance
 
 small_sizes = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8)
+GAP_FIXTURE = (20, 20, 10, 5, 5, 4, 4, 4, 4)   # greedy 42, optimum 40
+
+
+@st.composite
+def jittered_fixtures(draw):
+    """The nine-job fixture scaled by 1 to 3, each size moved by up to 2; the
+    search beats greedy on about a third of them."""
+    scale = draw(st.integers(1, 3))
+    return [max(1, scale * p + draw(st.integers(-2, 2))) for p in GAP_FIXTURE]
 
 
 class TestCanonicalScheduleForOrder:
@@ -87,6 +95,22 @@ class TestOptimalMakespan:
         value, witness = optimal_makespan(new_instance([6, 5, 4, 3]))
         assert value == 14
         assert sorted(witness.sizes, reverse=True) == [6, 5, 4, 3]
+
+    @given(st.one_of(jittered_fixtures(), small_sizes))
+    @example(list(GAP_FIXTURE))
+    @example([21, 19, 9, 5, 5, 4, 4, 4, 4])
+    @example([41, 40, 19, 10, 9, 9, 9, 8, 7])
+    @example([62, 58, 29, 15, 13, 13, 12, 11, 11])
+    @settings(max_examples=150, deadline=None)
+    def test_witness_is_the_canonical_schedule_of_its_order(self, sizes):
+        inst = new_instance(sizes)
+        value, witness = optimal_makespan(inst)
+        greedy, _ = greedy_schedule(inst)
+        if value == makespan(greedy):
+            assert witness == greedy   # the search kept its seed
+        else:
+            in_start_order = sorted(witness.jobs, key=lambda job: job[1])
+            assert witness == canonical_schedule_for_order([p for p, _ in in_start_order])
 
     def test_size_limit(self):
         inst = new_instance([1] * 13)

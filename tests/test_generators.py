@@ -1,5 +1,6 @@
-"""Instance generators: determinism, bounds, fixtures, dispatch."""
+"""Instance generators: determinism, bounds, fixtures, and `trisched gen`'s dispatch."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,16 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisched import binary_tree_ratio
-from trisched.generators import (
-    FIXTURES,
-    KINDS,
-    GeneratorSpec,
-    fixture_instance,
-    generate,
-    random_instance,
-    ratio_bounded_instance,
-)
+from trisched import binary_tree_ratio, new_instance
+from trisched.cli import cli_main
+from trisched.generators import FIXTURES, KINDS, fixture_instance, random_instance, ratio_bounded_instance
 
 
 class TestRandomInstance:
@@ -82,33 +76,41 @@ class TestFixtures:
             fixture_instance("nope")
 
 
+def gen(capsys, *argv):
+    """(exit code, generated instance or None, stderr) of `trisched gen`."""
+    code = cli_main(["gen", *argv])
+    out, err = capsys.readouterr()
+    return code, new_instance(json.loads(out)["sizes"]) if code == 0 else None, err
+
+
 class TestGenerateDispatch:
     def test_kinds_list(self):
         assert KINDS == ("random", "ratio-bounded", "reduction", "fixture")
 
-    def test_random_kind(self):
-        spec = GeneratorSpec(kind="random", n=6, seed=11, max_size=9)
-        assert generate(spec) == generate(spec)
-        assert generate(spec).n == 6
+    def test_random_kind(self, capsys):
+        argv = ("--kind", "random", "--n", "6", "--seed", "11", "--max-size", "9")
+        code, inst, _ = gen(capsys, *argv)
+        assert code == 0 and inst == gen(capsys, *argv)[1]
+        assert inst == random_instance(random.Random(11), 6, 9)
 
-    def test_ratio_bounded_kind(self):
-        spec = GeneratorSpec(kind="ratio-bounded", n=12, seed=3, bound=Fraction(2))
-        assert binary_tree_ratio(generate(spec)) <= 2
+    def test_ratio_bounded_kind(self, capsys):
+        code, inst, _ = gen(capsys, "--kind", "ratio-bounded", "--n", "12", "--seed", "3", "--bound", "2")
+        assert code == 0 and inst.n == 12 and binary_tree_ratio(inst) <= 2
 
-    def test_fixture_kind(self):
-        spec = GeneratorSpec(kind="fixture", fixture="staircase-4")
-        assert generate(spec).sizes == (6, 5, 4, 3)
+    def test_fixture_kind(self, capsys):
+        assert gen(capsys, "--kind", "fixture", "--fixture", "staircase-4")[1].sizes == (6, 5, 4, 3)
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec",   # (argv, exit code, text in stderr)
         [
-            GeneratorSpec(kind="random"),                       # missing n
-            GeneratorSpec(kind="ratio-bounded", n=4),           # missing bound
-            GeneratorSpec(kind="fixture"),                      # missing fixture
-            GeneratorSpec(kind="reduction", n=3),               # built by hardness.encode
-            GeneratorSpec(kind="alien", n=3),                   # unknown kind
+            (("--kind", "random"), 1, "error: --kind random needs --n\n"),
+            (("--kind", "ratio-bounded", "--n", "4"), 1, "error: --kind ratio-bounded needs --bound\n"),
+            (("--kind", "fixture"), 1, "error: --kind fixture needs --fixture\n"),
+            (("--kind", "reduction", "--n", "3"), 1, "error: --kind reduction needs --tdm and --M\n"),
+            (("--kind", "alien", "--n", "3"), 2, "invalid choice: 'alien'"),
         ],
     )
-    def test_dispatch_errors(self, spec):
-        with pytest.raises(ValueError):
-            generate(spec)
+    def test_dispatch_errors(self, capsys, spec):
+        argv, code, message = spec
+        exit_code, _, err = gen(capsys, *argv)
+        assert exit_code == code and message in err

@@ -1,4 +1,4 @@
-"""Greedy solver: placements, shifting, trace, and the insertion tree."""
+"""Greedy solver: placements, shifting, trace, and the insertion tree's DOT."""
 
 import random
 from fractions import Fraction
@@ -12,7 +12,6 @@ from trisched import (
     binary_tree_ratio,
     check_feasible,
     greedy_schedule,
-    greedy_tree,
     lower_bound,
     makespan,
     new_instance,
@@ -186,14 +185,26 @@ class TestGapMultisetInvariant:
                 assert observed == self.expected_gaps(inst.sizes, step.job)
 
 
+def parents(trace):
+    """(job, parent) of every job after the first, in placement order."""
+    return [(step.job, step.parent) for step in trace[1:]]
+
+
+def dot_edges(dot: str) -> list[tuple[int, int]]:
+    """(job, parent) of every `parent -> job` line of a DOT text."""
+    edges = []
+    for line in dot.splitlines():
+        parent, arrow, job = line.strip().rstrip(";").partition(" -> ")
+        if arrow:
+            edges.append((int(job), int(parent)))
+    return edges
+
+
 class TestGreedyTree:
     def test_nine_job_parents(self):
         _, trace = greedy_schedule(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4]))
-        tree = greedy_tree(trace)
-        assert tree.root == 1
-        assert tree.parents == ((2, 1), (3, 2), (4, 2), (5, 4), (6, 3), (7, 3), (8, 5), (9, 6))
-        assert tree.children(2) == (3, 4)
-        assert tree.children(9) == ()
+        assert trace[0].job == 1 and trace[0].parent is None
+        assert parents(trace) == [(2, 1), (3, 2), (4, 2), (5, 4), (6, 3), (7, 3), (8, 5), (9, 6)]
 
     def test_thirteen_distinct_sizes_fill_two_levels(self):
         # distinct sizes with ratio <= 2: every insertion lands under the
@@ -201,26 +212,12 @@ class TestGreedyTree:
         inst = new_instance([16, 15, 14, 13, 12, 11, 10, 9, 8, 8, 8, 8, 8])
         assert binary_tree_ratio(inst) <= 2
         sched, trace = greedy_schedule(inst)
-        assert greedy_tree(trace).as_dict() == {
-            1: (2,),
-            2: (3, 4),
-            3: (5, 6),
-            4: (7, 8),
-            5: (9, 10),
-            6: (11, 12),
-            7: (13,),
-            8: (),
-            9: (),
-            10: (),
-            11: (),
-            12: (),
-            13: (),
-        }
+        assert parents(trace) == [(job, (job + 1) // 2) for job in range(2, 14)]
         assert makespan(sched) == 108 == lower_bound(inst)
 
     def test_dot_output(self):
         _, trace = greedy_schedule(new_instance([8, 8, 4, 4, 4]))
-        assert tree_to_dot(greedy_tree(trace)) == (
+        assert tree_to_dot(trace) == (
             "digraph greedy_tree {\n"
             "  1;\n"
             "  1 -> 2;\n"
@@ -230,17 +227,22 @@ class TestGreedyTree:
             "}\n"
         )
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            greedy_tree(())
-
     @given(sizes_lists)
     @settings(max_examples=100)
     def test_tree_covers_every_job(self, sizes):
         _, trace = greedy_schedule(new_instance(sizes))
-        tree = greedy_tree(trace)
-        nodes = {tree.root} | {j for j, _ in tree.parents}
+        dot = tree_to_dot(trace)
+        nodes = {1} | {job for job, _ in dot_edges(dot)}
+        assert dot.splitlines()[1] == "  1;"
         assert nodes == set(range(1, len(sizes) + 1))
+
+    @given(sizes_lists)
+    @settings(max_examples=100)
+    def test_parents_are_earlier_jobs_and_the_dot_has_n_minus_1_edges(self, sizes):
+        _, trace = greedy_schedule(new_instance(sizes))
+        assert all(1 <= parent < job for job, parent in parents(trace))
+        assert dot_edges(tree_to_dot(trace)) == parents(trace)
+        assert len(parents(trace)) == len(sizes) - 1
 
 
 class TestOptimalityOnBoundedRatio:
