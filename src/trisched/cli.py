@@ -41,7 +41,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        serialize.write_text(output, text)
 
 
 def _cmd_gen(args) -> int:
@@ -54,7 +54,7 @@ def _cmd_gen(args) -> int:
         if args.output is not None:
             out = Path(args.output)
             sidecar = out.with_name(out.stem + ".labels" + out.suffix)
-            serialize.write_json(sidecar, serialize.labels_to_obj(labels))
+            serialize.write_text(sidecar, serialize.labels_json(labels))
         return 0
     if args.kind == "fixture":
         if args.fixture is None:
@@ -82,9 +82,9 @@ def _cmd_solve(args) -> int:
     if args.algo == "greedy":
         schedule, trace = greedy_schedule(instance)
         if args.trace is not None:
-            serialize.write_json(args.trace, serialize.greedy_trace_to_obj(trace))
+            serialize.write_text(args.trace, serialize.greedy_trace_json(trace))
         if args.tree is not None:
-            Path(args.tree).write_text(tree_to_dot(trace), encoding="utf-8")
+            serialize.write_text(args.tree, tree_to_dot(trace))
     elif args.algo == "exact":
         _, schedule = optimal_makespan(instance, limit=args.limit)
     elif args.algo == "qptas":
@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
         print(f"grid-points {stats.grid_points}")
         print(f"dp-states {stats.dp_states}")
     if args.output is not None:
-        serialize.write_json(args.output, serialize.schedule_to_obj(schedule))
+        serialize.write_text(args.output, serialize.schedule_json(schedule))
     return 0
 
 
@@ -132,7 +132,7 @@ def _cmd_simulate(args) -> int:
     trace = simulate(schedule, demands)
     print(f"completion {serialize.encode_exact(trace.completion)}")
     if args.output is not None:
-        serialize.write_json(args.output, serialize.execution_trace_to_obj(trace))
+        serialize.write_text(args.output, serialize.execution_trace_json(trace))
     return 0
 
 

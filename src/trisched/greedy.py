@@ -10,16 +10,17 @@ created the gap it landed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
 from math import isqrt
+from typing import NamedTuple
 
 from .core import Instance, Schedule
 
 
-@dataclass(frozen=True)
-class TraceStep:
+# One per job, so a named tuple: it builds in about a quarter of a frozen
+# dataclass's time.
+class TraceStep(NamedTuple):
     job: int                # 1-based rank in the non-increasing size order
     size: int
     gap_start: int | None   # chosen gap before insertion; None for job 1

@@ -4,16 +4,19 @@ Each job draws as a right triangle with vertices (s, 0), (s, h*p),
 (s + p, 0): full criticality at the start, expiring linearly at s + p.
 Execution traces add one row of rectangles under the time axis, one per
 executed interval.  Rendering refuses infeasible schedules and reports the
-violating pairs instead.
+violating pairs instead, and text rendering refuses a time axis longer than
+MAX_COLUMNS cells rather than write rows as long as the largest start.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .core import Schedule, check_feasible, makespan
 from .simulate import ExecutionTrace
+
+# Widest time axis render_ascii draws, in text columns.
+MAX_COLUMNS = 10_000
 
 
 def _require_feasible(schedule: Schedule) -> None:
@@ -85,19 +88,26 @@ def render_ascii(schedule: Schedule, scale=1, trace: ExecutionTrace | None = Non
         raise ValueError("scale must be positive")
 
     def cells(value) -> int:
-        count = round(_float(value * scale))
-        if count > sys.maxsize:
-            raise ValueError("a coordinate is too large to draw")
-        return count
+        return round(_float(value * scale))
 
+    # Every row of the schedule and of its own execution trace ends by the
+    # makespan, give or take a cell of rounding, so this bounds the drawing
+    # before any row is built.
     span = makespan(schedule)
+    width = cells(span)
+    if width > MAX_COLUMNS:
+        fit = Fraction(1, -(-span // MAX_COLUMNS))
+        raise ValueError(
+            f"an ASCII drawing {width} columns wide exceeds the limit of {MAX_COLUMNS}; "
+            f"draw it with --scale {fit} or --format svg"
+        )
     lines = []
     order = sorted(range(len(schedule.jobs)), key=lambda i: schedule.jobs[i][1])
     for i in order:
         size, start = schedule.jobs[i]
         bar = "#" * max(1, cells(size))
         lines.append(f"{' ' * cells(start)}{bar}  p={size} s={start}")
-    lines.append("-" * max(1, cells(span)))
+    lines.append("-" * max(1, width))
     if trace is not None:
         for i in order:
             record = trace.records[i]

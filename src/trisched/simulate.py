@@ -11,12 +11,14 @@ higher criticality than the job it cancels, whatever the demands are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ExactNumber, Schedule, as_exact, check_feasible
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+# One per job, so a named tuple: it builds in about a quarter of a frozen
+# dataclass's time.
+class ExecutionRecord(NamedTuple):
     job: int                        # position in schedule.jobs
     size: ExactNumber
     start: ExactNumber

@@ -7,13 +7,15 @@ recursive Fraction DP that the QPTAS's integer layered DP replaced, and a
 brute force over integer start tuples that never uses the exact oracle's
 canonical form.  Tests cross-check the fast paths against them on small
 inputs.  The canonical schedule of an order is the reference for the exact
-oracle's witness, and the two strict readers load the greedy trace and
-ratio-search report files that the CLI writes but never reads.
+oracle's witness, the `*_to_obj` functions below are the reference for
+the text writers that replaced them (`dumps` of their dict is the file a
+writer must match byte for byte), and the two strict readers load the
+greedy trace and ratio-search report files that the CLI writes but never
+reads.
 """
 
 import itertools
 import math
-from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -22,7 +24,9 @@ from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep, insert_into_gap
 from trisched.qptas import DPResult, Grid, RoundedInstance
-from trisched.serialize import _field, _integer, decode_exact
+from trisched.hardness import ReductionLabels
+from trisched.serialize import _field, _integer, decode_exact, encode_exact
+from trisched.simulate import ExecutionTrace
 
 GapList = tuple[tuple[ExactNumber, ExactNumber], ...]
 
@@ -308,6 +312,52 @@ def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:
     return best[0]
 
 
+def labels_to_obj(labels: ReductionLabels) -> dict:
+    return {
+        "M": labels.M,
+        "target": labels.target,
+        "jobs": [
+            {"type": kind, "index": index, "size": size}
+            for kind, index, size in labels.jobs
+        ],
+    }
+
+
+def greedy_trace_to_obj(trace: GreedyTrace) -> dict:
+    return {
+        "steps": [
+            {
+                "job": s.job,
+                "size": s.size,
+                "gap_start": s.gap_start,
+                "gap_length": s.gap_length,
+                "placement": s.placement,
+                "shift": s.shift,
+                "parent": s.parent,
+                "makespan": s.makespan,
+            }
+            for s in trace
+        ]
+    }
+
+
+def execution_trace_to_obj(trace: ExecutionTrace) -> dict:
+    records = []
+    for r in trace.records:
+        entry = {
+            "job": r.job,
+            "size": encode_exact(r.size),
+            "start": encode_exact(r.start),
+            "status": "executed" if r.executed else "canceled",
+        }
+        if r.executed:
+            entry["end"] = encode_exact(r.end)
+        else:
+            entry["canceled_by"] = r.canceled_by
+        records.append(entry)
+    return {"completion": encode_exact(trace.completion), "records": records}
+
+
 # the TraceStep fields that hold None on the first step
 _OPTIONAL_STEP_FIELDS = frozenset(("gap_start", "gap_length", "parent"))
 
@@ -322,9 +372,8 @@ def greedy_trace_from_obj(obj: Any) -> GreedyTrace:
             return None
         return _integer(value, f"trace step {name!r} values")
 
-    names = [f.name for f in fields(TraceStep)]
     return tuple(
-        TraceStep(**{name: step_field(s, name) for name in names})
+        TraceStep(**{name: step_field(s, name) for name in TraceStep._fields})
         for s in _field(obj, "steps", "trace JSON", array=True)
     )
 

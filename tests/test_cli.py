@@ -9,6 +9,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,6 +291,21 @@ class TestRender:
         assert code == 0
         assert "run [" in out
 
+    def test_ascii_past_the_column_cap_is_refused(self, tmp_path, capsys):
+        # drawn in full, this start alone would be a 10 MB row
+        sched = tmp_path / "far.json"
+        sched.write_text('{"jobs": [{"size": 3, "start": 10000000}]}')
+        art = tmp_path / "far.txt"
+        began = time.perf_counter()
+        code, _, err = run(capsys, "render", "--schedule", str(sched), "--format", "ascii", "-o", str(art))
+        assert time.perf_counter() - began < 1
+        assert code == 1 and not art.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--scale 1/1001 or --format svg" in err
+        code, _, _ = run(capsys, "render", "--schedule", str(sched), "--format", "ascii", "--scale", "1/1001",
+                         "-o", str(art))
+        assert code == 0 and max(map(len, art.read_text().splitlines())) < 10_100
+
 
 class TestBench:
     def test_ratio_search_report(self, tmp_path, capsys):
@@ -332,7 +348,7 @@ MALFORMED = [
     ),
     case(RENDER, '{"records": [{"job": 0, "status": "executed"}]}', id="render-no-size"),
     case(RENDER, '{"records": []', id="render-bad-json"),
-    # starts past a float, and an ASCII row longer than an index can count
+    # starts past a float, and an ASCII row far past the column cap
     case(RENDER_SCHEDULE, f'{{"jobs": [{{"size": 3, "start": {10**400}}}]}}', id="render-svg-start-past-float"),
     case(RENDER_SCHEDULE + ("--format", "ascii"), f'{{"jobs": [{{"size": 3, "start": {10**400}}}]}}',
          id="render-ascii-start-past-float"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from trisched import Schedule, simulate
-from trisched.render import render_ascii, render_svg
+from trisched.render import MAX_COLUMNS, render_ascii, render_svg
 
 STAIRCASE = Schedule(((6, 0), (4, 4), (3, 7), (5, 10)))
 
@@ -75,3 +75,13 @@ class TestAscii:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             render_ascii(Schedule(((4, 0), (4, 1))))
+
+    def test_time_axis_up_to_the_column_cap(self):
+        fits = Schedule(((4, 0), (4, MAX_COLUMNS - 4)))
+        assert render_ascii(fits).splitlines()[-1] == "-" * MAX_COLUMNS
+        assert len(render_ascii(fits, scale=Fraction(1, 2)).splitlines()[-1]) == MAX_COLUMNS // 2
+        with pytest.raises(ValueError, match=f"{MAX_COLUMNS + 1} columns wide.*--scale 1/2 or --format svg"):
+            render_ascii(Schedule(((4, 0), (4, MAX_COLUMNS - 3))))
+        # the suggested scale fits whatever scale was asked for
+        with pytest.raises(ValueError, match="--scale 1 or"):
+            render_ascii(fits, scale=Fraction(10001, 10000))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_trace_from_obj
+from oracles import execution_trace_to_obj, greedy_trace_from_obj, greedy_trace_to_obj, labels_to_obj
 from trisched import Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
 from trisched.bench import RatioSearchReport
 from trisched.serialize import (
@@ -17,14 +17,15 @@ from trisched.serialize import (
     dumps,
     encode_exact,
     execution_trace_from_obj,
-    execution_trace_to_obj,
-    greedy_trace_to_obj,
+    execution_trace_json,
+    greedy_trace_json,
     instance_from_obj,
     instance_to_obj,
-    labels_to_obj,
+    labels_json,
     read_json,
     report_to_obj,
     schedule_from_obj,
+    schedule_json,
     schedule_to_obj,
     tdm_from_obj,
     write_json,
@@ -335,3 +336,67 @@ def test_dumps_round_trips_every_wire_shape(shape, data):
     text = dumps(obj)
     assert text.endswith("}\n") and text.count("\n") == 1
     assert json.loads(text) == obj
+
+
+# Sizes up to 10^6, one job, and all sizes equal (every gap ties).
+wide_instances = st.one_of(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=60),
+    st.integers(1, 10**6).map(lambda p: [p]),
+    st.tuples(st.integers(1, 10**6), st.integers(2, 60)).map(lambda pair: [pair[0]] * pair[1]),
+).map(new_instance)
+
+
+@st.composite
+def stretched_executions(draw):
+    """A greedy schedule stretched by a rational factor (which keeps it
+    feasible) run under integer or rational demands, so records of both
+    statuses carry int and Fraction times."""
+    sched, _ = greedy_schedule(draw(wide_instances))
+    factor = draw(st.fractions(min_value=1, max_value=3, max_denominator=7))
+    sched = Schedule(tuple((size * factor, start * factor) for size, start in sched.jobs))
+    demands = [
+        draw(st.one_of(st.integers(1, int(size)), st.fractions(min_value=1, max_value=int(size), max_denominator=6)))
+        for size in sched.sizes
+    ]
+    return simulate(sched, demands)
+
+
+# Each text writer with its inputs, the `*_to_obj` reference it must
+# match, and the strict reader of its file (labels have none).
+WRITERS = {
+    "schedule": (
+        st.one_of(wide_instances.map(lambda i: greedy_schedule(i)[0]), schedules()),
+        schedule_json, schedule_to_obj, schedule_from_obj,
+    ),
+    "greedy-trace": (
+        wide_instances.map(lambda i: greedy_schedule(i)[1]),
+        greedy_trace_json, greedy_trace_to_obj, greedy_trace_from_obj,
+    ),
+    "execution-trace": (
+        st.one_of(stretched_executions(), execution_traces()),
+        execution_trace_json, execution_trace_to_obj, execution_trace_from_obj,
+    ),
+    "labels": (labels(), labels_json, labels_to_obj, None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WRITERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_text_writer_writes_the_dumps_of_its_reference(shape, data):
+    values, write, to_obj, from_obj = WRITERS[shape]
+    value = data.draw(values)
+    text = write(value)
+    assert text == json.dumps(to_obj(value), sort_keys=True) + "\n"
+    if from_obj is not None:
+        assert from_obj(json.loads(text)) == value
+
+
+def test_text_writers_cover_both_statuses_and_rational_times():
+    execution = simulate(Schedule(((6, 0), (4, 4), (5, Fraction(21, 2)))), (6, 1, Fraction(3, 2)))
+    text = execution_trace_json(execution)
+    assert text == dumps(execution_trace_to_obj(execution))
+    # the last job ends at 21/2 + 3/2, an integral Fraction that travels as a bare 12
+    assert '"status": "canceled"' in text and '"end": 12,' in text
+    sched = Schedule(((6, 0), (5, Fraction(27, 4))))
+    assert schedule_json(sched) == '{"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": "27/4"}]}\n'
