@@ -17,7 +17,7 @@ from fractions import Fraction
 from .core import Instance, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .generators import fixture_instance, random_instance, ratio_bounded_instance
-from .greedy import greedy_schedule
+from .greedy import untraced_greedy
 
 FIXTURE_RATIO = Fraction(21, 20)
 
@@ -33,7 +33,7 @@ class RatioSearchReport:
 
 def evaluate_ratio(instance: Instance) -> Fraction:
     """greedy makespan / optimal makespan, exact."""
-    sched, _ = greedy_schedule(instance)
+    sched = untraced_greedy(instance)
     best, _ = optimal_makespan(instance)
     return Fraction(makespan(sched), best)
 

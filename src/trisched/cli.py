@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench, generators, qptas, render, serialize
 from .core import Schedule, check_feasible, lower_bound, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
-from .greedy import greedy_schedule, tree_to_dot
+from .greedy import greedy_schedule, tree_to_dot, untraced_greedy
 from .hardness import encode
 from .simulate import simulate
 
@@ -74,22 +74,39 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_solve_flags(args) -> None:
+    """Refuse a missing `--eps` and any flag the chosen algorithm would
+    silently ignore."""
+    if args.algo != "greedy":
+        for flag in ("trace", "tree"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} needs --algo greedy")
+    if args.algo == "qptas" and args.eps is None:
+        raise ValueError("--algo qptas needs --eps")
+    if args.eps is not None and args.algo != "qptas":
+        raise ValueError("--eps needs --algo qptas")
+    if args.output is not None and args.algo == "lb":
+        raise ValueError("-o needs --algo greedy, exact or qptas")
+
+
 def _cmd_solve(args) -> int:
+    _check_solve_flags(args)
     instance = serialize.instance_from_obj(serialize.read_json(args.instance))
     if args.algo == "lb":
         print(f"lower bound {lower_bound(instance)}")
         return 0
     if args.algo == "greedy":
-        schedule, trace = greedy_schedule(instance)
-        if args.trace is not None:
-            serialize.write_text(args.trace, serialize.greedy_trace_json(trace))
-        if args.tree is not None:
-            serialize.write_text(args.tree, tree_to_dot(trace))
+        if args.trace is None and args.tree is None:
+            schedule = untraced_greedy(instance)
+        else:
+            schedule, trace = greedy_schedule(instance)
+            if args.trace is not None:
+                serialize.write_text(args.trace, serialize.greedy_trace_json(trace))
+            if args.tree is not None:
+                serialize.write_text(args.tree, tree_to_dot(trace))
     elif args.algo == "exact":
         _, schedule = optimal_makespan(instance, limit=args.limit)
     elif args.algo == "qptas":
-        if args.eps is None:
-            raise ValueError("--algo qptas needs --eps")
         schedule, stats = qptas.qptas_solve(instance, args.eps)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown algorithm {args.algo}")
@@ -103,11 +120,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    schedule = serialize.schedule_from_obj(serialize.read_json(args.schedule))
+def _read_schedule(path: str) -> Schedule:
+    """A schedule file for `check` and `simulate`, which need at least one job."""
+    schedule = serialize.schedule_from_obj(serialize.read_json(path))
     if not schedule.jobs:
-        print("error: schedule has no jobs", file=sys.stderr)
-        return 1
+        raise ValueError("schedule has no jobs")
+    return schedule
+
+
+def _cmd_check(args) -> int:
+    schedule = _read_schedule(args.schedule)
     violations = check_feasible(schedule)
     if violations:
         print("infeasible")
@@ -121,7 +143,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    schedule = serialize.schedule_from_obj(serialize.read_json(args.schedule))
+    schedule = _read_schedule(args.schedule)
     if args.demands is not None:
         demands = serialize.demands_from_obj(serialize.read_json(args.demands))
     else:
@@ -195,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", choices=("greedy", "exact", "qptas", "lb"), required=True)
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
     solve.add_argument("--limit", type=int, default=DEFAULT_SIZE_LIMIT, help="exact search size cap")
-    solve.add_argument("--trace", help="write the greedy placement trace JSON here")
-    solve.add_argument("--tree", help="write the greedy insertion tree DOT here")
+    solve.add_argument("--trace", help="write the placement trace JSON here (--algo greedy only)")
+    solve.add_argument("--tree", help="write the insertion tree DOT here (--algo greedy only)")
     solve.add_argument("-o", "--output", help="write the schedule JSON here")
     solve.set_defaults(func=_cmd_solve)
 

@@ -50,6 +50,11 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
         raise InstanceTooLargeError(
             f"exact search limited to {limit} jobs, got {n}; raise `limit` to override"
         )
+    # `greedy_schedule`, not `untraced_greedy`, though the trace goes
+    # unused: perfbench/tracing.py `layer_metrics` finds each exact span's
+    # seed through its `greedy.greedy_schedule` child span, so a traced
+    # oracle-pool run raises KeyError without it.  On instances this small
+    # the trace costs a few microseconds.
     best, _ = greedy_schedule(instance)
     best_val = makespan(best)
     floor = lower_bound(instance)

@@ -3,14 +3,19 @@
 Jobs are placed in non-increasing size order.  Each job goes into a largest
 gap (earliest on ties) at distance its own size from the gap's left edge;
 when the gap is too short to absorb it, everything to the right slides over
-by the missing amount.  The module also records the placement trace and the
-parent tree it induces: each job is a child of the job whose insertion
-created the gap it landed in.
+by the missing amount.
+
+Two entry points run the same loop.  `untraced_greedy` returns the schedule
+alone.  `greedy_schedule` also records the placement trace: where each job
+went, how far it shifted the jobs to its right, and its parent, the job
+whose insertion created the gap it landed in.  Those parents form the tree
+that `tree_to_dot` draws.  Recording costs about as much as the placement
+itself, so only callers that read the trace should ask for it.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate, chain
 from math import isqrt
 from typing import NamedTuple
@@ -34,103 +39,91 @@ class TraceStep(NamedTuple):
 GreedyTrace = tuple[TraceStep, ...]
 
 
-def insert_into_gap(
-    gap: tuple[int, int], size: int
-) -> tuple[int, tuple[tuple[int, int], tuple[int, int]], int]:
-    """Split a (start, length) gap by placing a job of the given size.
+def _greedy(sizes: tuple[int, ...], record: bool) -> tuple[tuple[int, ...], list[TraceStep] | None]:
+    """Run greedy over the gaps in time order; return every job's start
+    (index k is job k+1) and, when `record` is set, the placement trace.
 
-    Returns (placement, (left_gap, right_gap), shift).  A gap of length
-    x >= 2*size splits into lengths (size, x - size) with no shift; a shorter
-    gap yields two gaps of length size and pushes everything to the right by
-    2*size - x.  Both regimes are handled, including size > x.
+    A gap is named by its edge, the job at its left end, and its length
+    never changes once the gap exists: a shift moves only the starts of
+    later gaps.  So the gaps are stored as lengths alone, in blocks of
+    parallel `lengths` and `edges` lists, and a start is the sum of the
+    lengths before it.  Each block also keeps its lengths, negated, in a heap
+    (`tops`): a step removes a block's largest gap and adds two, so the
+    block's new maximum costs two heap operations rather than a scan.  A
+    heap of (-maximum, block index) entries names the block holding the
+    largest gap, earliest on ties; an entry whose maximum is no longer its
+    block's is stale and dropped when it reaches the top.  A step then finds
+    its gap with a C-level `index` pass over O(sqrt n) lengths.  A block
+    that reaches twice `block` entries is split in two, which shifts the
+    later block indices, so the heap of blocks is rebuilt; that happens
+    about once per `block` insertions.
+
+    Placing a job of size p into a gap of length x leaves a gap of length p
+    at the old edge and a new gap of length max(p, x - p) whose edge is the
+    job; when x < 2p everything to the right shifts by 2p - x.  Recording
+    adds a length sum per block for the gap's start, the running makespan,
+    and an owner table indexed by edge: the owner of a gap is the last job
+    inserted into it, or its edge job when none was.
     """
-    start, length = gap
-    placement = start + size
-    shift = max(0, 2 * size - length)
-    left = (start, size)
-    right = (placement, size if shift else length - size)
-    return placement, (left, right), shift
-
-
-class _GapList:
-    """The gaps of a greedy run in time order, as blocks of parallel lists.
-
-    A gap's length never changes once the gap exists: a shift moves only the
-    starts of later gaps.  So the list stores lengths alone, and a gap's
-    start is the sum of the lengths before it.  Each gap also records its
-    edge (the job sitting at its left end) and its owner (the job whose
-    insertion created it).  Every block keeps its largest length and its
-    length sum.  A heap of (-maximum, block index) entries names the block
-    holding the largest gap, earliest on ties; an entry whose maximum is no
-    longer the block's is stale and dropped when it reaches the top.  A step
-    then finds the gap and its start with a few C-level passes over
-    O(sqrt n) items.  A block that reaches twice `block` entries is split in
-    two, which shifts the later block indices, so the heap is rebuilt; that
-    happens about once per `block` insertions.
-    """
-
-    __slots__ = ("block", "lengths", "edges", "owners", "maxima", "sums", "heap", "makespan")
-
-    def __init__(self, size: int, n: int):
-        self.block = max(16, isqrt(n) // 3)
-        self.lengths = [[size]]
-        self.edges = [[1]]
-        self.owners = [[1]]
-        self.maxima = [size]
-        self.sums = [size]
-        self.heap = [(-size, 0)]
-        self.makespan = size
-
-    def insert(self, job: int, size: int) -> TraceStep:
-        """Place job `job` of the given size into the largest gap."""
-        maxima = self.maxima
-        heap = self.heap
+    n = len(sizes)
+    first = sizes[0]
+    block = max(16, isqrt(n) // 3)
+    lengths = [[first]]
+    edges = [[1]]
+    tops = [[-first]]
+    heap = [(-first, 0)]
+    trace = None
+    if record:
+        sums = [first]
+        owner_of: list[int | None] = [None] * (n + 1)
+        span = first
+        trace = [TraceStep(1, first, None, None, 0, 0, None, first)]
+    for job in range(2, n + 1):
+        size = sizes[job - 1]
         negative, b = heap[0]
-        while maxima[b] != -negative:
+        while tops[b][0] != negative:
             heappop(heap)
             negative, b = heap[0]
         length = -negative
-        lengths = self.lengths[b]
-        k = lengths.index(length)
-        gap_start = sum(self.sums[:b]) + sum(lengths[:k])
-        placement, (left, right), shift = insert_into_gap((gap_start, length), size)
-        lengths[k] = left[1]
-        lengths.insert(k + 1, right[1])
-        self.edges[b].insert(k + 1, job)
-        owners = self.owners[b]
-        owner = owners[k]
-        owners[k] = job
-        owners.insert(k + 1, job)
-        self.sums[b] += shift
-        if len(lengths) >= 2 * self.block:
-            self._split(b)
-        elif size != length:    # a job as long as its gap leaves two such gaps
-            top = max(lengths)
-            if top != length:
-                maxima[b] = top
-                heappush(heap, (-top, b))
-        self.makespan += shift
-        return TraceStep(job, size, gap_start, length, placement, shift, owner, self.makespan)
-
-    def _split(self, b: int) -> None:
-        cut = self.block
-        for rows in (self.lengths, self.edges, self.owners):
-            row = rows[b]
-            rows.insert(b + 1, row[cut:])
-            del row[cut:]
-        halves = self.lengths[b:b + 2]
-        self.maxima[b:b + 1] = [max(half) for half in halves]
-        self.sums[b:b + 1] = [sum(half) for half in halves]
-        self.heap = [(-top, i) for i, top in enumerate(self.maxima)]
-        heapify(self.heap)
-
-    def starts(self) -> tuple[int, ...]:
-        """Current start of every placed job; index k is job k+1."""
-        starts = [0] * sum(map(len, self.edges))
-        edges = chain.from_iterable(self.edges)
-        for edge, start in zip(edges, accumulate(chain.from_iterable(self.lengths), initial=0)):
-            starts[edge - 1] = start
-        return tuple(starts)
+        row = lengths[b]
+        k = row.index(length)
+        edge_row = edges[b]
+        right = length - size if length >= 2 * size else size
+        if record:
+            gap_start = sum(sums[:b]) + sum(row[:k])
+            shift = size + right - length
+            sums[b] += shift
+            span += shift
+            edge = edge_row[k]
+            parent = owner_of[edge]
+            owner_of[edge] = job
+            trace.append(TraceStep(job, size, gap_start, length, gap_start + size, shift,
+                                   edge if parent is None else parent, span))
+        row[k] = size
+        row.insert(k + 1, right)
+        edge_row.insert(k + 1, job)
+        if len(row) >= 2 * block:
+            for rows in (lengths, edges):
+                rows.insert(b + 1, rows[b][block:])
+                del rows[b][block:]
+            halves = lengths[b:b + 2]
+            tops[b:b + 1] = [[-x for x in half] for half in halves]
+            heapify(tops[b])
+            heapify(tops[b + 1])
+            if record:
+                sums[b:b + 1] = [sum(half) for half in halves]
+            heap = [(top[0], i) for i, top in enumerate(tops)]
+            heapify(heap)
+        else:
+            top = tops[b]
+            heapreplace(top, -right)
+            heappush(top, -size)
+            if top[0] != negative:
+                heappush(heap, (top[0], b))
+    starts = [0] * n
+    for edge, start in zip(chain.from_iterable(edges), accumulate(chain.from_iterable(lengths), initial=0)):
+        starts[edge - 1] = start
+    return tuple(starts), trace
 
 
 def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
@@ -142,11 +135,15 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     sums of the gap lengths.
     """
     sizes = instance.sizes
-    gap_list = _GapList(sizes[0], len(sizes))
-    insert = gap_list.insert
-    trace = [TraceStep(1, sizes[0], None, None, 0, 0, None, sizes[0])]
-    trace.extend(insert(j, sizes[j - 1]) for j in range(2, len(sizes) + 1))
-    return Schedule(tuple(zip(sizes, gap_list.starts()))), tuple(trace)
+    starts, trace = _greedy(sizes, True)
+    return Schedule(tuple(zip(sizes, starts))), tuple(trace)
+
+
+def untraced_greedy(instance: Instance) -> Schedule:
+    """The schedule of `greedy_schedule`, without building its trace."""
+    sizes = instance.sizes
+    starts, _ = _greedy(sizes, False)
+    return Schedule(tuple(zip(sizes, starts)))
 
 
 def tree_to_dot(trace: GreedyTrace) -> str:

@@ -6,7 +6,9 @@ branch and bound that the exact oracle's deadline search replaced, the
 recursive Fraction DP that the QPTAS's integer layered DP replaced, and a
 brute force over integer start tuples that never uses the exact oracle's
 canonical form.  Tests cross-check the fast paths against them on small
-inputs.  The canonical schedule of an order is the reference for the exact
+inputs.  The gap split rule `insert_into_gap`, which the library's greedy
+loop inlines, lives here beside the quadratic greedy that calls it.  The
+canonical schedule of an order is the reference for the exact
 oracle's witness, the `*_to_obj` functions below are the reference for
 the text writers that replaced them (`dumps` of their dict is the file a
 writer must match byte for byte), and the two strict readers load the
@@ -22,7 +24,7 @@ from typing import Any, Sequence
 from trisched import ExactNumber, Instance, Schedule, greedy_schedule, lower_bound, makespan, new_instance
 from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.exact import InstanceTooLargeError
-from trisched.greedy import GreedyTrace, TraceStep, insert_into_gap
+from trisched.greedy import GreedyTrace, TraceStep
 from trisched.qptas import DPResult, Grid, RoundedInstance
 from trisched.hardness import ReductionLabels
 from trisched.serialize import _field, _integer, decode_exact, encode_exact
@@ -80,6 +82,24 @@ def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:
             if abs(s_i - s_j) < min(p_i, p_j):
                 bad.append((i, j))
     return bad
+
+
+def insert_into_gap(
+    gap: tuple[int, int], size: int
+) -> tuple[int, tuple[tuple[int, int], tuple[int, int]], int]:
+    """Split a (start, length) gap by placing a job of the given size.
+
+    Returns (placement, (left_gap, right_gap), shift).  A gap of length
+    x >= 2*size splits into lengths (size, x - size) with no shift; a shorter
+    gap yields two gaps of length size and pushes everything to the right by
+    2*size - x.  Both regimes are handled, including size > x.
+    """
+    start, length = gap
+    placement = start + size
+    shift = max(0, 2 * size - length)
+    left = (start, size)
+    right = (placement, size if shift else length - size)
+    return placement, (left, right), shift
 
 
 def greedy_oracle(instance: Instance):

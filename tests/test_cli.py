@@ -191,6 +191,35 @@ class TestSolve:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--algo", "qptas", "--eps", "1/2", "--tree", "OUT"), "--tree needs --algo greedy"),
+        (("--algo", "exact", "--trace", "OUT"), "--trace needs --algo greedy"),
+        (("--algo", "lb", "-o", "OUT"), "-o needs --algo greedy, exact or qptas"),
+        (("--algo", "greedy", "--eps", "1/2"), "--eps needs --algo qptas"),
+        (("--algo", "exact", "--eps", "1/2", "-o", "OUT"), "--eps needs --algo qptas"),
+    ], ids=["tree-qptas", "trace-exact", "output-lb", "eps-greedy", "eps-exact"])
+    def test_flag_the_algorithm_never_uses(self, tmp_path, capsys, flags, message):
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [6, 5, 4, 3]}')
+        out_file = tmp_path / "out"
+        argv = [str(out_file) if flag == "OUT" else flag for flag in flags]
+        code, out, err = run(capsys, "solve", str(instance), *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("sizes", [[20, 20, 10, 5, 5, 4, 4, 4, 4], [9] * 300,
+                                       [(k * 7919) % 1000 + 1 for k in range(1500)]],
+                             ids=["fixture", "equal", "many-blocks"])
+    def test_greedy_schedule_file_does_not_depend_on_the_trace(self, tmp_path, capsys, sizes):
+        instance = tmp_path / "i.json"
+        instance.write_text(json.dumps({"sizes": sizes}))
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        first = run(capsys, "solve", str(instance), "--algo", "greedy", "-o", str(plain))
+        second = run(capsys, "solve", str(instance), "--algo", "greedy", "--trace", str(tmp_path / "t.json"),
+                     "--tree", str(tmp_path / "t.dot"), "-o", str(traced))
+        assert first == second and first[0] == 0
+        assert plain.read_bytes() == traced.read_bytes()
+
 
 class TestCheck:
     def test_feasible(self, tmp_path, capsys):
@@ -216,9 +245,8 @@ class TestCheck:
     def test_empty_schedule(self, tmp_path, capsys):
         sched = tmp_path / "s.json"
         sched.write_text('{"jobs": []}')
-        code, _, err = run(capsys, "check", str(sched))
-        assert code == 1
-        assert "no jobs" in err
+        code, out, err = run(capsys, "check", str(sched))
+        assert (code, out, err) == (1, "", "error: schedule has no jobs\n")
 
 
 class TestSimulate:
@@ -255,6 +283,16 @@ class TestSimulate:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("source", ["--random", "--demands"])
+    def test_empty_schedule(self, tmp_path, capsys, source):
+        sched = tmp_path / "s.json"
+        sched.write_text('{"jobs": []}')
+        demands = tmp_path / "d.json"
+        demands.write_text('{"demands": []}')
+        argv = ["--random"] if source == "--random" else ["--demands", str(demands)]
+        code, out, err = run(capsys, "simulate", "--schedule", str(sched), *argv)
+        assert (code, out, err) == (1, "", "error: schedule has no jobs\n")
 
     def test_random_needs_integer_sizes(self, tmp_path, capsys):
         sched = tmp_path / "s.json"

@@ -1,7 +1,8 @@
 """The near-linear `check_feasible` and greedy against their quadratic
-oracles, a scale gate that a quadratic regression fails, the exact
-oracle's deadline search against the branch and bound it replaced, and the
-QPTAS's integer layered DP against the recursive Fraction DP it replaced."""
+oracles, the untraced greedy against the traced one, a scale gate that a
+quadratic regression fails, the exact oracle's deadline search against the
+branch and bound it replaced, and the QPTAS's integer layered DP against
+the recursive Fraction DP it replaced."""
 
 import random
 import time
@@ -26,6 +27,7 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
+from trisched.greedy import untraced_greedy
 from trisched.qptas import dp_solve, make_grid, round_sizes
 
 int_jobs = st.tuples(st.integers(1, 12), st.integers(0, 60))
@@ -110,6 +112,33 @@ class TestGreedyMatchesOracle:
             assert greedy_schedule(inst) == greedy_schedule_oracle(inst)
 
 
+class TestUntracedMatchesTraced:
+    @given(uniform_sizes)
+    @settings(max_examples=150)
+    def test_uniform_sizes(self, sizes):
+        inst = new_instance(sizes)
+        assert untraced_greedy(inst) == greedy_schedule(inst)[0]
+
+    @given(equal_sizes)
+    @settings(max_examples=100)
+    def test_all_equal_sizes(self, sizes):
+        inst = new_instance(sizes)
+        assert untraced_greedy(inst) == greedy_schedule(inst)[0]
+
+    @given(ladder_sizes)
+    @settings(max_examples=150)
+    def test_halving_ladder_sizes(self, sizes):
+        inst = new_instance(sizes)
+        assert untraced_greedy(inst) == greedy_schedule(inst)[0]
+
+    @given(st.sampled_from((10**6, 9, 1)), st.integers(0, 2**32))
+    @settings(max_examples=10, deadline=None)
+    def test_many_blocks(self, top, seed):
+        rng = random.Random(seed)
+        inst = new_instance([rng.randint(1, top) for _ in range(1500)])
+        assert untraced_greedy(inst) == greedy_schedule(inst)[0]
+
+
 def test_greedy_and_check_scale_near_linearly():
     # about a second together; the quadratic versions took minutes at n = 3e4
     n = 30_000
@@ -126,6 +155,11 @@ def test_greedy_and_check_scale_near_linearly():
         if len(set(sizes)) == 1:
             assert makespan(schedule) == lower_bound(inst)
         assert elapsed < 20.0, f"greedy plus check took {elapsed:.1f}s at n={n}"
+        t0 = time.perf_counter()
+        untraced = untraced_greedy(inst)
+        elapsed = time.perf_counter() - t0
+        assert untraced == schedule
+        assert elapsed < 10.0, f"untraced greedy took {elapsed:.1f}s at n={n}"
 
 
 def check_exact(sizes, expected):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_oracle
+from oracles import greedy_oracle, insert_into_gap
 from trisched import (
     binary_tree_ratio,
     check_feasible,
@@ -18,7 +18,6 @@ from trisched import (
     tree_to_dot,
 )
 from trisched.generators import ratio_bounded_instance
-from trisched.greedy import insert_into_gap
 
 sizes_lists = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=14)
 
