@@ -12,7 +12,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bench, generators, qptas, render, serialize
 from .core import Schedule, check_feasible, lower_bound, makespan
@@ -52,9 +51,8 @@ def _cmd_gen(args) -> int:
         instance, labels = encode(tdm, args.M)
         _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
         if args.output is not None:
-            out = Path(args.output)
-            sidecar = out.with_name(out.stem + ".labels" + out.suffix)
-            serialize.write_text(sidecar, serialize.labels_json(labels))
+            root, suffix = os.path.splitext(args.output)
+            serialize.write_text(root + ".labels" + suffix, serialize.labels_json(labels))
         return 0
     if args.kind == "fixture":
         if args.fixture is None:
@@ -85,6 +83,8 @@ def _check_solve_flags(args) -> None:
         raise ValueError("--algo qptas needs --eps")
     if args.eps is not None and args.algo != "qptas":
         raise ValueError("--eps needs --algo qptas")
+    if args.limit is not None and args.algo != "exact":
+        raise ValueError("--limit needs --algo exact")
     if args.output is not None and args.algo == "lb":
         raise ValueError("-o needs --algo greedy, exact or qptas")
 
@@ -105,7 +105,8 @@ def _cmd_solve(args) -> int:
             if args.tree is not None:
                 serialize.write_text(args.tree, tree_to_dot(trace))
     elif args.algo == "exact":
-        _, schedule = optimal_makespan(instance, limit=args.limit)
+        limit = DEFAULT_SIZE_LIMIT if args.limit is None else args.limit
+        _, schedule = optimal_makespan(instance, limit=limit)
     elif args.algo == "qptas":
         schedule, stats = qptas.qptas_solve(instance, args.eps)
     else:  # pragma: no cover - argparse restricts choices
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=("greedy", "exact", "qptas", "lb"), required=True)
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
-    solve.add_argument("--limit", type=int, default=DEFAULT_SIZE_LIMIT, help="exact search size cap")
+    solve.add_argument("--limit", type=int, help="exact search size cap")
     solve.add_argument("--trace", help="write the placement trace JSON here (--algo greedy only)")
     solve.add_argument("--tree", help="write the insertion tree DOT here (--algo greedy only)")
     solve.add_argument("-o", "--output", help="write the schedule JSON here")

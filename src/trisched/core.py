@@ -8,13 +8,21 @@ latest completion time over all jobs.
 All arithmetic is exact: starts may be ints or `fractions.Fraction`, and
 floats are rejected at the boundary so no rounding error can enter any
 solver path.
+
+Values are validated once, where they enter.  The public `Instance` and
+`Schedule` constructors check every value; the JSON loaders in `serialize`
+check a file of plain ints with a few C-level passes and reach the
+per-value checks (and their messages) only for any other file.  Solver
+output whose values are known to be valid ints (greedy, the exact witness,
+the reduction's certificate) is wrapped by `Schedule._trusted` without a
+second check.  The QPTAS goes through the public constructor, which also
+collapses its integral `Fraction`s to `int`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 ExactNumber = int | Fraction
 
@@ -32,19 +40,52 @@ def as_exact(value: ExactNumber) -> ExactNumber:
     return value
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """Base of `Instance` and `Schedule`, which each hold one field, named by
+    their `__slots__`.  The constructor sets it once; after that it behaves
+    like the field of a frozen dataclass: it cannot be assigned or deleted,
+    and the object is compared, hashed and printed by it, never equal to an
+    object of another class (a plain tuple included)."""
+
+    __slots__ = ()
+
+    def _value(self):
+        return getattr(self, self.__slots__[0])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._value() == other._value()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._value(),))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({self.__slots__[0]}={self._value()!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self._value(),)
+
+
+class Instance(_Frozen):
     """A multiset of job sizes, stored sorted non-increasing."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
-    def __post_init__(self) -> None:
-        if not self.sizes:
+    def __init__(self, sizes: tuple[int, ...]) -> None:
+        if not sizes:
             raise ValueError("an instance needs at least one job")
-        for p in self.sizes:
-            if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
-                raise ValueError(f"job sizes must be positive integers, got {p!r}")
-        object.__setattr__(self, "sizes", tuple(sorted(self.sizes, reverse=True)))
+        if not set(map(type, sizes)) <= {int} or min(sizes) <= 0:
+            for p in sizes:
+                if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
+                    raise ValueError(f"job sizes must be positive integers, got {p!r}")
+        object.__setattr__(self, "sizes", tuple(sorted(sizes, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -56,8 +97,7 @@ def new_instance(raw_sizes: Iterable[int]) -> Instance:
     return Instance(tuple(raw_sizes))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Frozen):
     """Jobs as (size, start) pairs.
 
     Feasibility is checked, never enforced, so broken schedules can be
@@ -66,11 +106,11 @@ class Schedule:
     rational sizes.
     """
 
-    jobs: tuple[tuple[ExactNumber, ExactNumber], ...]
+    __slots__ = ("jobs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, jobs: tuple[tuple[ExactNumber, ExactNumber], ...]) -> None:
         checked = []
-        for size, start in self.jobs:
+        for size, start in jobs:
             size = as_exact(size)
             start = as_exact(start)
             if size <= 0:
@@ -79,6 +119,15 @@ class Schedule:
                 raise ValueError(f"start times must be non-negative, got {start!r}")
             checked.append((size, start))
         object.__setattr__(self, "jobs", tuple(checked))
+
+    @classmethod
+    def _trusted(cls, jobs: tuple[tuple[int, int], ...]) -> Schedule:
+        """A schedule of `jobs`, taken as they are: a tuple of (size, start)
+        tuples of plain ints, every size positive and every start
+        non-negative.  Only for values that are valid by construction."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "jobs", jobs)
+        return schedule
 
     @property
     def n(self) -> int:

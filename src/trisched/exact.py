@@ -140,7 +140,7 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
         jobs = fits(best_val - 1)
         if jobs is None:
             break
-        best = Schedule(tuple(jobs))
+        best = Schedule._trusted(tuple(jobs))
         best_val = makespan(best)
     return best_val, best
 

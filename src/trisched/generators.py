@@ -16,8 +16,14 @@ from fractions import Fraction
 from .core import Instance, new_instance
 
 FIXTURES = {
-    # Greedy pays 42 against an optimum of 40 here; the worst known gap.
+    # This implementation's greedy pays 42 against an optimum of 40 here,
+    # ratio 21/20; `bench ratio-search` evaluates it first.
     "greedy-gap-9": (20, 20, 10, 5, 5, 4, 4, 4, 4),
+    # This implementation's greedy pays 130 against an optimum of 116 here,
+    # ratio 65/58 (about 1.121), the worst input known for it; a hill climb
+    # over nine sizes found it.  Whether the paper's Greedy does the same is
+    # open.
+    "greedy-gap-65-58": (116, 43, 29, 29, 12, 10, 7, 5, 2),
     # Four staircase jobs: a natural-looking schedule reaches 15, optimal is 14.
     "staircase-4": (6, 5, 4, 3),
 }

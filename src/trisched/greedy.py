@@ -15,25 +15,26 @@ itself, so only callers that read the trace should ask for it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import accumulate, chain
 from math import isqrt
-from typing import NamedTuple
 
 from .core import Instance, Schedule
 
 
-# One per job, so a named tuple: it builds in about a quarter of a frozen
-# dataclass's time.
-class TraceStep(NamedTuple):
-    job: int                # 1-based rank in the non-increasing size order
-    size: int
-    gap_start: int | None   # chosen gap before insertion; None for job 1
-    gap_length: int | None
-    placement: int          # start assigned at insertion time (later steps may shift it)
-    shift: int              # 0 when the gap had room, else 2*size - gap_length
-    parent: int | None      # job whose insertion created the chosen gap
-    makespan: int           # makespan after this step
+# One per job, so a named tuple, and `_greedy` builds its rows with
+# `tuple.__new__`, which skips the named tuple's Python-level `__new__` and
+# takes less than half its time.
+#   job         1-based rank in the non-increasing size order
+#   size
+#   gap_start   chosen gap before insertion; None for job 1
+#   gap_length
+#   placement   start assigned at insertion time (later steps may shift it)
+#   shift       0 when the gap had room, else 2*size - gap_length
+#   parent      job whose insertion created the chosen gap; None for job 1
+#   makespan    makespan after this step
+TraceStep = namedtuple("TraceStep", "job size gap_start gap_length placement shift parent makespan")
 
 
 GreedyTrace = tuple[TraceStep, ...]
@@ -77,7 +78,8 @@ def _greedy(sizes: tuple[int, ...], record: bool) -> tuple[tuple[int, ...], list
         sums = [first]
         owner_of: list[int | None] = [None] * (n + 1)
         span = first
-        trace = [TraceStep(1, first, None, None, 0, 0, None, first)]
+        step = tuple.__new__
+        trace = [step(TraceStep, (1, first, None, None, 0, 0, None, first))]
     for job in range(2, n + 1):
         size = sizes[job - 1]
         negative, b = heap[0]
@@ -97,8 +99,8 @@ def _greedy(sizes: tuple[int, ...], record: bool) -> tuple[tuple[int, ...], list
             edge = edge_row[k]
             parent = owner_of[edge]
             owner_of[edge] = job
-            trace.append(TraceStep(job, size, gap_start, length, gap_start + size, shift,
-                                   edge if parent is None else parent, span))
+            trace.append(step(TraceStep, (job, size, gap_start, length, gap_start + size, shift,
+                                          edge if parent is None else parent, span)))
         row[k] = size
         row.insert(k + 1, right)
         edge_row.insert(k + 1, job)
@@ -136,14 +138,14 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     """
     sizes = instance.sizes
     starts, trace = _greedy(sizes, True)
-    return Schedule(tuple(zip(sizes, starts))), tuple(trace)
+    return Schedule._trusted(tuple(zip(sizes, starts))), tuple(trace)
 
 
 def untraced_greedy(instance: Instance) -> Schedule:
     """The schedule of `greedy_schedule`, without building its trace."""
     sizes = instance.sizes
     starts, _ = _greedy(sizes, False)
-    return Schedule(tuple(zip(sizes, starts)))
+    return Schedule._trusted(tuple(zip(sizes, starts)))
 
 
 def tree_to_dot(trace: GreedyTrace) -> str:

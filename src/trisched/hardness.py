@@ -21,7 +21,7 @@ C with its triplet summing to D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import Instance, Schedule, check_feasible, makespan, new_instance
@@ -31,30 +31,32 @@ Matching = tuple[tuple[int, int, int], ...]
 JOB_TYPES = ("E", "F", "A", "B", "C")
 
 
-@dataclass(frozen=True)
-class ThreeDMInstance:
-    """Numerical 3DM input: target D and value columns a, b, c (1-based)."""
+class ThreeDMInstance(namedtuple("ThreeDMInstance", "D a b c")):
+    """Numerical 3DM input: target D and value columns a, b, c (1-based).
 
-    D: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
+    Every value is a plain int, so the encoded sizes and the certificate
+    schedule are ints by construction.
+    """
 
-    def __post_init__(self) -> None:
-        if self.D < 4:
-            raise ValueError(f"D must be at least 4, got {self.D}")
-        n = len(self.a)
-        if n == 0 or len(self.b) != n or len(self.c) != n:
+    __slots__ = ()
+
+    def __new__(cls, D: int, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> ThreeDMInstance:
+        for v in (D, *a, *b, *c):
+            if type(v) is not int:
+                raise ValueError(f"3DM values must be integers, got {v!r}")
+        if D < 4:
+            raise ValueError(f"D must be at least 4, got {D}")
+        n = len(a)
+        if n == 0 or len(b) != n or len(c) != n:
             raise ValueError("columns a, b, c must be non-empty and equally long")
-        for name, column in (("a", self.a), ("b", self.b), ("c", self.c)):
+        for name, column in (("a", a), ("b", b), ("c", c)):
             for v in column:
-                if not 4 * v > self.D or not 2 * v < self.D:
-                    raise ValueError(
-                        f"{name} value {v} outside the open range (D/4, D/2) for D={self.D}"
-                    )
-        total = sum(self.a) + sum(self.b) + sum(self.c)
-        if total != n * self.D:
-            raise ValueError(f"values sum to {total}, need n*D = {n * self.D}")
+                if not 4 * v > D or not 2 * v < D:
+                    raise ValueError(f"{name} value {v} outside the open range (D/4, D/2) for D={D}")
+        total = sum(a) + sum(b) + sum(c)
+        if total != n * D:
+            raise ValueError(f"values sum to {total}, need n*D = {n * D}")
+        return super().__new__(cls, D, a, b, c)
 
     @property
     def n(self) -> int:
@@ -66,17 +68,15 @@ def min_padding(tdm: ThreeDMInstance) -> int:
     return -(-5 * tdm.D // 4)
 
 
-@dataclass(frozen=True)
-class ReductionLabels:
-    """Sidecar mapping each encoded job to its type and source index."""
-
-    M: int
-    target: int
-    jobs: tuple[tuple[str, int, int], ...]   # (type, 1-based source index, size)
+# Sidecar mapping each encoded job to its type and source index: the padding
+# M, the target makespan, and one (type, 1-based source index, size) per job.
+ReductionLabels = namedtuple("ReductionLabels", "M target jobs")
 
 
 def _type_sizes(tdm: ThreeDMInstance, M: int) -> dict[str, tuple[int, ...]]:
     """Job sizes per type, in source-index order; E is the window 8M+5D."""
+    if type(M) is not int:
+        raise ValueError(f"M must be an integer, got {M!r}")
     if M < min_padding(tdm):
         raise ValueError(f"M must be at least ceil(5D/4) = {min_padding(tdm)}, got {M}")
     return {
@@ -146,7 +146,7 @@ def schedule_from_matching(tdm: ThreeDMInstance, M: int, matching: Matching) -> 
         jobs.append((size_c, offset + size_a + size_c))
         jobs.append((size_f, offset + size_a + 2 * size_c))
         jobs.append((size_b, offset + size_a + 2 * size_c + size_b))
-    return Schedule(tuple(jobs))
+    return Schedule._trusted(tuple(jobs))
 
 
 class DecodeError(ValueError):

@@ -15,7 +15,7 @@ is exact rational; eps must be a Fraction or int, never a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -53,19 +53,12 @@ def split_small(instance: Instance, eps) -> tuple[tuple[int, ...], tuple[int, ..
     return large, small, threshold
 
 
-@dataclass(frozen=True)
-class RoundedInstance:
-    """Sizes rounded up onto the ladder unit*(1+eps)^k, unit = classes[-1].
-
-    `large` pairs each original size with its rounded value, non-increasing
-    by original size; `classes` lists the distinct rounded values
-    descending.  Every rounded value is unit*(1+eps)^k for some k >= 0 and
-    is at least its original.
-    """
-
-    eps: Fraction
-    large: tuple[tuple[int, Fraction], ...]
-    classes: tuple[Fraction, ...]
+# Sizes rounded up onto the ladder unit*(1+eps)^k, unit = classes[-1].
+# `large` pairs each original size with its rounded value, non-increasing by
+# original size; `classes` lists the distinct rounded values descending.
+# Every rounded value is unit*(1+eps)^k for some k >= 0 and is at least its
+# original.
+RoundedInstance = namedtuple("RoundedInstance", "eps large classes")
 
 
 def round_sizes(instance: Instance, eps) -> RoundedInstance:
@@ -89,12 +82,8 @@ def round_sizes(instance: Instance, eps) -> RoundedInstance:
     return RoundedInstance(eps=eps, large=tuple(pairs), classes=classes)
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform start grid {0, K, 2K, ...} of `points` points."""
-
-    step: Fraction
-    points: int
+# Uniform start grid {0, step, 2*step, ...} of `points` points.
+Grid = namedtuple("Grid", "step points")
 
 
 def make_grid(rounded: RoundedInstance, n: int) -> Grid:
@@ -114,11 +103,9 @@ def make_grid(rounded: RoundedInstance, n: int) -> Grid:
     return Grid(step=step, points=points)
 
 
-@dataclass(frozen=True)
-class DPResult:
-    makespan: Fraction
-    schedule: Schedule          # rounded sizes at grid starts
-    states: int                 # non-final configurations reached
+# makespan: a Fraction; schedule: the rounded sizes at their grid starts;
+# states: the non-final configurations reached
+DPResult = namedtuple("DPResult", "makespan schedule states")
 
 
 def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_BUDGET) -> DPResult:
@@ -186,15 +173,7 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
     return DPResult(makespan=Fraction(best, scale), schedule=Schedule(tuple(placements)), states=states)
 
 
-@dataclass(frozen=True)
-class QptasStats:
-    eps: Fraction
-    threshold: Fraction
-    large: int
-    small: int
-    classes: int
-    grid_points: int
-    dp_states: int
+QptasStats = namedtuple("QptasStats", "eps threshold large small classes grid_points dp_states")
 
 
 def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:

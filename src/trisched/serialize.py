@@ -14,10 +14,10 @@ same data as nested dicts, without building a dict per job.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Sequence
 
 from .bench import RatioSearchReport
 from .core import ExactNumber, Instance, Schedule, new_instance
@@ -36,7 +36,7 @@ def encode_exact(value: ExactNumber) -> int | str:
     return value
 
 
-def decode_exact(value: Any) -> ExactNumber:
+def decode_exact(value: object) -> ExactNumber:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     if isinstance(value, int):
@@ -53,7 +53,7 @@ def decode_exact(value: Any) -> ExactNumber:
     raise ValueError(f"expected int or \"num/den\" string, got {value!r}")
 
 
-def _field(obj: Any, key: str, what: str, array: bool = False) -> Any:
+def _field(obj: object, key: str, what: str, array: bool = False) -> object:
     """obj[key], where `obj` must be a JSON object holding `key` (an array
     when `array` is set); anything else raises a one-line ValueError."""
     try:
@@ -67,7 +67,7 @@ def _field(obj: Any, key: str, what: str, array: bool = False) -> Any:
     return value
 
 
-def _integer(value: Any, what: str) -> int:
+def _integer(value: object, what: str) -> int:
     """decode_exact(value), which must be an integer: `what` names the values
     in the one-line ValueError otherwise."""
     number = decode_exact(value)
@@ -80,8 +80,13 @@ def instance_to_obj(instance: Instance) -> dict:
     return {"sizes": list(instance.sizes)}
 
 
-def instance_from_obj(obj: Any) -> Instance:
-    return new_instance([decode_exact(p) for p in _field(obj, "sizes", "instance JSON", array=True)])
+def instance_from_obj(obj: object) -> Instance:
+    """The instance, whose constructor checks plain int sizes in C-level
+    passes; only a file holding anything else decodes each value first."""
+    sizes = _field(obj, "sizes", "instance JSON", array=True)
+    if not set(map(type, sizes)) <= {int}:
+        sizes = [decode_exact(p) for p in sizes]
+    return new_instance(sizes)
 
 
 def schedule_to_obj(schedule: Schedule) -> dict:
@@ -93,9 +98,24 @@ def schedule_to_obj(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_obj(obj: Any) -> Schedule:
+def schedule_from_obj(obj: object) -> Schedule:
+    """The schedule.  A file of plain ints, sizes positive and starts
+    non-negative, is checked once, by C-level passes, and kept as it is.
+    Any other file takes the per-entry path: it decodes what is not a plain
+    int, and the public constructor checks every value and collapses
+    integral rationals, so a fault gets the message that names it."""
+    entries = _field(obj, "jobs", "schedule JSON", array=True)
+    try:
+        sizes = list(map(itemgetter("size"), entries))
+        starts = list(map(itemgetter("start"), entries))
+    except (KeyError, TypeError):
+        pass
+    else:
+        if (set(map(type, sizes)) | set(map(type, starts)) <= {int}
+                and (not entries or min(sizes) > 0 and min(starts) >= 0)):
+            return Schedule._trusted(tuple(zip(sizes, starts)))
     jobs = []
-    for entry in _field(obj, "jobs", "schedule JSON", array=True):
+    for entry in entries:
         size, start = _field(entry, "size", "schedule job"), _field(entry, "start", "schedule job")
         jobs.append((
             size if type(size) is int else decode_exact(size),
@@ -104,7 +124,7 @@ def schedule_from_obj(obj: Any) -> Schedule:
     return Schedule(tuple(jobs))
 
 
-def tdm_from_obj(obj: Any) -> ThreeDMInstance:
+def tdm_from_obj(obj: object) -> ThreeDMInstance:
     d = _integer(_field(obj, "D", "3DM JSON"), "3DM values")
     a, b, c = (
         tuple(_integer(v, "3DM values") for v in _field(obj, key, "3DM JSON", array=True))
@@ -113,7 +133,7 @@ def tdm_from_obj(obj: Any) -> ThreeDMInstance:
     return ThreeDMInstance(D=d, a=a, b=b, c=c)
 
 
-def execution_trace_from_obj(obj: Any) -> ExecutionTrace:
+def execution_trace_from_obj(obj: object) -> ExecutionTrace:
     """Load a trace that `simulate` could have written: record k is job k,
     an executed record has start < end <= start + size, and a canceled one
     names an executed record as its canceler."""
@@ -142,7 +162,7 @@ def execution_trace_from_obj(obj: Any) -> ExecutionTrace:
     return ExecutionTrace(records=tuple(records), completion=completion)
 
 
-def demands_from_obj(obj: Any) -> tuple[ExactNumber, ...]:
+def demands_from_obj(obj: object) -> tuple[ExactNumber, ...]:
     return tuple(decode_exact(d) for d in _field(obj, "demands", "demands JSON", array=True))
 
 
@@ -166,7 +186,7 @@ def dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _json_value(value: Any) -> str:
+def _json_value(value: object) -> str:
     """The JSON text of encode_exact(value): "num/den" for a Fraction, null
     for None."""
     if type(value) is int:
@@ -247,7 +267,7 @@ def write_json(path, obj: dict) -> None:
     write_text(path, dumps(obj))
 
 
-def read_json(path) -> Any:
+def read_json(path) -> object:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:

@@ -13,7 +13,9 @@ oracle's witness, the `*_to_obj` functions below are the reference for
 the text writers that replaced them (`dumps` of their dict is the file a
 writer must match byte for byte), and the two strict readers load the
 greedy trace and ratio-search report files that the CLI writes but never
-reads.
+reads.  The per-entry instance and schedule readers are the reference for
+the loaders' C-level pass over files of plain ints: they decode every value
+and leave every check, and its message, to the public constructor.
 """
 
 import itertools
@@ -427,3 +429,17 @@ def report_from_obj(obj: Any) -> RatioSearchReport:
             for f in findings
         ),
     )
+
+
+def instance_from_obj_reference(obj: Any) -> Instance:
+    """`serialize.instance_from_obj`, one decoded value at a time."""
+    return new_instance([decode_exact(p) for p in _field(obj, "sizes", "instance JSON", array=True)])
+
+
+def schedule_from_obj_reference(obj: Any) -> Schedule:
+    """`serialize.schedule_from_obj`, one decoded entry at a time."""
+    jobs = []
+    for entry in _field(obj, "jobs", "schedule JSON", array=True):
+        size, start = _field(entry, "size", "schedule job"), _field(entry, "start", "schedule job")
+        jobs.append((decode_exact(size), decode_exact(start)))
+    return Schedule(tuple(jobs))

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import report_from_obj
-from trisched import new_instance
+from oracles import order_brute_force_optimum, report_from_obj
+from trisched import check_feasible, fixture_instance, makespan, new_instance, optimal_makespan
 from trisched.bench import FIXTURE_RATIO, RatioSearchReport, evaluate_ratio, ratio_search
+from trisched.greedy import untraced_greedy
 from trisched.serialize import report_to_obj
 
 
@@ -14,6 +15,16 @@ class TestEvaluateRatio:
     def test_worst_known_fixture(self):
         assert evaluate_ratio(new_instance([20, 20, 10, 5, 5, 4, 4, 4, 4])) == Fraction(21, 20)
         assert FIXTURE_RATIO == Fraction(21, 20)
+
+    def test_fixture_past_21_20(self):
+        # this implementation's greedy against the optimum, the exact search
+        # checked by every order of the sizes
+        instance = fixture_instance("greedy-gap-65-58")
+        schedule = untraced_greedy(instance)
+        assert makespan(schedule) == 130 and check_feasible(schedule) == []
+        assert optimal_makespan(instance)[0] == 116
+        assert order_brute_force_optimum(instance.sizes) == 116
+        assert evaluate_ratio(instance) == Fraction(65, 58) > FIXTURE_RATIO
 
     def test_greedy_optimal_instance(self):
         assert evaluate_ratio(new_instance([6, 5, 4, 3])) == 1

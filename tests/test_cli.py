@@ -141,6 +141,13 @@ class TestSolve:
         assert code == 0
         assert out == "makespan 13\n"
 
+    def test_exact_limit_defaults_to_the_size_cap(self, tmp_path, capsys):
+        instance = tmp_path / "i.json"
+        instance.write_text(json.dumps({"sizes": [1] * 12}))
+        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 12\n", "")
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "11")
+        assert code == 1 and err.startswith("error: exact search limited to 11 jobs, got 12")
+
     def test_qptas_prints_stats(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
         instance.write_text('{"sizes": [6, 5, 4, 3]}')
@@ -197,7 +204,11 @@ class TestSolve:
         (("--algo", "lb", "-o", "OUT"), "-o needs --algo greedy, exact or qptas"),
         (("--algo", "greedy", "--eps", "1/2"), "--eps needs --algo qptas"),
         (("--algo", "exact", "--eps", "1/2", "-o", "OUT"), "--eps needs --algo qptas"),
-    ], ids=["tree-qptas", "trace-exact", "output-lb", "eps-greedy", "eps-exact"])
+        (("--algo", "greedy", "--limit", "1", "-o", "OUT"), "--limit needs --algo exact"),
+        (("--algo", "qptas", "--eps", "1/2", "--limit", "12", "-o", "OUT"), "--limit needs --algo exact"),
+        (("--algo", "lb", "--limit", "1"), "--limit needs --algo exact"),
+    ], ids=["tree-qptas", "trace-exact", "output-lb", "eps-greedy", "eps-exact",
+            "limit-greedy", "limit-qptas", "limit-lb"])
     def test_flag_the_algorithm_never_uses(self, tmp_path, capsys, flags, message):
         instance = tmp_path / "i.json"
         instance.write_text('{"sizes": [6, 5, 4, 3]}')

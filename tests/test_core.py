@@ -1,5 +1,7 @@
 """Core types: exactness, feasibility, gaps, the two instance statistics."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,50 @@ class TestSchedule:
     def test_non_positive_size_rejected(self):
         with pytest.raises(ValueError):
             Schedule(((0, 3),))
+
+
+class TestValueTypes:
+    """Instance and Schedule behave like frozen dataclasses:
+    equal, hashed and printed by value, immutable, and equal to nothing but
+    their own kind."""
+
+    def test_equality_and_hash_by_value(self):
+        a, b = new_instance([4, 6, 5]), Instance((6, 5, 4))
+        assert a == b and hash(a) == hash(b) and a != new_instance([6, 5])
+        s, t = Schedule(((6, 0), (4, Fraction(8, 2)))), Schedule([[6, 0], [4, 4]])
+        assert s == t and hash(s) == hash(t) and s != Schedule(((6, 0), (4, 5)))
+        assert len({a, b, s, t}) == 2
+        # the dataclass hash: a hash of the one-field tuple
+        assert hash(a) == hash(((6, 5, 4),)) and hash(s) == hash((((6, 0), (4, 4)),))
+
+    def test_never_equal_to_a_tuple_or_the_other_type(self):
+        assert Instance((1,)) != (1,)
+        assert Instance((1,)) != ((1,),)
+        assert Schedule(((1, 0),)) != ((1, 0),)
+        assert Schedule(()) != ()
+        assert Instance((1,)).sizes == (1,) and Schedule(((1, 0),)).jobs == ((1, 0),)
+        assert Instance((1,)) != Schedule(((1, 0),)) and Schedule(((1, 0),)) != Instance((1,))
+
+    @pytest.mark.parametrize("value", [Instance((3, 5)), Schedule(((5, 0), (3, 5)))], ids=["instance", "schedule"])
+    def test_immutable(self, value):
+        field = "sizes" if isinstance(value, Instance) else "jobs"
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, field) is before
+
+    def test_repr(self):
+        assert repr(new_instance([3, 5])) == "Instance(sizes=(5, 3))"
+        assert repr(Schedule(((5, Fraction(1, 2)),))) == "Schedule(jobs=((5, Fraction(1, 2)),))"
+
+    def test_copies_and_pickles_by_value(self):
+        for value in (new_instance([3, 5]), Schedule(((5, 0), (3, Fraction(9, 2))))):
+            assert copy.copy(value) == value and copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestCheckFeasible:

@@ -2,7 +2,8 @@
 oracles, the untraced greedy against the traced one, a scale gate that a
 quadratic regression fails, the exact oracle's deadline search against the
 branch and bound it replaced, and the QPTAS's integer layered DP against
-the recursive Fraction DP it replaced."""
+the recursive Fraction DP it replaced, and the schedules that skip the
+public constructor's checks against what those checks make of them."""
 
 import random
 import time
@@ -20,12 +21,14 @@ from oracles import (
 )
 from trisched import (
     Schedule,
+    ThreeDMInstance,
     check_feasible,
     greedy_schedule,
     lower_bound,
     makespan,
     new_instance,
     optimal_makespan,
+    schedule_from_matching,
 )
 from trisched.greedy import untraced_greedy
 from trisched.qptas import dp_solve, make_grid, round_sizes
@@ -233,3 +236,51 @@ class TestDpMatchesFractionOracle:
         grid = make_grid(rounded, inst.n)
         # DPResult equality covers makespan, schedule and states
         assert dp_solve(rounded, grid) == dp_solve_oracle(rounded, grid)
+
+
+def assert_trusted(schedule):
+    """A schedule built by `Schedule._trusted` is what the public
+    constructor makes of its jobs: a tuple of (size, start) tuples of plain
+    ints, sizes positive and starts non-negative."""
+    assert Schedule(schedule.jobs) == schedule
+    assert type(schedule.jobs) is tuple
+    assert all(type(job) is tuple and len(job) == 2 for job in schedule.jobs)
+    assert {type(x) for job in schedule.jobs for x in job} <= {int}
+
+
+@st.composite
+def solvable_3dm(draw):
+    """Rows that are permutations of (3, 3, 4), target 10, with the b and c
+    columns shuffled, and a matching of it."""
+    rows = draw(st.lists(st.permutations((3, 3, 4)), min_size=1, max_size=6))
+    n = len(rows)
+    b_order = draw(st.permutations(range(n)))
+    c_order = draw(st.permutations(range(n)))
+    tdm = ThreeDMInstance(
+        D=10,
+        a=tuple(row[0] for row in rows),
+        b=tuple(rows[i][1] for i in b_order),
+        c=tuple(rows[i][2] for i in c_order),
+    )
+    matching = tuple((i + 1, b_order.index(i) + 1, c_order.index(i) + 1) for i in range(n))
+    return tdm, matching
+
+
+class TestTrustedSchedules:
+    @given(st.one_of(uniform_sizes, equal_sizes, ladder_sizes))
+    @settings(max_examples=150)
+    def test_greedy(self, sizes):
+        inst = new_instance(sizes)
+        assert_trusted(greedy_schedule(inst)[0])
+        assert_trusted(untraced_greedy(inst))
+
+    @given(st.one_of(fixture_like_sizes, spread_sizes))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_witness(self, sizes):
+        assert_trusted(optimal_makespan(new_instance(sizes))[1])
+
+    @given(solvable_3dm(), st.integers(13, 40))
+    @settings(max_examples=100)
+    def test_certificate(self, case, M):
+        tdm, matching = case
+        assert_trusted(schedule_from_matching(tdm, M, matching))

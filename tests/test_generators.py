@@ -67,7 +67,8 @@ class TestRatioBoundedInstance:
 
 class TestFixtures:
     def test_known_names(self):
-        assert set(FIXTURES) == {"greedy-gap-9", "staircase-4"}
+        assert set(FIXTURES) == {"greedy-gap-9", "greedy-gap-65-58", "staircase-4"}
+        assert fixture_instance("greedy-gap-65-58").sizes == (116, 43, 29, 29, 12, 10, 7, 5, 2)
         assert fixture_instance("greedy-gap-9").sizes == (20, 20, 10, 5, 5, 4, 4, 4, 4)
         assert fixture_instance("staircase-4").sizes == (6, 5, 4, 3)
 

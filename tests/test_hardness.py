@@ -61,6 +61,17 @@ class TestThreeDMInstance:
         with pytest.raises(ValueError):
             ThreeDMInstance(D=3, a=(1,), b=(1,), c=(1,))
 
+    @pytest.mark.parametrize("columns", [
+        # each would pass every range and sum check
+        dict(D=10, a=(Fraction(7, 2),), b=(Fraction(7, 2),), c=(3,)),
+        dict(D=Fraction(10), a=(3,), b=(3,), c=(4,)),
+        dict(D=10, a=(3.5,), b=(3.5,), c=(3,)),
+    ], ids=["fraction-values", "fraction-D", "float-values"])
+    def test_values_must_be_ints(self, columns):
+        # the certificate schedule is built unchecked from these values
+        with pytest.raises(ValueError, match="3DM values must be integers"):
+            ThreeDMInstance(**columns)
+
 
 class TestMinPadding:
     def test_values(self):
@@ -147,6 +158,13 @@ class TestScheduleFromMatching:
         # coordinates are permutations but the triplets sum to 9 and 11
         with pytest.raises(ValueError):
             schedule_from_matching(TDM2, 13, ((1, 2, 2), (2, 1, 1)))
+
+    @pytest.mark.parametrize("M", [13.5, Fraction(27, 2), True])
+    def test_padding_must_be_an_int(self, M):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            schedule_from_matching(TDM1, M, ((1, 1, 1),))
+        with pytest.raises(ValueError, match="M must be an integer"):
+            encode(TDM1, M)
 
     def test_alternative_valid_matching_accepted(self):
         # TDM2 also matches crosswise; both certificates are tight

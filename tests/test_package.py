@@ -1,6 +1,9 @@
 """Package-wide source rules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import trisched
@@ -17,3 +20,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # Each of these cost the CLI's cold start several milliseconds; the
+    # package needs none of them.  -S keeps site packages from importing
+    # them first.
+    src = str(Path(trisched.__file__).parent.parent)
+    code = "import sys, trisched.cli; print(*sorted(set(sys.modules) & {'dataclasses', 'typing', 'pathlib', 'inspect'}))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "\n"

@@ -1,15 +1,21 @@
 """Wire formats: exact numbers, instances, schedules, traces, demands."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import execution_trace_to_obj, greedy_trace_from_obj, greedy_trace_to_obj, labels_to_obj
-from trisched import Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
+from oracles import (
+    execution_trace_to_obj,
+    greedy_trace_from_obj,
+    greedy_trace_to_obj,
+    instance_from_obj_reference,
+    labels_to_obj,
+    schedule_from_obj_reference,
+)
+from trisched import Instance, Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
 from trisched.bench import RatioSearchReport
 from trisched.serialize import (
     decode_exact,
@@ -101,8 +107,8 @@ class TestScheduleWire:
 class TestTdmWire:
     def test_round_trip(self):
         tdm = ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
-        # the JSON form is the dataclass's fields, tuples as arrays
-        assert tdm_from_obj(json.loads(dumps(dataclasses.asdict(tdm)))) == tdm
+        # the JSON form is the named tuple's fields, tuples as arrays
+        assert tdm_from_obj(json.loads(dumps(tdm._asdict()))) == tdm
 
     def test_missing_key(self):
         with pytest.raises(ValueError):
@@ -400,3 +406,109 @@ def test_text_writers_cover_both_statuses_and_rational_times():
     assert '"status": "canceled"' in text and '"end": 12,' in text
     sched = Schedule(((6, 0), (5, Fraction(27, 4))))
     assert schedule_json(sched) == '{"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": "27/4"}]}\n'
+
+
+# What a mutation writes in place of a size or a start: faults (a bool, a
+# float, zero, a negative, a non-number, a bad rational) and legal spellings
+# of a number that is not a plain int ("7/2", and the integral "4/2" and
+# "0/3", which load as ints).
+WIRE_MUTANTS = (True, False, 1.5, 0.0, 0, -1, -7, "7/2", "4/2", "0/3", "-2/4", "x/2", "1/0", None, [2])
+# What a mutation writes in place of a whole entry.
+ENTRY_MUTANTS = (None, 3, "job", [6, 0], [])
+
+
+@st.composite
+def mutated_files(draw, key, values):
+    """{key: values}: a valid file with up to three values replaced, keys
+    dropped or entries replaced, and now and then a top-level shape
+    fault."""
+    shape = draw(st.sampled_from(["file"] * 8 + ["not-an-array", "no-key", "not-an-object"]))
+    if shape == "not-an-array":
+        return {key: draw(st.sampled_from(["x", 3, None, {}]))}
+    if shape == "no-key":
+        return {}
+    if shape == "not-an-object":
+        return draw(st.sampled_from([[], "x", 3, None]))
+    items = draw(st.lists(values, max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if items else 0):
+        k = draw(st.integers(0, len(items) - 1))
+        item = items[k]
+        if isinstance(item, dict):
+            field = draw(st.sampled_from(sorted(item))) if item else None
+            action = draw(st.sampled_from(["value", "value", "drop", "entry"]))
+            if action == "value" and field is not None:
+                item[field] = draw(st.sampled_from(WIRE_MUTANTS))
+            elif action == "drop" and field is not None:
+                del item[field]
+            else:
+                items[k] = draw(st.sampled_from(ENTRY_MUTANTS))
+        else:
+            items[k] = draw(st.sampled_from(WIRE_MUTANTS))
+    return {key: items}
+
+
+def load_outcome(load, obj):
+    """(loaded value, the type of each number in it) or the ValueError's
+    message, which must be one line."""
+    try:
+        value = load(obj)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return str(exc)
+    numbers = value.sizes if isinstance(value, Instance) else tuple(x for job in value.jobs for x in job)
+    return value, tuple(map(type, numbers))
+
+
+schedule_entries = st.fixed_dictionaries({"size": st.integers(1, 60), "start": st.integers(0, 200)})
+
+
+class TestLoadersMatchThePerEntryReference:
+    """The loaders' C-level pass on files of plain ints gives what decoding
+    every value and calling the public constructor gives: the same value
+    with the same number types, or the same one-line ValueError, whatever
+    the faults and however many."""
+
+    @given(mutated_files("sizes", st.integers(1, 60)))
+    @example({"sizes": [6, "4/2", 4]})
+    @example({"sizes": []})
+    @settings(max_examples=300)
+    def test_instances(self, obj):
+        outcome = load_outcome(instance_from_obj, obj)
+        assert outcome == load_outcome(instance_from_obj_reference, obj)
+        if not isinstance(outcome, str):
+            assert outcome[0] == new_instance(outcome[0].sizes)
+
+    @given(mutated_files("jobs", schedule_entries))
+    @example({"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": -1}]})
+    @example({"jobs": [{"size": "4/2", "start": "7/2"}]})
+    @example({"jobs": []})
+    @settings(max_examples=300)
+    def test_schedules(self, obj):
+        outcome = load_outcome(schedule_from_obj, obj)
+        assert outcome == load_outcome(schedule_from_obj_reference, obj)
+        if not isinstance(outcome, str):
+            assert outcome[0] == Schedule(outcome[0].jobs)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": -1}]}, "start times must be non-negative, got -1"),
+        ({"jobs": [{"size": 0, "start": 0}]}, "job sizes must be positive, got 0"),
+        ({"jobs": [{"size": 6, "start": True}]}, "expected a number, got True"),
+        ({"jobs": [{"size": 6, "start": 0.5}]}, 'floats are not allowed on the wire: 0.5; use "num/den"'),
+        ({"jobs": [{"size": 6}]}, "schedule job has no 'start' field"),
+        ({"jobs": [[6, 0]]}, "schedule job must be a JSON object, got list"),
+        ({"jobs": {}}, "schedule JSON field 'jobs' must be an array, got dict"),
+        ({"sizes": [6, -2]}, "job sizes must be positive integers, got -2"),
+        ({"sizes": [6, False]}, "expected a number, got False"),
+        ({"sizes": [6, "7/2"]}, "job sizes must be positive integers, got Fraction(7, 2)"),
+        ({"sizes": []}, "an instance needs at least one job"),
+    ])
+    def test_one_fault_messages(self, obj, message):
+        load = instance_from_obj if "sizes" in obj else schedule_from_obj
+        with pytest.raises(ValueError) as caught:
+            load(obj)
+        assert str(caught.value) == message
+
+    def test_plain_int_files_keep_their_values(self):
+        schedule = schedule_from_obj({"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": "4/2"}]})
+        assert schedule.jobs == ((6, 0), (5, 2)) and type(schedule.jobs[1][1]) is int
+        assert instance_from_obj({"sizes": [3, "8/2", 5]}).sizes == (5, 4, 3)
