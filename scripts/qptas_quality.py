@@ -11,6 +11,7 @@ state counts that the accuracy is paid for with.
 import argparse
 import random
 import statistics
+import sys
 import time
 from fractions import Fraction
 
@@ -59,7 +60,8 @@ def main() -> None:
             f"{eps_text:>5}  {float(guarantee):>10.4f}  {float(max(ratios)):>8.4f}"
             f"  {float(statistics.mean(ratios)):>8.4f}  {max_states:>10}  {dt:>6.2f}s"
         )
-        assert max(ratios) <= guarantee, "guarantee violated"
+        if max(ratios) > guarantee:
+            sys.exit(f"error: eps {eps_text}: ratio {max(ratios)} exceeds the guarantee {guarantee}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ decoder are checked.
 
 import argparse
 import random
+import sys
 import time
 
 from trisched import (
@@ -42,6 +43,13 @@ def random_solvable_tdm(rng: random.Random, n: int) -> ThreeDMInstance:
     return ThreeDMInstance(D=10, a=tuple(cols[0]), b=tuple(cols[1]), c=tuple(cols[2]))
 
 
+def check(condition: bool, message: str) -> None:
+    """Exit with status 1 and a one-line message unless `condition` holds;
+    unlike an assert, it still checks under `python -O`."""
+    if not condition:
+        sys.exit(f"error: {message}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=25)
@@ -60,27 +68,27 @@ def main() -> None:
         M = min_padding(tdm) + rng.randint(0, args.extra_padding)
         instance, labels = encode(tdm, M)
         target = n * (8 * M + 5 * tdm.D)
-        assert labels.target == target
+        check(labels.target == target, f"trial {trial}: labels target {labels.target}, expected {target}")
 
         matching = solve_3dm_bruteforce(tdm)
-        assert matching is not None, "generator promised solvability"
+        check(matching is not None, f"trial {trial}: no matching found, but the generator promised one")
         certificate = schedule_from_matching(tdm, M, matching)
-        assert check_feasible(certificate) == []
-        assert makespan(certificate) == target
+        check(check_feasible(certificate) == [], f"trial {trial}: certificate is infeasible")
+        check(makespan(certificate) == target, f"trial {trial}: certificate makespan {makespan(certificate)}, target {target}")
 
         oracle = "-"
         if instance.n <= DEFAULT_SIZE_LIMIT:
             opt, _ = optimal_makespan(instance)
-            assert opt == target, f"oracle found {opt}, certificate says {target}"
+            check(opt == target, f"trial {trial}: oracle found {opt}, certificate says {target}")
             oracle = str(opt)
             oracle_checked += 1
 
         decoded = matching_from_schedule(tdm, M, certificate)
         redone = schedule_from_matching(tdm, M, decoded)
-        assert sorted(redone.jobs) == sorted(certificate.jobs)
+        check(sorted(redone.jobs) == sorted(certificate.jobs), f"trial {trial}: decoded matching lays out another schedule")
 
         excess = binary_tree_ratio(instance) - 2
-        assert excess == ratio_excess(tdm, M)
+        check(excess == ratio_excess(tdm, M), f"trial {trial}: ratio excess {excess}, formula {ratio_excess(tdm, M)}")
         print(
             f"trial {trial:>3}: slots {n}, M {M:>3}, target {target:>4},"
             f" oracle {oracle:>4}, ratio 2+{excess}"

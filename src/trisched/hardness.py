@@ -17,12 +17,36 @@ Block layout inside window t (offsets from t*(8M+5D)):
 The decoder inverts this: E jobs must sit exactly at the window starts,
 every other job classifies by size, and each window must hold one F, A, B,
 C with its triplet summing to D.
+
+It proves feasibility window by window instead of sweeping every pair.
+Write W = 8M+5D and take the jobs in start order.  Suppose E_t starts at
+t*W and exactly four other jobs come between E_t and E_{t+1}, each inside
+its window: t*W + p <= s and s + p <= (t+1)*W.  Then no pair that involves
+an E job or spans two windows can conflict.  A job x of window t starts at
+least p_x after every E_u with u <= t and ends no later than every E_u
+with u > t starts, so it keeps min(p_x, W) = p_x from each; E jobs stand W
+apart; and a job y of a later window u starts at s_y >= u*W + p_y >=
+s_x + p_x + p_y.  Only the six pairs among each window's four other jobs
+are left to check, and the last window's bound gives makespan n*W.  Every
+schedule that decodes meets these conditions: each E job sits at t*W, each
+window holds four other jobs, and feasibility against E_t and E_{t+1} is
+the window bound.  So only a schedule that fails to decode can miss them,
+and the decoder then runs the global checks (the feasibility sweep, the
+makespan, the E starts, then each window's types and sum, window by
+window), which raise the DecodeError that names its first fault.
+
+A window holds one job of each type when its four other jobs, sorted by
+size, fall in the C, B, A and F size ranges in that order, and its triplet
+then sums to D exactly when A + 2B + 2C = W, since
+A + 2B + 2C = 8M + 3D + 2(a + b + c).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, combinations, repeat
+from operator import add, ge, itemgetter, le, sub
 
 from .core import Instance, Schedule, check_feasible, makespan, new_instance
 
@@ -41,18 +65,18 @@ class ThreeDMInstance(namedtuple("ThreeDMInstance", "D a b c")):
     __slots__ = ()
 
     def __new__(cls, D: int, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> ThreeDMInstance:
-        for v in (D, *a, *b, *c):
-            if type(v) is not int:
-                raise ValueError(f"3DM values must be integers, got {v!r}")
+        if not set(map(type, chain((D,), a, b, c))) <= {int}:
+            bad = next(v for v in chain((D,), a, b, c) if type(v) is not int)
+            raise ValueError(f"3DM values must be integers, got {bad!r}")
         if D < 4:
             raise ValueError(f"D must be at least 4, got {D}")
         n = len(a)
         if n == 0 or len(b) != n or len(c) != n:
             raise ValueError("columns a, b, c must be non-empty and equally long")
         for name, column in (("a", a), ("b", b), ("c", c)):
-            for v in column:
-                if not 4 * v > D or not 2 * v < D:
-                    raise ValueError(f"{name} value {v} outside the open range (D/4, D/2) for D={D}")
+            if not (4 * min(column) > D and 2 * max(column) < D):
+                bad = next(v for v in column if not (4 * v > D and 2 * v < D))
+                raise ValueError(f"{name} value {bad} outside the open range (D/4, D/2) for D={D}")
         total = sum(a) + sum(b) + sum(c)
         if total != n * D:
             raise ValueError(f"values sum to {total}, need n*D = {n * D}")
@@ -79,12 +103,13 @@ def _type_sizes(tdm: ThreeDMInstance, M: int) -> dict[str, tuple[int, ...]]:
         raise ValueError(f"M must be an integer, got {M!r}")
     if M < min_padding(tdm):
         raise ValueError(f"M must be at least ceil(5D/4) = {min_padding(tdm)}, got {M}")
+    D = tdm.D
     return {
-        "E": (8 * M + 5 * tdm.D,) * tdm.n,
+        "E": (8 * M + 5 * D,) * tdm.n,
         "F": (4 * M,) * tdm.n,
-        "A": tuple(2 * M + 2 * v + tdm.D for v in tdm.a),
-        "B": tuple(2 * M + v for v in tdm.b),
-        "C": tuple(M + v + tdm.D for v in tdm.c),
+        "A": tuple(map(add, repeat(2 * M + D), map(add, tdm.a, tdm.a))),
+        "B": tuple(map(add, repeat(2 * M), tdm.b)),
+        "C": tuple(map(add, repeat(M + D), tdm.c)),
     }
 
 
@@ -97,15 +122,15 @@ def encode(tdm: ThreeDMInstance, M: int) -> tuple[Instance, ReductionLabels]:
     sizes_by_type = _type_sizes(tdm, M)
     labeled = []
     for kind in JOB_TYPES:
-        for index, size in enumerate(sizes_by_type[kind], start=1):
-            labeled.append((kind, index, size))
-    instance = new_instance(size for _, _, size in labeled)
+        column = sizes_by_type[kind]
+        labeled += zip(repeat(kind), range(1, len(column) + 1), column)
+    instance = new_instance(chain.from_iterable(sizes_by_type.values()))
     target = tdm.n * sizes_by_type["E"][0]
     return instance, ReductionLabels(M=M, target=target, jobs=tuple(labeled))
 
 
 def ratio_excess(tdm: ThreeDMInstance, M: int) -> Fraction:
-    """binary_tree_ratio(encoded) - 2: equals 5D/(4M) for n >= 2.
+    """binary_tree_ratio(encoded) - 2: equals 5D/(4M) for every n >= 1.
 
     The maximum is always the E/F boundary 2 + 5D/(4M); all other
     half-index ratios stay below 2.
@@ -114,12 +139,22 @@ def ratio_excess(tdm: ThreeDMInstance, M: int) -> Fraction:
 
 
 def _validate_matching(tdm: ThreeDMInstance, matching: Matching) -> None:
+    """Raise ValueError unless `matching` is n triplets of three plain ints,
+    each coordinate a permutation of 1..n, and each triplet sums to D."""
     n = tdm.n
+    if type(matching) not in (tuple, list):
+        raise ValueError(f"matching must be a tuple or list of triplets, got {type(matching).__name__}")
     if len(matching) != n:
         raise ValueError(f"matching must have {n} triplets, got {len(matching)}")
+    if not (set(map(type, matching)) <= {tuple, list} and set(map(len, matching)) == {3}
+            and set(map(type, chain.from_iterable(matching))) <= {int}):
+        for triplet in matching:
+            if type(triplet) not in (tuple, list) or len(triplet) != 3:
+                raise ValueError(f"matching triplets must hold three indices, got {triplet!r}")
+            if not set(map(type, triplet)) <= {int}:
+                raise ValueError(f"matching indices must be integers, got {triplet!r}")
     for coord in range(3):
-        seen = sorted(t[coord] for t in matching)
-        if seen != list(range(1, n + 1)):
+        if sorted(map(itemgetter(coord), matching)) != list(range(1, n + 1)):
             raise ValueError(f"matching coordinate {coord} is not a permutation of 1..{n}")
     for i, j, k in matching:
         total = tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1]
@@ -137,15 +172,14 @@ def schedule_from_matching(tdm: ThreeDMInstance, M: int, matching: Matching) -> 
     sizes = _type_sizes(tdm, M)
     _validate_matching(tdm, matching)
     window, size_f = sizes["E"][0], sizes["F"][0]
+    sizes_a, sizes_b, sizes_c = sizes["A"], sizes["B"], sizes["C"]
     jobs = []
-    for t, (i, j, k) in enumerate(matching):
-        offset = t * window
-        size_a, size_b, size_c = sizes["A"][i - 1], sizes["B"][j - 1], sizes["C"][k - 1]
-        jobs.append((window, offset))
-        jobs.append((size_a, offset + size_a))
-        jobs.append((size_c, offset + size_a + size_c))
-        jobs.append((size_f, offset + size_a + 2 * size_c))
-        jobs.append((size_b, offset + size_a + 2 * size_c + size_b))
+    for offset, (i, j, k) in zip(range(0, tdm.n * window, window), matching):
+        size_a, size_b, size_c = sizes_a[i - 1], sizes_b[j - 1], sizes_c[k - 1]
+        f = offset + size_a + 2 * size_c
+        jobs += (
+            (window, offset), (size_a, offset + size_a), (size_c, f - size_c), (size_f, f), (size_b, f + size_b),
+        )
     return Schedule._trusted(tuple(jobs))
 
 
@@ -165,52 +199,99 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
     The E jobs must sit exactly at multiples of 8M+5D; each window between
     them must then hold exactly one F, A, B, C, and each window's triplet
     must sum to D.  Anything else raises DecodeError naming the window.
+    Feasibility is proved window by window (see the module docstring); the
+    global checks run only when that proof does not go through.  Window t
+    takes, for each value, the smallest source index of that value that no
+    earlier window took.
     """
-    instance, labels = encode(tdm, M)
-    if sorted(schedule.sizes, reverse=True) != list(instance.sizes):
+    sizes = _type_sizes(tdm, M)
+    n, window = tdm.n, sizes["E"][0]
+    jobs = sorted(schedule.jobs, key=itemgetter(1))
+    if sorted(map(itemgetter(0), jobs)) != sorted(chain.from_iterable(sizes.values())):
         raise DecodeError("schedule job sizes do not match the encoded instance")
-    violations = check_feasible(schedule)
-    if violations:
-        raise DecodeError(f"schedule is infeasible at pairs {violations}")
-    target = labels.target
-    window = target // tdm.n
-    if makespan(schedule) > target:
-        raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
+    columns = _tight_windows(jobs, sizes)
+    if columns is None:
+        violations = check_feasible(schedule)
+        if violations:
+            raise DecodeError(f"schedule is infeasible at pairs {violations}")
+        target = n * window
+        if makespan(schedule) > target:
+            raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
+        e_starts = [start for size, start in jobs if size == window]
+        expected = list(range(0, target, window))
+        if e_starts != expected:
+            raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
+        columns = _checked_windows(tdm, sizes, schedule)
+    return tuple(zip(*map(_first_unused, columns, (sizes["A"], sizes["B"], sizes["C"]))))
 
-    e_starts = sorted(start for size, start in schedule.jobs if size == window)
-    expected = [t * window for t in range(tdm.n)]
-    if e_starts != expected:
-        raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
 
-    # size -> (type, unused 1-based source indices, descending so pop()
-    # takes the first); a size names one type and one value, so after the
-    # multiset check every size has as many jobs as indices
-    free: dict[int, tuple[str, list[int]]] = {}
-    for kind, index, size in reversed(labels.jobs):
-        free.setdefault(size, (kind, []))[1].append(index)
-    blocks: dict[int, dict[str, list[int]]] = {
-        t: {kind: [] for kind in JOB_TYPES} for t in range(tdm.n)
+def _tight_windows(jobs: list[tuple[int, int]], sizes: dict[str, tuple[int, ...]]):
+    """Each window's A, B and C sizes, as three columns, when `jobs`, in
+    start order, meet the window-local conditions of the module docstring
+    and every window holds one job of each type with its triplet summing to
+    D; otherwise None."""
+    n, window = len(sizes["E"]), sizes["E"][0]
+    edges = range(0, (n + 1) * window, window)
+    if jobs[::5] != list(zip(repeat(window), edges[:-1])):
+        return None
+    # each window's four other jobs, smallest first: a C, B, A and F job
+    # when the smallest is a C, the third an A and the largest an F; with
+    # the sizes equal as multisets, the second is then a B
+    ranked = list(zip(*map(sorted, zip(jobs[1::5], jobs[2::5], jobs[3::5], jobs[4::5]))))
+    p = [list(map(itemgetter(0), column)) for column in ranked]
+    s = [list(map(itemgetter(1), column)) for column in ranked]
+    if p[3].count(sizes["F"][0]) != n or not all(
+        min(sizes[kind]) <= min(held) and max(held) <= max(sizes[kind])
+        for kind, held in (("C", p[0]), ("A", p[2]))
+    ):
+        return None
+    bc = list(map(add, p[0], p[1]))
+    if list(map(add, p[2], map(add, bc, bc))) != [window] * n:
+        return None
+    for size, start in zip(p, s):
+        if not (all(map(le, map(add, edges, size), start)) and all(map(le, map(add, start, size), edges[1:]))):
+            return None
+    # two jobs of a window stand at least the smaller one's size apart
+    for (size, start), (_, larger_start) in combinations(zip(p, s), 2):
+        if not all(map(ge, map(abs, map(sub, larger_start, start)), size)):
+            return None
+    return p[2], p[1], p[0]
+
+
+def _checked_windows(tdm: ThreeDMInstance, sizes: dict[str, tuple[int, ...]], schedule: Schedule):
+    """Each window's A, B and C sizes, as three columns, for a schedule
+    whose E jobs sit at the window starts and whose jobs all start before
+    n*W.  Checks the windows in order, each for one job of every type and
+    then for its triplet sum, and raises DecodeError at the first that
+    fails."""
+    window = sizes["E"][0]
+    kind_of = {size: kind for kind in JOB_TYPES for size in sizes[kind]}
+    value_of = {
+        size: value
+        for kind, column in zip("ABC", (tdm.a, tdm.b, tdm.c))
+        for size, value in zip(sizes[kind], column)
     }
+    held = [{kind: [] for kind in JOB_TYPES} for _ in range(tdm.n)]
     for size, start in schedule.jobs:
-        blocks[start // window][free[size][0]].append(size)
-
-    matching = []
-    for t in range(tdm.n):
+        held[start // window][kind_of[size]].append(size)
+    for t, block in enumerate(held):
         for kind in JOB_TYPES:
-            if len(blocks[t][kind]) != 1:
-                raise DecodeError(
-                    f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1",
-                    block=t,
-                )
-        unused = [free[blocks[t][kind][0]][1] for kind in ("A", "B", "C")]
-        i, j, k = (indices[-1] for indices in unused)
-        total = tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1]
+            if len(block[kind]) != 1:
+                raise DecodeError(f"window holds {len(block[kind])} jobs of type {kind}, need 1", block=t)
+        total = sum(value_of[block[kind][0]] for kind in "ABC")
         if total != tdm.D:
             raise DecodeError(f"triplet values sum to {total}, need {tdm.D}", block=t)
-        for indices in unused:
-            indices.pop()
-        matching.append((i, j, k))
-    return tuple(matching)
+    return tuple(tuple(block[kind][0] for block in held) for kind in "ABC")
+
+
+def _first_unused(held: tuple[int, ...], column: tuple[int, ...]) -> list[int]:
+    """For each size in `held`, in order, the smallest 1-based index of that
+    size in `column` that no earlier entry took."""
+    free: dict[int, list[int]] = {}
+    for index, size in enumerate(column, start=1):
+        free.setdefault(size, []).append(index)
+    take = {size: iter(indices).__next__ for size, indices in free.items()}
+    return [take[size]() for size in held]
 
 
 def solve_3dm_bruteforce(tdm: ThreeDMInstance, limit: int = 6) -> Matching | None:

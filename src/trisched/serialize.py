@@ -125,12 +125,19 @@ def schedule_from_obj(obj: object) -> Schedule:
 
 
 def tdm_from_obj(obj: object) -> ThreeDMInstance:
+    """The 3DM instance.  A column of plain ints is taken as it is, by a
+    C-level pass; any other column decodes each value, so a fault gets the
+    message that names it.  The instance's constructor checks the rest."""
     d = _integer(_field(obj, "D", "3DM JSON"), "3DM values")
-    a, b, c = (
-        tuple(_integer(v, "3DM values") for v in _field(obj, key, "3DM JSON", array=True))
-        for key in "abc"
-    )
+    a, b, c = (_integers(_field(obj, key, "3DM JSON", array=True), "3DM values") for key in "abc")
     return ThreeDMInstance(D=d, a=a, b=b, c=c)
+
+
+def _integers(values: list, what: str) -> tuple[int, ...]:
+    """The values, each of which must decode to an integer (see `_integer`)."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(_integer(v, what) for v in values)
 
 
 def execution_trace_from_obj(obj: object) -> ExecutionTrace:
@@ -246,13 +253,12 @@ def execution_trace_json(trace: ExecutionTrace) -> str:
 def labels_json(labels: ReductionLabels) -> str:
     """The reduction labels sidecar: M, the target makespan and each encoded
     job's type, 1-based source index and size."""
-    types = {kind: json.dumps(kind) for kind in {kind for kind, _, _ in labels.jobs}}
-    values = _json_rows([(index, size) for _, index, size in labels.jobs])
-    rows = ", ".join([
-        f'{{"index": {index}, "size": {size}, "type": {types[kind]}}}'
-        for (index, size), (kind, _, _) in zip(values, labels.jobs)
-    ])
-    return f'{{"M": {_json_value(labels.M)}, "jobs": [{rows}], "target": {_json_value(labels.target)}}}\n'
+    rows = labels.jobs
+    types = {kind: json.dumps(kind) for kind in set(map(itemgetter(0), rows))}
+    if not set(map(type, map(itemgetter(1), rows))) | set(map(type, map(itemgetter(2), rows))) <= {int}:
+        rows = [(kind, _json_value(index), _json_value(size)) for kind, index, size in rows]
+    text = ", ".join([f'{{"index": {index}, "size": {size}, "type": {types[kind]}}}' for kind, index, size in rows])
+    return f'{{"M": {_json_value(labels.M)}, "jobs": [{text}], "target": {_json_value(labels.target)}}}\n'
 
 
 def write_text(path, text: str) -> None:

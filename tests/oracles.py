@@ -13,9 +13,12 @@ oracle's witness, the `*_to_obj` functions below are the reference for
 the text writers that replaced them (`dumps` of their dict is the file a
 writer must match byte for byte), and the two strict readers load the
 greedy trace and ratio-search report files that the CLI writes but never
-reads.  The per-entry instance and schedule readers are the reference for
-the loaders' C-level pass over files of plain ints: they decode every value
-and leave every check, and its message, to the public constructor.
+reads.  The per-entry instance, schedule and 3DM readers are the reference
+for the loaders' C-level pass over files of plain ints: they decode every
+value and leave every check, and its message, to the public constructor.
+The reduction's decoder that re-encodes the instance, sweeps the whole
+schedule for feasibility and walks each window's jobs is the reference for
+the window-by-window decoder.
 """
 
 import itertools
@@ -23,12 +26,25 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence
 
-from trisched import ExactNumber, Instance, Schedule, greedy_schedule, lower_bound, makespan, new_instance
+from trisched import (
+    DecodeError,
+    ExactNumber,
+    Instance,
+    Matching,
+    Schedule,
+    ThreeDMInstance,
+    check_feasible,
+    encode,
+    greedy_schedule,
+    lower_bound,
+    makespan,
+    new_instance,
+)
 from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
 from trisched.qptas import DPResult, Grid, RoundedInstance
-from trisched.hardness import ReductionLabels
+from trisched.hardness import JOB_TYPES, ReductionLabels
 from trisched.serialize import _field, _integer, decode_exact, encode_exact
 from trisched.simulate import ExecutionTrace
 
@@ -443,3 +459,64 @@ def schedule_from_obj_reference(obj: Any) -> Schedule:
         size, start = _field(entry, "size", "schedule job"), _field(entry, "start", "schedule job")
         jobs.append((decode_exact(size), decode_exact(start)))
     return Schedule(tuple(jobs))
+
+
+def tdm_from_obj_reference(obj: Any) -> ThreeDMInstance:
+    """`serialize.tdm_from_obj`, one decoded value at a time."""
+    d = _integer(_field(obj, "D", "3DM JSON"), "3DM values")
+    a, b, c = (
+        tuple(_integer(v, "3DM values") for v in _field(obj, key, "3DM JSON", array=True))
+        for key in "abc"
+    )
+    return ThreeDMInstance(D=d, a=a, b=b, c=c)
+
+
+def matching_from_schedule_reference(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> Matching:
+    """`hardness.matching_from_schedule` by re-encoding the instance, one
+    feasibility sweep over the whole schedule, and a walk over each
+    window's jobs that pops the smallest unused source index of each size."""
+    instance, labels = encode(tdm, M)
+    if sorted(schedule.sizes, reverse=True) != list(instance.sizes):
+        raise DecodeError("schedule job sizes do not match the encoded instance")
+    violations = check_feasible(schedule)
+    if violations:
+        raise DecodeError(f"schedule is infeasible at pairs {violations}")
+    target = labels.target
+    window = target // tdm.n
+    if makespan(schedule) > target:
+        raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
+
+    e_starts = sorted(start for size, start in schedule.jobs if size == window)
+    expected = [t * window for t in range(tdm.n)]
+    if e_starts != expected:
+        raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
+
+    # size -> (type, unused 1-based source indices, descending so pop()
+    # takes the first); a size names one type and one value, so after the
+    # multiset check every size has as many jobs as indices
+    free: dict[int, tuple[str, list[int]]] = {}
+    for kind, index, size in reversed(labels.jobs):
+        free.setdefault(size, (kind, []))[1].append(index)
+    blocks: dict[int, dict[str, list[int]]] = {
+        t: {kind: [] for kind in JOB_TYPES} for t in range(tdm.n)
+    }
+    for size, start in schedule.jobs:
+        blocks[start // window][free[size][0]].append(size)
+
+    matching = []
+    for t in range(tdm.n):
+        for kind in JOB_TYPES:
+            if len(blocks[t][kind]) != 1:
+                raise DecodeError(
+                    f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1",
+                    block=t,
+                )
+        unused = [free[blocks[t][kind][0]][1] for kind in ("A", "B", "C")]
+        i, j, k = (indices[-1] for indices in unused)
+        total = tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1]
+        if total != tdm.D:
+            raise DecodeError(f"triplet values sum to {total}, need {tdm.D}", block=t)
+        for indices in unused:
+            indices.pop()
+        matching.append((i, j, k))
+    return tuple(matching)

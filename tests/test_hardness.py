@@ -1,10 +1,17 @@
 """Reduction: encoding, certificates, decoding, and the 3DM brute force."""
 
+import contextlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import matching_from_schedule_reference
+from trisched import hardness
 from trisched import (
     DecodeError,
     Schedule,
@@ -52,6 +59,15 @@ class TestThreeDMInstance:
         # 2*5 = 10 is not < 10
         with pytest.raises(ValueError):
             ThreeDMInstance(D=10, a=(5,), b=(3,), c=(2,))
+
+    @pytest.mark.parametrize("columns, message", [
+        (dict(D=12, a=(3,), b=(4,), c=(5,)), "a value 3 outside the open range (D/4, D/2) for D=12"),
+        (dict(D=12, a=(4,), b=(6,), c=(2,)), "b value 6 outside the open range (D/4, D/2) for D=12"),
+    ], ids=["quarter", "half"])
+    def test_range_bounds_are_open(self, columns, message):
+        with pytest.raises(ValueError) as caught:
+            ThreeDMInstance(**columns)
+        assert str(caught.value) == message
 
     def test_columns_same_length(self):
         with pytest.raises(ValueError):
@@ -119,10 +135,13 @@ class TestEncode:
 
 class TestRatioExcess:
     def test_matches_tree_ratio_exactly(self):
-        for tdm, M in ((TDM2, 13), (TDM2, 20), (TDM2_UNSOLVABLE, 18)):
+        for tdm, M in ((TDM1, 13), (TDM1, 20), (TDM2, 13), (TDM2, 20), (TDM2_UNSOLVABLE, 18)):
             instance, _ = encode(tdm, M)
             assert binary_tree_ratio(instance) - 2 == ratio_excess(tdm, M)
             assert ratio_excess(tdm, M) == Fraction(5 * tdm.D, 4 * M)
+        # one triplet: the only half-index ratio above 2 is E/F
+        assert ratio_excess(TDM1, 13) == Fraction(25, 26)
+        assert ratio_excess(TDM1, 20) == Fraction(5, 8)
 
     def test_excess_shrinks_with_padding(self):
         assert ratio_excess(TDM2, 13) > ratio_excess(TDM2, 130)
@@ -153,6 +172,27 @@ class TestScheduleFromMatching:
     def test_non_permutation_matching_rejected(self):
         with pytest.raises(ValueError):
             schedule_from_matching(TDM2, 13, ((1, 1, 1), (2, 2, 1)))
+
+    @pytest.mark.parametrize("triplet, message", [
+        ((True, 1, 1), "matching indices must be integers, got (True, 1, 1)"),
+        ((1, 1), "matching triplets must hold three indices, got (1, 1)"),
+        ((1, 1, 1, 1), "matching triplets must hold three indices, got (1, 1, 1, 1)"),
+        ((1.0, 1, 1), "matching indices must be integers, got (1.0, 1, 1)"),
+        (("1", 1, 1), "matching indices must be integers, got ('1', 1, 1)"),
+        ((None, 1, 1), "matching indices must be integers, got (None, 1, 1)"),
+        (None, "matching triplets must hold three indices, got None"),
+    ], ids=["bool", "two-entries", "four-entries", "float", "string", "none", "no-triplet"])
+    def test_malformed_matching_rejected(self, triplet, message):
+        # (True, 1, 1) would pass as (1, 1, 1); the others would fail with
+        # an IndexError or TypeError, or a message about something else
+        with pytest.raises(ValueError) as caught:
+            schedule_from_matching(TDM2, 13, ((2, 2, 2), triplet))
+        assert str(caught.value) == message
+
+    def test_matching_must_be_a_sequence(self):
+        with pytest.raises(ValueError) as caught:
+            schedule_from_matching(TDM1, 13, None)
+        assert str(caught.value) == "matching must be a tuple or list of triplets, got NoneType"
 
     def test_wrong_sum_matching_rejected(self):
         # coordinates are permutations but the triplets sum to 9 and 11
@@ -216,6 +256,21 @@ class TestMatchingFromSchedule:
                     picked = [d[coord] for d in decoded if column[d[coord] - 1] == v]
                     assert picked == [i + 1 for i, w in enumerate(column) if w == v]
 
+    def test_certificates_decode_without_the_global_sweep(self):
+        # the window-local proof covers every certificate, shuffled or not
+        def sweep(schedule):
+            raise AssertionError("the global feasibility sweep ran")
+
+        rng = random.Random(37)
+        with mock.patch.object(hardness, "check_feasible", sweep):
+            for _ in range(20):
+                tdm, matching = random_rows_tdm(rng, rng.randint(1, 30), rng.choice((10, 14, 20, 41)))
+                M = min_padding(tdm) + rng.randint(0, 8)
+                jobs = list(schedule_from_matching(tdm, M, matching).jobs)
+                rng.shuffle(jobs)
+                decoded = matching_from_schedule(tdm, M, Schedule(tuple(jobs)))
+                assert [tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] for i, j, k in decoded] == [tdm.D] * tdm.n
+
     def test_wrong_sizes_rejected(self):
         sched = Schedule(((154, 0),))
         with pytest.raises(DecodeError):
@@ -264,3 +319,131 @@ class TestSolve3dmBruteforce:
                 assert tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] == tdm.D
             for coord in range(3):
                 assert sorted(t[coord] for t in matching) == list(range(1, tdm.n + 1))
+
+
+def random_rows_tdm(rng, n, D):
+    """n rows (a, b, c) summing to D, each value in the open range (D/4, D/2),
+    with the b and c columns shuffled, and the matching of the rows."""
+    lo, hi = D // 4 + 1, (D - 1) // 2
+    rows = []
+    for _ in range(n):
+        a = rng.randint(lo, min(hi, D - 2 * lo))
+        b = rng.randint(max(lo, D - a - hi), min(hi, D - a - lo))
+        rows.append((a, b, D - a - b))
+    b_order, c_order = list(range(n)), list(range(n))
+    rng.shuffle(b_order)
+    rng.shuffle(c_order)
+    tdm = ThreeDMInstance(
+        D=D,
+        a=tuple(row[0] for row in rows),
+        b=tuple(rows[i][1] for i in b_order),
+        c=tuple(rows[i][2] for i in c_order),
+    )
+    matching = [(t + 1, b_order.index(t) + 1, c_order.index(t) + 1) for t in range(n)]
+    rng.shuffle(matching)   # any window may hold any row
+    return tdm, tuple(matching)
+
+
+MUTATIONS = ("none", "resize", "swap-sizes", "nudge-start", "other-window", "move-e")
+
+
+def mutated_certificate(rng, n, D, extra, mutation):
+    """A random solvable instance, M = ceil(5D/4) + extra, and the
+    certificate of a matching, its jobs shuffled, then changed by
+    `mutation`: a size changed by one, two sizes swapped, a start moved by
+    one, a job moved to the same offset in another window, or an E job
+    moved."""
+    tdm, matching = random_rows_tdm(rng, n, D)
+    M = min_padding(tdm) + extra
+    window = 8 * M + 5 * D
+    jobs = [list(job) for job in schedule_from_matching(tdm, M, matching).jobs]
+    rng.shuffle(jobs)
+    x, y = rng.randrange(len(jobs)), rng.randrange(len(jobs))
+    if mutation == "resize":
+        jobs[x][0] += rng.choice((-1, 1))
+    elif mutation == "swap-sizes":
+        jobs[x][0], jobs[y][0] = jobs[y][0], jobs[x][0]
+    elif mutation == "nudge-start":
+        jobs[x][1] = max(0, jobs[x][1] + rng.choice((-1, 1)))
+    elif mutation == "other-window":
+        others = [job for job in jobs if job[0] != window]
+        job = rng.choice(others)
+        job[1] = job[1] % window + rng.randrange(n) * window
+    elif mutation == "move-e":
+        job = rng.choice([job for job in jobs if job[0] == window])
+        job[1] = max(0, job[1] + rng.choice((-1, 1, window, -window, 2 * window)))
+    return tdm, M, Schedule(tuple(map(tuple, jobs)))
+
+
+def decode_outcome(decode, tdm, M, schedule):
+    try:
+        return decode(tdm, M, schedule)
+    except DecodeError as exc:
+        return str(exc), exc.block
+
+
+def branch(outcome):
+    """Which of the decoder's outcomes `outcome` is."""
+    if not isinstance(outcome[0], str):
+        return "decoded"
+    return next(key for key in ("sizes", "infeasible", "exceeds", "E jobs", "window holds", "triplet")
+                if key in outcome[0])
+
+
+@st.composite
+def mutated_cases(draw, mutations=MUTATIONS):
+    n = draw(st.integers(1, 6))
+    D = draw(st.sampled_from((10, 14, 20, 41)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return mutated_certificate(rng, n, D, draw(st.integers(0, 8)), draw(st.sampled_from(mutations)))
+
+
+@contextlib.contextmanager
+def pair_checks_off():
+    """Both decoders with no pair of jobs checked: the feasibility sweep
+    reports none and the window-local proof compares none.  Infeasible
+    schedules then reach the E-start, per-window type and triplet-sum
+    checks, which no feasible schedule of the target makespan fails."""
+    def no_pairs(schedule):
+        return []
+
+    with mock.patch.object(hardness, "check_feasible", no_pairs), \
+            mock.patch.object(oracles, "check_feasible", no_pairs), \
+            mock.patch.object(hardness, "combinations", lambda items, k: ()):
+        yield
+
+
+class TestDecoderMatchesReference:
+    """The window-by-window decoder returns the matching the reference
+    decoder returns, or raises a DecodeError with the same text and block."""
+
+    @given(mutated_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_certificates(self, case):
+        tdm, M, schedule = case
+        outcome = decode_outcome(matching_from_schedule, tdm, M, schedule)
+        assert outcome == decode_outcome(matching_from_schedule_reference, tdm, M, schedule)
+
+    @given(mutated_cases(("swap-sizes", "nudge-start", "other-window", "move-e")))
+    @settings(max_examples=200, deadline=None)
+    def test_window_checks_with_pair_checks_off(self, case):
+        tdm, M, schedule = case
+        with pair_checks_off():
+            outcome = decode_outcome(matching_from_schedule, tdm, M, schedule)
+            assert outcome == decode_outcome(matching_from_schedule_reference, tdm, M, schedule)
+
+    def test_mutations_reach_every_branch(self):
+        rng = random.Random(47)
+        seen, unchecked = set(), set()
+        for k in range(400):
+            n, D, extra = rng.randint(1, 6), rng.choice((10, 14, 20, 41)), rng.randint(0, 8)
+            tdm, M, schedule = mutated_certificate(rng, n, D, extra, MUTATIONS[k % len(MUTATIONS)])
+            seen.add(branch(decode_outcome(matching_from_schedule_reference, tdm, M, schedule)))
+            with pair_checks_off():
+                unchecked.add(branch(decode_outcome(matching_from_schedule_reference, tdm, M, schedule)))
+        # in a feasible schedule of the target makespan n*W the n E jobs,
+        # each W long and W apart, sit at the window starts, and each
+        # window then holds one job of each type with its triplet summing to
+        # D; only unchecked pairs let a schedule reach those checks
+        assert seen == {"decoded", "sizes", "infeasible", "exceeds"}
+        assert {"E jobs", "window holds", "triplet"} <= unchecked

@@ -9,17 +9,19 @@ from pathlib import Path
 import trisched
 
 SOURCES = sorted(Path(trisched.__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def test_no_assert_statements():
-    # `python -O` strips asserts, so runtime checks must raise instead
+    # `python -O` strips asserts, so runtime checks in the library and the
+    # scripts must raise or exit instead
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in SOURCES + SCRIPTS
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
-    assert SOURCES and found == []
+    assert SOURCES and SCRIPTS and found == []
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():

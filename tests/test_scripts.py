@@ -1,5 +1,6 @@
 """The scripts under scripts/ still run against the package's public names."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,3 +25,14 @@ def test_script_runs(script, args):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_failed_check_exits_with_one_line():
+    # a check that `python -O` keeps: exit status 1 and one line on stderr
+    spec = importlib.util.spec_from_file_location("reduction_roundtrip", ROOT / "scripts" / "reduction_roundtrip.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.check(True, "not printed")
+    with pytest.raises(SystemExit) as caught:
+        script.check(False, "trial 3: certificate is infeasible")
+    assert caught.value.code == "error: trial 3: certificate is infeasible"

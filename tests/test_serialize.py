@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from oracles import (
     instance_from_obj_reference,
     labels_to_obj,
     schedule_from_obj_reference,
+    tdm_from_obj_reference,
 )
 from trisched import Instance, Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
 from trisched.bench import RatioSearchReport
@@ -512,3 +514,75 @@ class TestLoadersMatchThePerEntryReference:
         schedule = schedule_from_obj({"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": "4/2"}]})
         assert schedule.jobs == ((6, 0), (5, 2)) and type(schedule.jobs[1][1]) is int
         assert instance_from_obj({"sizes": [3, "8/2", 5]}).sizes == (5, 4, 3)
+
+
+@st.composite
+def mutated_tdm_files(draw):
+    """A valid 3DM file with up to three values replaced by a wire mutant or
+    an out-of-range int, or dropped, and now and then a shape fault."""
+    rows = draw(st.lists(st.permutations((3, 3, 4)), min_size=1, max_size=6))
+    obj = {"D": 10, **{key: [row[k] for row in rows] for k, key in enumerate("abc")}}
+    shape = draw(st.sampled_from(["file"] * 8 + ["not-an-array", "no-key", "not-an-object"]))
+    if shape == "not-an-array":
+        obj[draw(st.sampled_from("abc"))] = draw(st.sampled_from(["x", 3, None, {}]))
+    elif shape == "no-key":
+        del obj[draw(st.sampled_from("Dabc"))]
+    elif shape == "not-an-object":
+        return draw(st.sampled_from([[], "x", 3, None]))
+    for _ in range(draw(st.integers(0, 3)) if shape == "file" else 0):
+        key = draw(st.sampled_from("Dabc"))
+        value = draw(st.sampled_from(WIRE_MUTANTS + (2, 5, 12, "8/2", "6/2")))
+        if key == "D":
+            obj["D"] = value
+        elif obj[key]:
+            k = draw(st.integers(0, len(obj[key]) - 1))
+            if draw(st.booleans()):
+                obj[key][k] = value
+            else:
+                del obj[key][k]
+    return obj
+
+
+def tdm_outcome(load, obj):
+    """(loaded instance, the type of each column and value in it) or the
+    ValueError's message, which must be one line."""
+    try:
+        tdm = load(obj)
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return str(exc)
+    return tdm, tuple(map(type, (tdm.a, tdm.b, tdm.c, *chain((tdm.D,), tdm.a, tdm.b, tdm.c))))
+
+
+class TestTdmLoaderMatchesThePerValueReference:
+    """`tdm_from_obj`'s C-level pass over columns of plain ints gives what
+    decoding every value gives: the same instance with the same types, or
+    the same one-line ValueError."""
+
+    @given(mutated_tdm_files())
+    @example({"D": 10, "a": [3, "6/2"], "b": [3, 4], "c": [4, 3]})
+    @example({"D": 10, "a": [3, True], "b": [3, 4], "c": [4, 3]})
+    @example({"D": 10, "a": [2, 4], "b": [3, 4], "c": [4, 3]})
+    @example({"D": 10, "a": [], "b": [], "c": []})
+    @settings(max_examples=300)
+    def test_files(self, obj):
+        assert tdm_outcome(tdm_from_obj, obj) == tdm_outcome(tdm_from_obj_reference, obj)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"D": 10, "a": [3, True], "b": [3, 4], "c": [4, 3]}, "expected a number, got True"),
+        ({"D": 10, "a": [3, "7/2"], "b": [3, 4], "c": [4, 3]}, "3DM values must be integers, got '7/2'"),
+        ({"D": 10, "a": [3, 2], "b": [3, 4], "c": [4, 3]}, "a value 2 outside the open range (D/4, D/2) for D=10"),
+        ({"D": 10, "a": [3, 4], "b": [5, 4], "c": [4, 3]}, "b value 5 outside the open range (D/4, D/2) for D=10"),
+        ({"D": 10, "a": [3, 4], "b": [3, 4], "c": [4]}, "columns a, b, c must be non-empty and equally long"),
+        ({"D": 10, "a": [3, 4], "b": [3, 4], "c": [4, 4]}, "values sum to 22, need n*D = 20"),
+        ({"D": 3, "a": [1], "b": [1], "c": [1]}, "D must be at least 4, got 3"),
+    ])
+    def test_one_fault_messages(self, obj, message):
+        with pytest.raises(ValueError) as caught:
+            tdm_from_obj(obj)
+        assert str(caught.value) == message
+
+    def test_plain_int_columns_stay_tuples_of_ints(self):
+        tdm = tdm_from_obj({"D": 10, "a": [3, "8/2"], "b": [3, 3], "c": [4, 3]})
+        assert tdm == ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
+        assert {type(v) for v in chain(tdm.a, tdm.b, tdm.c)} == {int}
