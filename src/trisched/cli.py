@@ -2,12 +2,14 @@
 
 Subcommands: gen, solve, check, simulate, render, bench.  Exit codes:
 0 on success, 1 on domain errors (bad instances, infeasible schedules,
-decode failures), 2 on usage errors.  TS_SEED supplies the default seed.
+decode failures), 2 on usage errors.  TS_SEED supplies the default seed
+of the commands that draw random numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -28,7 +30,11 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _default_seed() -> int:
+def _seed(seed: int | None) -> int:
+    """`--seed` if given, else TS_SEED (default 0); read only by the
+    branches that draw random numbers."""
+    if seed is not None:
+        return seed
     text = os.environ.get("TS_SEED", "0")
     try:
         return int(text)
@@ -61,7 +67,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.n is None:
             raise ValueError(f"--kind {args.kind} needs --n")
-        rng = random.Random(args.seed)
+        rng = random.Random(_seed(args.seed))
         if args.kind == "random":
             instance = generators.random_instance(rng, args.n, args.max_size)
         else:
@@ -150,7 +156,7 @@ def _cmd_simulate(args) -> int:
     else:
         if not all(isinstance(size, int) for size in schedule.sizes):
             raise ValueError("--random draws integer demands from integer sizes; pass --demands")
-        rng = random.Random(args.seed)
+        rng = random.Random(_seed(args.seed))
         demands = tuple(rng.randint(1, size) for size, _ in schedule.jobs)
     trace = simulate(schedule, demands)
     print(f"completion {serialize.encode_exact(trace.completion)}")
@@ -178,7 +184,7 @@ def _cmd_bench(args) -> int:
     report = bench.ratio_search(
         n=args.n,
         iterations=args.iterations,
-        seed=args.seed,
+        seed=_seed(args.seed),
         max_size=args.max_size,
         bound=args.bound,
     )
@@ -195,11 +201,18 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Built per call, not cached, until perfbench's peak_rss_mb stops growing with its pass count.
+    # One terminal query: argparse's formatters without a width each make their own.
+    import shutil
+
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = parser_class(
         prog="trisched",
         description="Triangle scheduling solvers, generators, and runtime simulation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     gen = sub.add_parser("gen", help="generate an instance")
     gen.add_argument("--kind", choices=generators.KINDS, required=True)
@@ -246,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren.set_defaults(func=_cmd_render)
 
     bench_parser = sub.add_parser("bench", help="benchmark harnesses")
-    bench_sub = bench_parser.add_subparsers(dest="benchmark", required=True)
+    bench_sub = bench_parser.add_subparsers(dest="benchmark", required=True, parser_class=parser_class)
     ratio = bench_sub.add_parser("ratio-search", help="hunt bad greedy/optimal ratios")
     ratio.add_argument("--n", type=int, default=9)
     ratio.add_argument("--iterations", type=int, default=50)
@@ -267,8 +280,6 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

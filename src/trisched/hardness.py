@@ -56,7 +56,8 @@ JOB_TYPES = ("E", "F", "A", "B", "C")
 
 
 class ThreeDMInstance(namedtuple("ThreeDMInstance", "D a b c")):
-    """Numerical 3DM input: target D and value columns a, b, c (1-based).
+    """Numerical 3DM input: target D and value columns a, b, c (1-based),
+    stored as tuples.
 
     Every value is a plain int, so the encoded sizes and the certificate
     schedule are ints by construction.
@@ -65,6 +66,7 @@ class ThreeDMInstance(namedtuple("ThreeDMInstance", "D a b c")):
     __slots__ = ()
 
     def __new__(cls, D: int, a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> ThreeDMInstance:
+        a, b, c = tuple(a), tuple(b), tuple(c)
         if not set(map(type, chain((D,), a, b, c))) <= {int}:
             bad = next(v for v in chain((D,), a, b, c) if type(v) is not int)
             raise ValueError(f"3DM values must be integers, got {bad!r}")

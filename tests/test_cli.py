@@ -7,6 +7,8 @@ import io
 import json
 import operator
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import greedy_trace_from_obj, report_from_obj
 from trisched import greedy_schedule, new_instance, optimal_makespan
-from trisched.cli import cli_main
+from trisched.cli import build_parser, cli_main
 from trisched.qptas import dp_solve
 from trisched.serialize import read_json
 
@@ -60,6 +62,12 @@ class TestGen:
         run(capsys, "gen", "--kind", "random", "--n", "6", "-o", str(out1))
         run(capsys, "gen", "--kind", "random", "--n", "6", "--seed", "77", "-o", str(out2))
         assert read_json(out1) == read_json(out2)
+
+    def test_fixture_draws_nothing_so_reads_no_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TS_SEED", "abc")
+        code, out, err = run(capsys, "gen", "--kind", "fixture", "--fixture", "staircase-4")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"sizes": [6, 5, 4, 3]}
 
     def test_ratio_bounded(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -273,6 +281,13 @@ class TestSimulate:
         assert out == "completion 12\n"
         assert len(read_json(trace)["records"]) == 4
 
+    def test_demand_file_draws_nothing_so_reads_no_seed_env(self, staircase_schedule, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TS_SEED", "abc")
+        demands = tmp_path / "d.json"
+        demands.write_text('{"demands": [6, 1, 4, 1]}')
+        code, out, err = run(capsys, "simulate", "--schedule", str(staircase_schedule), "--demands", str(demands))
+        assert (code, out, err) == (0, "completion 12\n", "")
+
     def test_random_demands_deterministic(self, staircase_schedule, capsys):
         _, out1, _ = run(
             capsys, "simulate", "--schedule", str(staircase_schedule), "--random",
@@ -406,6 +421,11 @@ MALFORMED = [
     case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
     case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
+    case(("gen", "--kind", "ratio-bounded", "--n", "3", "--bound", "2"), "", id="seed-env-not-integer-ratio-bounded",
+         env={"TS_SEED": "abc"}),
+    case(("simulate", "--schedule", "SCHEDULE", "--random"), "", id="seed-env-not-integer-simulate", env={"TS_SEED": "abc"}),
+    case(("bench", "ratio-search", "--n", "3", "--iterations", "1"), "", id="seed-env-not-integer-bench",
+         env={"TS_SEED": "abc"}),
     case(("bench", "ratio-search", "--n", "3", "--iterations", "0", "--bound", "2"), "", id="bounded-search-no-iterations"),
     case(("bench", "ratio-search", "--n", "3", "--iterations", "-1"), "", id="search-negative-iterations"),
 ]
@@ -436,6 +456,40 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"sizes": [0]}')
         assert run(capsys, "solve", str(bad), "--algo", "greedy")[0] == 1
+
+
+HELP_ARGV = [(), ("gen",), ("solve",), ("check",), ("simulate",), ("render",), ("bench",), ("bench", "ratio-search")]
+# argparse never splits a usage item ([--n N], (a | b), {choices}) or an
+# option's invocation, so only a line holding one of those may pass the width
+OPTION = r"-[-\w]+( \{[^{}]*\}| [^ ,{}]+)?"
+UNSPLIT = re.compile(rf"\[[^][]*\]|\([^()]*\)|\{{[^{{}}]*\}}|{OPTION}(, {OPTION})*")
+
+
+class TestHelp:
+    def test_build_parser_asks_the_terminal_size_once(self, monkeypatch):
+        calls = []
+        real = shutil.get_terminal_size
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        build_parser()
+        assert len(calls) == 1
+
+    def test_help_wraps_at_the_columns_of_each_call(self, capsys, monkeypatch):
+        helps = {}
+        for columns in (40, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            for argv in HELP_ARGV:
+                code, out, _ = run(capsys, *argv, "--help")
+                assert code == 0
+                for line in out.splitlines():
+                    assert len(line) <= columns - 2 or UNSPLIT.fullmatch(line.strip()), (columns, argv, line)
+                helps[columns, argv] = out
+        for argv in HELP_ARGV:
+            assert helps[40, argv] != helps[120, argv], argv
 
 
 STAIRCASE = {"jobs": [

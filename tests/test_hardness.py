@@ -69,6 +69,13 @@ class TestThreeDMInstance:
             ThreeDMInstance(**columns)
         assert str(caught.value) == message
 
+    def test_list_columns_are_stored_as_tuples(self):
+        from_lists = ThreeDMInstance(10, [3], [3], [4])
+        from_tuples = ThreeDMInstance(10, (3,), (3,), (4,))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert type(from_lists.a) is type(from_lists.b) is type(from_lists.c) is tuple
+
     def test_columns_same_length(self):
         with pytest.raises(ValueError):
             ThreeDMInstance(D=10, a=(3, 4), b=(3,), c=(4,))
