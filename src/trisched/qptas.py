@@ -73,10 +73,10 @@ def round_sizes(instance: Instance, eps) -> RoundedInstance:
     ladder = [Fraction(instance.sizes[-1])]
     pairs = []
     for p in sorted(instance.sizes):
+        # ascending sizes only ever climb the ladder, so its top is the rung
         while ladder[-1] < p:
             ladder.append(ladder[-1] * factor)
-        rung = next(r for r in ladder if r >= p)
-        pairs.append((p, rung))
+        pairs.append((p, ladder[-1]))
     pairs.reverse()
     classes = tuple(sorted({r for _, r in pairs}, reverse=True))
     return RoundedInstance(eps=eps, large=tuple(pairs), classes=classes)
@@ -120,9 +120,14 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
     nothing.  A completed state is worth max over x of C_x*step + x, kept as
     an int in units of 1/scale, the common denominator of step and classes.
 
-    States are enumerated one placed job per layer and solved from the last
-    layer back, each taking the first best move in class order.  More than
-    `budget` states before the last job raise StateBudgetExceeded.
+    States are enumerated one placed job per layer in a single forward
+    sweep; each layer maps a state to (parent, class index, grid index) of
+    the first move that reached it.  Parents are swept in insertion order
+    and moves in class order, so a layer's states sit in the order of their
+    lexicographically first paths, and the first best final state, followed
+    back through its parents, is the first optimal move sequence in class
+    order.  More than `budget` states before the last job raise
+    StateBudgetExceeded.
     """
     classes = rounded.classes
     if not classes:
@@ -144,33 +149,25 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
         if states > budget:
             raise StateBudgetExceeded(budget)
         for state in layer:
-            layer[state] = moves = []
             for zi in range(m):
                 left = state[m + zi]
                 if left:
                     index = max(0, max(map(add, state, reach[zi])))
                     child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
-                    # a state reached twice keeps one tuple, the first
-                    moves.append((zi, index, following.setdefault(child, child)))
+                    if child not in following:
+                        following[child] = (state, zi, index)
         layers.append(following)
 
-    layers[-1] = {state: (max(c * tick + x for c, x in zip(state, sizes)), None) for state in layers[-1]}
-    for layer, following in zip(layers[-2::-1], layers[::-1]):
-        for state, moves in layer.items():
-            best = chosen = None
-            for move in moves:
-                value = following[move[2]][0]
-                if best is None or value < best:
-                    best, chosen = value, move
-            layer[state] = (best, chosen)
+    def value(state):
+        return max(c * tick + x for c, x in zip(state, sizes))
 
-    best = layers[0][root][0]
+    state = best = min(layers[-1], key=value)
     placements = []
-    state = root
-    for layer in layers[:-1]:
-        zi, index, state = layer[state][1]
+    for layer in layers[:0:-1]:
+        state, zi, index = layer[state]
         placements.append((classes[zi], step * index))
-    return DPResult(makespan=Fraction(best, scale), schedule=Schedule(tuple(placements)), states=states)
+    placements.reverse()
+    return DPResult(makespan=Fraction(value(best), scale), schedule=Schedule(tuple(placements)), states=states)
 
 
 QptasStats = namedtuple("QptasStats", "eps threshold large small classes grid_points dp_states")
@@ -192,16 +189,12 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
         grid_points = grid.points
         dp_states = result.states
 
-        # Hand the grid starts of each class back to the original sizes that
-        # rounded into it; same class means same separation guarantee, so
-        # any pairing is feasible.
-        by_class: dict[Fraction, list[Fraction]] = {}
-        for size, start in result.schedule.jobs:
-            by_class.setdefault(size, []).append(start)
-        for starts in by_class.values():
-            starts.sort()
-        for original, rung in rounded.large:
-            jobs.append((original, by_class[rung].pop(0)))
+        # Hand the grid starts back to the original sizes that rounded into
+        # each class, in start order; same class means same separation
+        # guarantee, so any pairing is feasible.  Rounding is monotone, so
+        # sorting by (-rung, start) lines the placements up with `large`.
+        placed = sorted(result.schedule.jobs, key=lambda job: (-job[0], job[1]))
+        jobs = [(original, start) for (original, _), (_, start) in zip(rounded.large, placed)]
 
     current = max((start + size for size, start in jobs), default=0)
     for p in small:

@@ -3,7 +3,8 @@
 These are the straightforward loops that the library's near-linear
 `check_feasible` and `greedy_schedule` replaced, the optimization-form
 branch and bound that the exact oracle's deadline search replaced, the
-recursive Fraction DP that the QPTAS's integer layered DP replaced, and a
+recursive Fraction DP that the QPTAS's integer layered DP replaced (with
+the per-class hand-back of grid starts that one sort replaced), and a
 brute force over integer start tuples that never uses the exact oracle's
 canonical form.  Tests cross-check the fast paths against them on small
 inputs.  The gap split rule `insert_into_gap`, which the library's greedy
@@ -43,7 +44,7 @@ from trisched import (
 from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
-from trisched.qptas import DPResult, Grid, RoundedInstance
+from trisched.qptas import DPResult, Grid, QptasStats, RoundedInstance, make_grid, round_sizes, split_small
 from trisched.hardness import JOB_TYPES, ReductionLabels
 from trisched.serialize import _field, _integer, decode_exact, encode_exact
 from trisched.simulate import ExecutionTrace
@@ -307,6 +308,34 @@ def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
         config = config[:zi] + (index,) + config[zi + 1:]
         counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
     return DPResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))
+
+
+def qptas_solve_oracle(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
+    """The QPTAS pipeline on `dp_solve_oracle`: each class's grid starts,
+    sorted, go to the original sizes that rounded into it in the order of
+    `rounded.large`, and the small jobs are appended at the makespan."""
+    eps = Fraction(eps)
+    large, small, threshold = split_small(instance, eps)
+    jobs = []
+    classes = grid_points = dp_states = 0
+    if large:
+        rounded = round_sizes(new_instance(large), eps)
+        grid = make_grid(rounded, instance.n)
+        result = dp_solve_oracle(rounded, grid)
+        classes, grid_points, dp_states = len(rounded.classes), grid.points, result.states
+        by_class: dict[Fraction, list[Fraction]] = {}
+        for size, start in result.schedule.jobs:
+            by_class.setdefault(size, []).append(start)
+        for starts in by_class.values():
+            starts.sort()
+        for original, rung in rounded.large:
+            jobs.append((original, by_class[rung].pop(0)))
+    current = max((start + size for size, start in jobs), default=0)
+    for p in small:
+        jobs.append((p, current))
+        current += p
+    stats = QptasStats(eps, threshold, len(large), len(small), classes, grid_points, dp_states)
+    return Schedule(tuple(jobs)), stats
 
 
 def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:

@@ -167,6 +167,14 @@ class TestSolve:
         assert lines[2] == "grid-points 33"
         assert lines[3] == "dp-states 23"
 
+    def test_qptas_on_the_readme_fixture(self, tmp_path, capsys):
+        # the README's CLI tour prints these four lines
+        instance = tmp_path / "inst.json"
+        assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-9", "-o", str(instance))[0] == 0
+        code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
+        assert (code, err) == (0, "")
+        assert out == "makespan 47\nclasses 4\ngrid-points 163\ndp-states 6157\n"
+
     def test_qptas_on_a_long_chain_of_equal_sizes(self, tmp_path, capsys):
         # one DP state per placed job, far deeper than the recursion limit
         instance = tmp_path / "i.json"

@@ -1,8 +1,9 @@
 """The near-linear `check_feasible` and greedy against their quadratic
 oracles, the untraced greedy against the traced one, a scale gate that a
 quadratic regression fails, the exact oracle's deadline search against the
-branch and bound it replaced, and the QPTAS's integer layered DP against
-the recursive Fraction DP it replaced, and the schedules that skip the
+branch and bound it replaced, and the QPTAS's integer layered DP and its
+hand-back of grid starts against the recursive Fraction DP and per-class
+pairing they replaced, and the schedules that skip the
 public constructor's checks against what those checks make of them."""
 
 import random
@@ -18,16 +19,19 @@ from oracles import (
     optimal_makespan_oracle,
     order_brute_force_optimum,
     pairs_oracle,
+    qptas_solve_oracle,
 )
 from trisched import (
     Schedule,
     ThreeDMInstance,
     check_feasible,
+    fixture_instance,
     greedy_schedule,
     lower_bound,
     makespan,
     new_instance,
     optimal_makespan,
+    qptas_solve,
     schedule_from_matching,
 )
 from trisched.greedy import untraced_greedy
@@ -230,12 +234,22 @@ class TestDpMatchesFractionOracle:
     @settings(max_examples=100, deadline=None)
     @example([7] * 7, 3)
     @example([7] * 4, 3)
+    # three and four equal sizes: several final states tie for the optimum
+    @example([8, 8, 8, 4, 4, 4, 4], 1)
     def test_same_makespan_schedule_and_states(self, sizes, eps):
         inst = new_instance(sizes)
         rounded = round_sizes(inst, eps)
         grid = make_grid(rounded, inst.n)
         # DPResult equality covers makespan, schedule and states
         assert dp_solve(rounded, grid) == dp_solve_oracle(rounded, grid)
+
+    @given(dp_sizes, st.sampled_from((3, 2, 1, Fraction(1, 2), Fraction(1, 3))))
+    @settings(max_examples=100, deadline=None)
+    @example([7] * 7, 3)
+    @example(list(fixture_instance("greedy-gap-9").sizes), Fraction(1, 2))
+    def test_pipeline_hands_back_the_same_schedule_and_stats(self, sizes, eps):
+        inst = new_instance(sizes)
+        assert qptas_solve(inst, eps) == qptas_solve_oracle(inst, eps)
 
 
 def assert_trusted(schedule):
