@@ -42,6 +42,15 @@ def _seed(seed: int | None) -> int:
         raise ValueError(f"TS_SEED must be an integer, got {text!r}") from None
 
 
+def _load(path: str, from_obj):
+    """from_obj(read_json(path)); a number past CPython's digit limit names
+    the file."""
+    try:
+        return from_obj(serialize.read_json(path))
+    except serialize.DigitLimitError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -53,7 +62,7 @@ def _cmd_gen(args) -> int:
     if args.kind == "reduction":
         if args.tdm is None or args.M is None:
             raise ValueError("--kind reduction needs --tdm and --M")
-        tdm = serialize.tdm_from_obj(serialize.read_json(args.tdm))
+        tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
         _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
         if args.output is not None:
@@ -97,7 +106,7 @@ def _check_solve_flags(args) -> None:
 
 def _cmd_solve(args) -> int:
     _check_solve_flags(args)
-    instance = serialize.instance_from_obj(serialize.read_json(args.instance))
+    instance = _load(args.instance, serialize.instance_from_obj)
     if args.algo == "lb":
         print(f"lower bound {lower_bound(instance)}")
         return 0
@@ -129,7 +138,7 @@ def _cmd_solve(args) -> int:
 
 def _read_schedule(path: str) -> Schedule:
     """A schedule file for `check` and `simulate`, which need at least one job."""
-    schedule = serialize.schedule_from_obj(serialize.read_json(path))
+    schedule = _load(path, serialize.schedule_from_obj)
     if not schedule.jobs:
         raise ValueError("schedule has no jobs")
     return schedule
@@ -152,7 +161,7 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     schedule = _read_schedule(args.schedule)
     if args.demands is not None:
-        demands = serialize.demands_from_obj(serialize.read_json(args.demands))
+        demands = _load(args.demands, serialize.demands_from_obj)
     else:
         if not all(isinstance(size, int) for size in schedule.sizes):
             raise ValueError("--random draws integer demands from integer sizes; pass --demands")
@@ -168,10 +177,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_render(args) -> int:
     trace = None
     if args.trace is not None:
-        trace = serialize.execution_trace_from_obj(serialize.read_json(args.trace))
+        trace = _load(args.trace, serialize.execution_trace_from_obj)
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
-        schedule = serialize.schedule_from_obj(serialize.read_json(args.schedule))
+        schedule = _load(args.schedule, serialize.schedule_from_obj)
     if args.format == "svg":
         text = render.render_svg(schedule, scale=args.scale, trace=trace)
     else:

@@ -14,9 +14,10 @@ Values are validated once, where they enter.  The public `Instance` and
 check a file of plain ints with a few C-level passes and reach the
 per-value checks (and their messages) only for any other file.  Solver
 output whose values are known to be valid ints (greedy, the exact witness,
-the reduction's certificate) is wrapped by `Schedule._trusted` without a
-second check.  The QPTAS goes through the public constructor, which also
-collapses its integral `Fraction`s to `int`.
+the QPTAS's left-shifted schedule, the reduction's certificate) is wrapped
+by `Schedule._trusted` without a second check.  The QPTAS's rounded grid
+schedule goes through the public constructor, which also collapses its
+integral `Fraction`s to `int`.
 """
 
 from __future__ import annotations

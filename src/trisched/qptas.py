@@ -3,13 +3,16 @@
 Pipeline: peel off small jobs (below eps*p_1/n), round the remaining sizes
 up to unit*(1+eps)^k where the unit is the smallest surviving size, restrict
 starts to a uniform grid, and run a configuration DP over the rounded size
-classes.  Large jobs are re-emitted at their grid starts with their original
-sizes; small jobs are appended at the running makespan, which any order
-keeps feasible because every earlier job ends at or before that point.
+classes.  Large jobs take their original sizes back in the DP's start
+order and the small jobs follow them; each job then starts as early as the
+jobs before it allow, which moves no job right of its grid start (or, for a
+small job, of its slot after the makespan).
 
-Each rounding loses at most a factor (1+eps), appended small jobs cost at
-most eps*p_1, so the result is within (1+eps)^3 of optimal.  All arithmetic
-is exact rational; eps must be a Fraction or int, never a float.
+Each rounding loses at most a factor (1+eps), small jobs appended at the
+makespan would cost at most eps*p_1, and shifting left only lowers that,
+so the result is within (1+eps)^3 of optimal.  The DP's arithmetic is
+exact rational; with integer sizes the shifted starts are plain ints.  eps
+must be a Fraction or int, never a float.
 """
 
 from __future__ import annotations
@@ -173,13 +176,47 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
 QptasStats = namedtuple("QptasStats", "eps threshold large small classes grid_points dp_states")
 
 
+def left_shifted_starts(sizes: list[int]) -> list[int]:
+    """Earliest start of each job after the ones before it, in the given
+    order: max over earlier i of s_i + min(p_i, p_k), and 0 for the first.
+
+    A stack holds the earlier jobs that can still bind, sizes strictly
+    falling from the bottom and starts rising.  A job at least as large as
+    an earlier one starts at or after that job's end, so the earlier one
+    binds no later job and leaves the stack; below the popped jobs only the
+    top can bind, at its start plus the new size.  Each job is pushed and
+    popped once, so the pass is O(n).
+    """
+    starts = []
+    stack: list[tuple[int, int]] = []
+    for p in sizes:
+        start = 0
+        while stack and stack[-1][0] <= p:
+            q, s = stack.pop()
+            if s + q > start:
+                start = s + q
+        if stack and stack[-1][1] + p > start:
+            start = stack[-1][1] + p
+        stack.append((p, start))
+        starts.append(start)
+    return starts
+
+
 def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
     """Full pipeline; returns a schedule of the original sizes within
-    (1+eps)^3 of the optimal makespan, and the run stats."""
+    (1+eps)^3 of the optimal makespan, and the run stats.
+
+    Jobs come large by non-increasing size, then small, and every start is
+    a plain int: the earliest start after the jobs placed before it, taking
+    the large jobs in grid-start order and the small ones after them.
+    """
     eps = _rational_eps(eps)
     large, small, threshold = split_small(instance, eps)
 
-    jobs: list[tuple[int, Fraction | int]] = []
+    # sizes in the order the starts are shifted; order[i] is the position
+    # there of the i-th large job
+    sizes: list[int] = []
+    order: list[int] = []
     classes = grid_points = dp_states = 0
     if large:
         rounded = round_sizes(new_instance(large), eps)
@@ -189,18 +226,22 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
         grid_points = grid.points
         dp_states = result.states
 
-        # Hand the grid starts back to the original sizes that rounded into
-        # each class, in start order; same class means same separation
-        # guarantee, so any pairing is feasible.  Rounding is monotone, so
-        # sorting by (-rung, start) lines the placements up with `large`.
-        placed = sorted(result.schedule.jobs, key=lambda job: (-job[0], job[1]))
-        jobs = [(original, start) for (original, _), (_, start) in zip(rounded.large, placed)]
+        # Each DP placement lands past every earlier start, so the placements
+        # come in start order.  Hand each class's starts to the original
+        # sizes that rounded into it, in start order; same class means same
+        # separation guarantee, so any pairing is feasible.  Rounding is
+        # monotone, so a stable sort by falling rung lines the placements up
+        # with `large`, the original sizes in non-increasing order.
+        placed = result.schedule.jobs
+        order = sorted(range(len(placed)), key=lambda k: -placed[k][0])
+        sizes = [0] * len(placed)
+        for original, k in zip(large, order):
+            sizes[k] = original
 
-    current = max((start + size for size, start in jobs), default=0)
-    for p in small:
-        jobs.append((p, current))
-        current += p
-    schedule = Schedule(tuple(jobs))
+    starts = left_shifted_starts(sizes + list(small))
+    jobs = [(original, starts[k]) for original, k in zip(large, order)]
+    jobs += zip(small, starts[len(large):])
+    schedule = Schedule._trusted(tuple(jobs))
     stats = QptasStats(
         eps=eps,
         threshold=threshold,
@@ -211,4 +252,3 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
         dp_states=dp_states,
     )
     return schedule, stats
-

@@ -14,6 +14,8 @@ same data as nested dicts, without building a dict per job.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
@@ -36,6 +38,30 @@ def encode_exact(value: ExactNumber) -> int | str:
     return value
 
 
+def _digit_limit() -> int:
+    """The most digits CPython converts between text and int, 0 for no
+    limit (`sys.get_int_max_str_digits`, absent before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class DigitLimitError(ValueError):
+    """A number in a file has more digits than `_digit_limit()`; `literal`
+    is its JSON text, of which the message shows a short prefix."""
+
+    def __init__(self, literal: str):
+        super().__init__(f"number {_prefix(literal)} has more than {_digit_limit()} digits")
+
+
+def _prefix(text: str) -> str:
+    """`text`, cut short when it is long."""
+    return text if len(text) <= 40 else text[:24] + "..."
+
+
+def _too_many_digits(text: str) -> bool:
+    digits = text.strip().lstrip("+-")
+    return len(digits) > _digit_limit() > 0 and digits.isdecimal()
+
+
 def decode_exact(value: object) -> ExactNumber:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
@@ -48,9 +74,11 @@ def decode_exact(value: object) -> ExactNumber:
         try:
             f = Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational literal {value!r}") from exc
+            if _too_many_digits(num) or _too_many_digits(den):
+                raise DigitLimitError(f'"{value}"') from None
+            raise ValueError(f"bad rational literal {_prefix(repr(value))}") from exc
         return int(f) if f.denominator == 1 else f
-    raise ValueError(f"expected int or \"num/den\" string, got {value!r}")
+    raise ValueError(f"expected int or \"num/den\" string, got {_prefix(repr(value))}")
 
 
 def _field(obj: object, key: str, what: str, array: bool = False) -> object:
@@ -280,3 +308,11 @@ def read_json(path) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to load") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the JSON parses, but a bare int is too long to convert
+        long_int = _digit_limit() and re.search(r"\d{%d,}" % (_digit_limit() + 1), text)
+        if not long_int:
+            raise
+        raise DigitLimitError(long_int[0]) from None

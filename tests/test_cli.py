@@ -162,7 +162,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "makespan 253/16"
+        assert lines[0] == "makespan 14"
         assert lines[1] == "classes 3"
         assert lines[2] == "grid-points 33"
         assert lines[3] == "dp-states 23"
@@ -173,7 +173,16 @@ class TestSolve:
         assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-9", "-o", str(instance))[0] == 0
         code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert (code, err) == (0, "")
-        assert out == "makespan 47\nclasses 4\ngrid-points 163\ndp-states 6157\n"
+        assert out == "makespan 42\nclasses 4\ngrid-points 163\ndp-states 6157\n"
+
+    def test_qptas_at_a_fine_eps(self, tmp_path, capsys):
+        # the grid schedule's makespan had a numerator past CPython's
+        # 4300-digit limit for printing an int; the shifted one is an int
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [1, 50, 37, 12, 3]}')
+        code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/1000")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "makespan 74"
 
     def test_qptas_on_a_long_chain_of_equal_sizes(self, tmp_path, capsys):
         # one DP state per placed job, far deeper than the recursion limit
@@ -426,6 +435,9 @@ MALFORMED = [
          id="render-ascii-start-past-float"),
     case(RENDER_SCHEDULE + ("--format", "ascii"), f'{{"jobs": [{{"size": 3, "start": {10**300}}}]}}',
          id="render-ascii-start-past-index"),
+    # past CPython's 4300-digit limit for converting between text and int
+    case(("check", "BAD"), '{"jobs": [{"size": 3, "start": "%s/2"}]}' % ("9" * 5000), id="check-rational-past-digit-limit"),
+    case(("check", "BAD"), '{"jobs": [{"size": 3, "start": %s}]}' % ("9" * 5000), id="check-int-past-digit-limit"),
     case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
     case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
@@ -449,6 +461,16 @@ def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, 
     code, _, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("start", ['"%s/2"' % ("9" * 5000), "9" * 5000, '"2/%s"' % ("9" * 5000)],
+                         ids=["numerator", "bare-int", "denominator"])
+def test_number_past_the_digit_limit_names_the_file(tmp_path, capsys, start):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"jobs": [{"size": 3, "start": %s}]}' % start)
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: number {start[:24]}... has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 class TestExitCodes:

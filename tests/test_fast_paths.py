@@ -1,10 +1,11 @@
 """The near-linear `check_feasible` and greedy against their quadratic
 oracles, the untraced greedy against the traced one, a scale gate that a
 quadratic regression fails, the exact oracle's deadline search against the
-branch and bound it replaced, and the QPTAS's integer layered DP and its
-hand-back of grid starts against the recursive Fraction DP and per-class
-pairing they replaced, and the schedules that skip the
-public constructor's checks against what those checks make of them."""
+branch and bound it replaced, the QPTAS's integer layered DP against the
+recursive Fraction DP it replaced, its left-shifted hand-back against the
+per-class pairing of grid starts shifted by the quadratic canonical
+schedule, a linear-time gate for that shift, and the schedules that skip
+the public constructor's checks against what those checks make of them."""
 
 import random
 import time
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_schedule_for_order,
     dp_solve_oracle,
     greedy_schedule_oracle,
     optimal_makespan_oracle,
@@ -247,9 +249,35 @@ class TestDpMatchesFractionOracle:
     @settings(max_examples=100, deadline=None)
     @example([7] * 7, 3)
     @example(list(fixture_instance("greedy-gap-9").sizes), Fraction(1, 2))
+    @example([233, 61, 50, 44, 44, 29], Fraction(1, 2))
+    # one large job and small ones that nest under it
+    @example([40, 1, 1], 1)
     def test_pipeline_hands_back_the_same_schedule_and_stats(self, sizes, eps):
+        # the reference pipeline's grid schedule with every start moved to
+        # the earliest one after the jobs that start before it
         inst = new_instance(sizes)
-        assert qptas_solve(inst, eps) == qptas_solve_oracle(inst, eps)
+        schedule, stats = qptas_solve(inst, eps)
+        grid, grid_stats = qptas_solve_oracle(inst, eps)
+        by_start = sorted(range(grid.n), key=lambda k: grid.jobs[k][1])
+        shifted = canonical_schedule_for_order([grid.jobs[k][0] for k in by_start]).starts
+        starts = [0] * grid.n
+        for k, start in zip(by_start, shifted):
+            starts[k] = start
+        assert (schedule, stats) == (Schedule(tuple(zip(grid.sizes, starts))), grid_stats)
+        assert all(s <= g for s, g in zip(schedule.starts, grid.starts))
+        assert_trusted(schedule)
+
+
+def test_qptas_left_shift_is_linear():
+    # 10^5 unit jobs nest under one of 10^9; a shift that looked back at
+    # every earlier job would take 5e9 steps
+    inst = new_instance([10**9] + [1] * 10**5)
+    t0 = time.perf_counter()
+    schedule, stats = qptas_solve(inst, Fraction(1, 2))
+    elapsed = time.perf_counter() - t0
+    assert (stats.large, stats.small) == (1, 10**5)
+    assert schedule.starts[:3] == (0, 1, 2) and makespan(schedule) == 10**9
+    assert elapsed < 2.0, f"qptas took {elapsed:.1f}s on 10^5 small jobs"
 
 
 def assert_trusted(schedule):

@@ -155,22 +155,28 @@ class TestDpSolve:
 class TestQptasPipeline:
     def test_four_job_run(self):
         sched, stats = qptas_solve(new_instance([6, 5, 4, 3]), Fraction(1, 2))
-        assert sched.jobs == (
-            (6, 0),
-            (5, Fraction(27, 4)),
-            (4, Fraction(189, 16)),
-            (3, Fraction(27, 8)),
-        )
-        assert makespan(sched) == Fraction(253, 16)
+        # grid starts 0, 27/4, 189/16 and 27/8, shifted left in that order
+        assert sched.jobs == ((6, 0), (5, 6), (4, 10), (3, 3))
+        assert makespan(sched) == 14
         assert (stats.large, stats.small, stats.classes) == (4, 0, 3)
         assert (stats.grid_points, stats.dp_states) == (33, 23)
         assert stats.threshold == Fraction(3, 4)
 
     def test_small_jobs_append_at_the_end(self):
+        # appended at 40 and 41, then shifted left under the large job
         sched, stats = qptas_solve(new_instance([40, 1, 1]), 1)
-        assert sched.jobs == ((40, 0), (1, 40), (1, 41))
-        assert makespan(sched) == 42
+        assert sched.jobs == ((40, 0), (1, 1), (1, 2))
+        assert makespan(sched) == 40
         assert (stats.large, stats.small) == (1, 2)
+
+    def test_climbed_instance(self):
+        # a ratio climb drove the grid schedule to 53041/128, 1.771 x OPT;
+        # greedy makes 243 and the optimum is 234
+        inst = new_instance([233, 61, 50, 44, 44, 29])
+        sched, _ = qptas_solve(inst, Fraction(1, 2))
+        assert makespan(sched) == 257
+        assert check_feasible(sched) == []
+        assert optimal_makespan(inst)[0] == 234
 
     def test_original_sizes_come_back(self):
         inst = new_instance([17, 13, 11, 7, 5])
