@@ -209,21 +209,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Built per call, not cached, until perfbench's peak_rss_mb stops growing with its pass count.
-    # One terminal query: argparse's formatters without a width each make their own.
-    import shutil
-
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
-    parser = parser_class(
-        prog="trisched",
-        description="Triangle scheduling solvers, generators, and runtime simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-
-    gen = sub.add_parser("gen", help="generate an instance")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--kind", choices=generators.KINDS, required=True)
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int)
@@ -235,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output")
     gen.set_defaults(func=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="schedule an instance")
+
+def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=("greedy", "exact", "qptas", "lb"), required=True)
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
@@ -245,11 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("-o", "--output", help="write the schedule JSON here")
     solve.set_defaults(func=_cmd_solve)
 
-    chk = sub.add_parser("check", help="verify a schedule file")
+
+def _check_arguments(chk: argparse.ArgumentParser) -> None:
     chk.add_argument("schedule")
     chk.set_defaults(func=_cmd_check)
 
-    sim = sub.add_parser("simulate", help="execute a schedule under demands")
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--schedule", required=True)
     group = sim.add_mutually_exclusive_group(required=True)
     group.add_argument("--demands", help="demands JSON file")
@@ -258,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-o", "--output", help="write the execution trace JSON here")
     sim.set_defaults(func=_cmd_simulate)
 
-    ren = sub.add_parser("render", help="draw a schedule or execution trace")
+
+def _render_arguments(ren: argparse.ArgumentParser) -> None:
     group = ren.add_mutually_exclusive_group(required=True)
     group.add_argument("--schedule")
     group.add_argument("--trace", help="execution trace JSON")
@@ -267,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("-o", "--output")
     ren.set_defaults(func=_cmd_render)
 
-    bench_parser = sub.add_parser("bench", help="benchmark harnesses")
-    bench_sub = bench_parser.add_subparsers(dest="benchmark", required=True, parser_class=parser_class)
+
+def _bench_arguments(bench_parser: argparse.ArgumentParser) -> None:
+    bench_sub = bench_parser.add_subparsers(
+        dest="benchmark", required=True, parser_class=_parser_class(bench_parser.formatter_class)
+    )
     ratio = bench_sub.add_parser("ratio-search", help="hunt bad greedy/optimal ratios")
     ratio.add_argument("--n", type=int, default=9)
     ratio.add_argument("--iterations", type=int, default=50)
@@ -279,11 +272,49 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("-o", "--output", help="write the report JSON here")
     ratio.set_defaults(func=_cmd_bench)
 
+
+# (name, help, add_arguments) of each subcommand, in the order the help lists them.
+SUBCOMMANDS = (
+    ("gen", "generate an instance", _gen_arguments),
+    ("solve", "schedule an instance", _solve_arguments),
+    ("check", "verify a schedule file", _check_arguments),
+    ("simulate", "execute a schedule under demands", _simulate_arguments),
+    ("render", "draw a schedule or execution trace", _render_arguments),
+    ("bench", "benchmark harnesses", _bench_arguments),
+)
+
+
+def _parser_class(formatter_class):
+    return functools.partial(argparse.ArgumentParser, formatter_class=formatter_class)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`.  Every subcommand is a choice, so the top-level
+    help, usage and errors list them all, but only the one that `argv` runs
+    gets its arguments: the first token not starting with "-" (the top level
+    has no option but -h, so that token is the subcommand)."""
+    # One terminal query: argparse's formatters without a width each make their own.
+    import shutil
+
+    width = shutil.get_terminal_size().columns - 2
+    parser_class = _parser_class(functools.partial(argparse.HelpFormatter, width=width))
+    parser = parser_class(
+        prog="trisched",
+        description="Triangle scheduling solvers, generators, and runtime simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, summary, add_arguments in SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=summary)
+        if name == chosen:
+            add_arguments(subparser)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -27,6 +27,12 @@ def _require_feasible(schedule: Schedule) -> None:
         raise ValueError("refusing to render an empty schedule")
 
 
+def _digits(value: int) -> str:
+    """`value`, or its leading digits and digit count past 20 digits."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:6]}... ({len(text)} digits)"
+
+
 def _float(value) -> float:
     try:
         return float(value)
@@ -96,9 +102,10 @@ def render_ascii(schedule: Schedule, scale=1, trace: ExecutionTrace | None = Non
     span = makespan(schedule)
     width = cells(span)
     if width > MAX_COLUMNS:
-        fit = Fraction(1, -(-span // MAX_COLUMNS))
+        shrink = -(-span // MAX_COLUMNS)
+        fit = "1" if shrink == 1 else f"1/{_digits(shrink)}"
         raise ValueError(
-            f"an ASCII drawing {width} columns wide exceeds the limit of {MAX_COLUMNS}; "
+            f"an ASCII drawing {_digits(width)} columns wide exceeds the limit of {MAX_COLUMNS}; "
             f"draw it with --scale {fit} or --format svg"
         )
     lines = []

@@ -19,9 +19,12 @@ for the loaders' C-level pass over files of plain ints: they decode every
 value and leave every check, and its message, to the public constructor.
 The reduction's decoder that re-encodes the instance, sweeps the whole
 schedule for feasibility and walks each window's jobs is the reference for
-the window-by-window decoder.
+the window-by-window decoder.  The eager parser, which gives every
+subcommand its arguments through the CLI's own per-subcommand functions, is
+the reference for the parser that gives them only to the subcommand it runs.
 """
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
@@ -42,6 +45,7 @@ from trisched import (
     new_instance,
 )
 from trisched.bench import RatioSearchReport, evaluate_ratio
+from trisched.cli import SUBCOMMANDS, build_parser
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
 from trisched.qptas import DPResult, Grid, QptasStats, RoundedInstance, make_grid, round_sizes, split_small
@@ -549,3 +553,19 @@ def matching_from_schedule_reference(tdm: ThreeDMInstance, M: int, schedule: Sch
             indices.pop()
         matching.append((i, j, k))
     return tuple(matching)
+
+
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subparser of each subcommand of `parser`, by name."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+def eager_parser(argv) -> argparse.ArgumentParser:
+    """`build_parser` with every subcommand given its arguments, whatever
+    `argv` runs."""
+    parser = build_parser([])
+    subparsers = subcommand_parsers(parser)
+    for name, _, add_arguments in SUBCOMMANDS:
+        add_arguments(subparsers[name])
+    return parser

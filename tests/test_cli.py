@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_trace_from_obj, report_from_obj
-from trisched import greedy_schedule, new_instance, optimal_makespan
+from oracles import eager_parser, greedy_trace_from_obj, report_from_obj, subcommand_parsers
+from trisched import cli, greedy_schedule, new_instance, optimal_makespan
 from trisched.cli import build_parser, cli_main
 from trisched.qptas import dp_solve
 from trisched.serialize import read_json
@@ -461,6 +461,8 @@ def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, 
     code, _, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) - 1 <= 200, err
+
 
 
 @pytest.mark.parametrize("start", ['"%s/2"' % ("9" * 5000), "9" * 5000, '"2/%s"' % ("9" * 5000)],
@@ -505,7 +507,7 @@ class TestHelp:
             return real(*args)
 
         monkeypatch.setattr(shutil, "get_terminal_size", counted)
-        build_parser()
+        build_parser(["bench", "ratio-search"])   # the nested parser shares the one width
         assert len(calls) == 1
 
     def test_help_wraps_at_the_columns_of_each_call(self, capsys, monkeypatch):
@@ -520,6 +522,45 @@ class TestHelp:
                 helps[columns, argv] = out
         for argv in HELP_ARGV:
             assert helps[40, argv] != helps[120, argv], argv
+
+
+
+# Usage errors and help of every subcommand; none of them reads a file.
+PARSER_ARGV = [
+    *([*argv, "--help"] for argv in HELP_ARGV),
+    ["-h", "solve"], ["-x", "check", "a"], ["--bogus"], ["frobnicate"], [""], ["--", "check"], [],
+    ["gen"], ["solve", "i.json"], ["solve", "--algo", "lb"], ["check"], ["simulate", "--random"],
+    ["simulate", "--schedule", "s.json"], ["render"], ["bench"], ["bench", "ratio"],
+    ["gen", "--kind", "x"], ["gen", "--kind", "fixture", "--fixture", "x"], ["solve", "i.json", "--algo", "magic"],
+    ["render", "--schedule", "s.json", "--format", "png"],
+    ["gen", "--kind", "random", "--n", "x"], ["gen", "--kind", "random", "--seed", "x"],
+    ["gen", "--kind", "random", "--max-size", "1.5"], ["gen", "--kind", "random", "--bound", "1/0"],
+    ["gen", "--kind", "reduction", "--M", "x"], ["solve", "i.json", "--algo", "qptas", "--eps", "x"],
+    ["solve", "i.json", "--algo", "exact", "--limit", "x"], ["simulate", "--schedule", "s", "--random", "--seed", "x"],
+    ["render", "--schedule", "s.json", "--scale", "x"], ["bench", "ratio-search", "--n", "x"],
+    ["bench", "ratio-search", "--iterations", "x"], ["bench", "ratio-search", "--seed", "x"],
+    ["bench", "ratio-search", "--max-size", "x"], ["bench", "ratio-search", "--bound", "x"],
+    ["simulate", "--schedule", "s", "--random", "--demands", "d"], ["render", "--schedule", "s", "--trace", "t"],
+    ["check", "a", "b"], ["solve", "i.json", "--algo", "lb", "extra"], ["bench", "ratio-search", "extra"],
+    ["gen", "--kind", "fixture", "--fixture", "staircase-4"],
+]
+
+
+@pytest.mark.parametrize("columns", [40, 120])
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or repr(argv))
+def test_parser_matches_the_eager_parser(capsys, monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    lazy = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", eager_parser)
+    assert run(capsys, *argv) == lazy
+
+
+def test_parser_adds_arguments_only_to_the_subcommand_it_runs():
+    parsers = subcommand_parsers(build_parser(["check", "x"]))
+    assert list(parsers) == ["gen", "solve", "check", "simulate", "render", "bench"]
+    assert "--algo" not in parsers["solve"]._option_string_actions
+    assert [action.dest for action in parsers["check"]._actions] == ["help", "schedule"]
+    assert parsers["bench"]._subparsers is None   # no ratio-search until bench runs
 
 
 STAIRCASE = {"jobs": [

@@ -85,3 +85,7 @@ class TestAscii:
         # the suggested scale fits whatever scale was asked for
         with pytest.raises(ValueError, match="--scale 1 or"):
             render_ascii(fits, scale=Fraction(10001, 10000))
+        # a width past 20 digits shows as its leading digits and digit count
+        with pytest.raises(ValueError, match=r"100000\.\.\. \(301 digits\) columns wide.*"
+                                             r"--scale 1/100000\.\.\. \(297 digits\) or"):
+            render_ascii(Schedule(((3, 10**300),)))
