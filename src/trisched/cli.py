@@ -209,13 +209,21 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _one_of(choices) -> str:
+    """Help text listing an option's choices, which a short metavar leaves out
+    of the usage so that the help can wrap at narrow terminals."""
+    return "one of " + ", ".join(choices)
+
+
 def _gen_arguments(gen: argparse.ArgumentParser) -> None:
-    gen.add_argument("--kind", choices=generators.KINDS, required=True)
+    gen.add_argument("--kind", choices=generators.KINDS, required=True, metavar="KIND",
+                     help=_one_of(generators.KINDS))
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int)
     gen.add_argument("--max-size", type=int, default=100)
     gen.add_argument("--bound", type=_rational)
-    gen.add_argument("--fixture", choices=sorted(generators.FIXTURES))
+    fixtures = sorted(generators.FIXTURES)
+    gen.add_argument("--fixture", choices=fixtures, metavar="NAME", help=_one_of(fixtures) + " (--kind fixture)")
     gen.add_argument("--tdm", help="3DM JSON file for --kind reduction")
     gen.add_argument("--M", type=int, help="padding parameter for --kind reduction")
     gen.add_argument("-o", "--output")
@@ -224,7 +232,8 @@ def _gen_arguments(gen: argparse.ArgumentParser) -> None:
 
 def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     solve.add_argument("instance")
-    solve.add_argument("--algo", choices=("greedy", "exact", "qptas", "lb"), required=True)
+    algos = ("greedy", "exact", "qptas", "lb")
+    solve.add_argument("--algo", choices=algos, required=True, metavar="ALGO", help=_one_of(algos))
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
     solve.add_argument("--limit", type=int, help="exact search size cap")
     solve.add_argument("--trace", help="write the placement trace JSON here (--algo greedy only)")
@@ -252,7 +261,9 @@ def _render_arguments(ren: argparse.ArgumentParser) -> None:
     group = ren.add_mutually_exclusive_group(required=True)
     group.add_argument("--schedule")
     group.add_argument("--trace", help="execution trace JSON")
-    ren.add_argument("--format", choices=("svg", "ascii"), default="svg")
+    formats = ("svg", "ascii")
+    ren.add_argument("--format", choices=formats, default="svg", metavar="FORMAT",
+                     help=_one_of(formats) + " (default svg)")
     ren.add_argument("--scale", type=_rational, default=Fraction(1))
     ren.add_argument("-o", "--output")
     ren.set_defaults(func=_cmd_render)

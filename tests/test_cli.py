@@ -495,6 +495,7 @@ HELP_ARGV = [(), ("gen",), ("solve",), ("check",), ("simulate",), ("render",), (
 # option's invocation, so only a line holding one of those may pass the width
 OPTION = r"-[-\w]+( \{[^{}]*\}| [^ ,{}]+)?"
 UNSPLIT = re.compile(rf"\[[^][]*\]|\([^()]*\)|\{{[^{{}}]*\}}|{OPTION}(, {OPTION})*")
+GROUP = re.compile(r"[\[(][^\][(){}]*[\])]")
 
 
 class TestHelp:
@@ -522,6 +523,14 @@ class TestHelp:
                 helps[columns, argv] = out
         for argv in HELP_ARGV:
             assert helps[40, argv] != helps[120, argv], argv
+
+    def test_choices_stay_out_of_the_usage(self, capsys, monkeypatch):
+        # --kind, --fixture, --algo and --format show a short metavar, so at 40
+        # columns only one word or one brace-free usage group passes the width
+        monkeypatch.setenv("COLUMNS", "40")
+        for argv in HELP_ARGV:
+            for line in run(capsys, *argv, "--help")[1].splitlines():
+                assert len(line) <= 38 or len(line.split()) == 1 or GROUP.fullmatch(line.strip()), (argv, line)
 
 
 
