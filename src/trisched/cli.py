@@ -122,10 +122,8 @@ def _cmd_solve(args) -> int:
     elif args.algo == "exact":
         limit = DEFAULT_SIZE_LIMIT if args.limit is None else args.limit
         _, schedule = optimal_makespan(instance, limit=limit)
-    elif args.algo == "qptas":
+    else:
         schedule, stats = qptas.qptas_solve(instance, args.eps)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown algorithm {args.algo}")
     print(f"makespan {serialize.encode_exact(makespan(schedule))}")
     if args.algo == "qptas":
         print(f"classes {stats.classes}")

@@ -15,9 +15,7 @@ check a file of plain ints with a few C-level passes and reach the
 per-value checks (and their messages) only for any other file.  Solver
 output whose values are known to be valid ints (greedy, the exact witness,
 the QPTAS's left-shifted schedule, the reduction's certificate) is wrapped
-by `Schedule._trusted` without a second check.  The QPTAS's rounded grid
-schedule goes through the public constructor, which also collapses its
-integral `Fraction`s to `int`.
+by `Schedule._trusted` without a second check.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ class Schedule(_Frozen):
 
     Feasibility is checked, never enforced, so broken schedules can be
     represented and diagnosed.  Sizes are positive ints on every
-    instance-derived path; intermediate rounded schedules may carry exact
+    instance-derived path, though the constructor also takes exact
     rational sizes.
     """
 

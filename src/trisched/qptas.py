@@ -10,14 +10,16 @@ small job, of its slot after the makespan).
 
 Each rounding loses at most a factor (1+eps), small jobs appended at the
 makespan would cost at most eps*p_1, and shifting left only lowers that,
-so the result is within (1+eps)^3 of optimal.  The DP's arithmetic is
-exact rational; with integer sizes the shifted starts are plain ints.  eps
-must be a Fraction or int, never a float.
+so the result is within (1+eps)^3 of optimal.  Every step runs on ints:
+with eps = a/b, a size's rung is the integer exponent k of the first
+unit*((a+b)/b)^k at or above it, the DP's sizes and grid step are ints in
+one common unit, the DP hands back only the order of its classes, and the
+shifted starts are plain ints.  eps must be a Fraction or int, never a
+float.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from operator import add
@@ -50,47 +52,48 @@ def split_small(instance: Instance, eps) -> tuple[tuple[int, ...], tuple[int, ..
     which keeps the rounded class count logarithmic.
     """
     eps = _rational_eps(eps)
-    threshold = Fraction(eps * instance.sizes[0], instance.n)
-    large = tuple(p for p in instance.sizes if p >= threshold)
-    small = tuple(p for p in instance.sizes if p < threshold)
-    return large, small, threshold
+    # with eps = a/b, p is large when p*n*b >= a*p_1
+    bar = eps.numerator * instance.sizes[0]
+    scale = instance.n * eps.denominator
+    large = tuple(p for p in instance.sizes if p * scale >= bar)
+    small = tuple(p for p in instance.sizes if p * scale < bar)
+    return large, small, Fraction(bar, scale)
 
 
-# Sizes rounded up onto the ladder unit*(1+eps)^k, unit = classes[-1].
-# `large` pairs each original size with its rounded value, non-increasing by
-# original size; `classes` lists the distinct rounded values descending.
-# Every rounded value is unit*(1+eps)^k for some k >= 0 and is at least its
-# original.
+# Sizes rounded up onto the ladder unit*(1+eps)^k, where the unit is the
+# smallest original size.  `large` pairs each original size with its
+# exponent k, the first rung unit*(1+eps)^k at or above it, non-increasing
+# by original size; `classes` lists the distinct exponents descending.
 RoundedInstance = namedtuple("RoundedInstance", "eps large classes")
 
 
 def round_sizes(instance: Instance, eps) -> RoundedInstance:
-    """Round every size of `instance` up to the nearest unit*(1+eps)^k.
+    """Give every size of `instance` the smallest k with unit*(1+eps)^k >= p.
 
     The unit is the smallest size present, so the ladder starts exactly at
     the bottom of the range and the class count stays within
     ceil(log_{1+eps}(spread)) + 1.
     """
     eps = _rational_eps(eps)
-    factor = 1 + eps
-    ladder = [Fraction(instance.sizes[-1])]
+    a, b = eps.numerator, eps.denominator
+    # rung k is unit*(a+b)^k / b^k, kept as its numerator and denominator
+    k, rung, den = 0, instance.sizes[-1], 1
     pairs = []
-    for p in sorted(instance.sizes):
+    for p in reversed(instance.sizes):
         # ascending sizes only ever climb the ladder, so its top is the rung
-        while ladder[-1] < p:
-            ladder.append(ladder[-1] * factor)
-        pairs.append((p, ladder[-1]))
+        while p * den > rung:
+            k += 1
+            rung *= a + b
+            den *= b
+        pairs.append((p, k))
     pairs.reverse()
-    classes = tuple(sorted({r for _, r in pairs}, reverse=True))
+    classes = tuple(dict.fromkeys(k for _, k in pairs))
     return RoundedInstance(eps=eps, large=tuple(pairs), classes=classes)
 
 
-# Uniform start grid {0, step, 2*step, ...} of `points` points.
-Grid = namedtuple("Grid", "step points")
-
-
-def make_grid(rounded: RoundedInstance, n: int) -> Grid:
-    """Grid with step K = eps * (largest rounded size) / n.
+def grid_points(rounded: RoundedInstance, n: int) -> int:
+    """Point count of the start grid {0, K, 2K, ...}, K = eps * (largest
+    rounded size) / n.
 
     n is the size of the whole original instance.  Snapping any schedule of
     the rounded jobs onto this grid costs at most n*K = eps * p_1(rounded).
@@ -98,50 +101,50 @@ def make_grid(rounded: RoundedInstance, n: int) -> Grid:
     so far, so the L rounded jobs fit by index (L-1)*ceil(n/eps); the grid
     reaches index max(ceil(n^2/eps), (L-1)*ceil(n/eps)).
     """
-    if not rounded.classes:
-        raise ValueError("grid needs at least one rounded class")
-    step = Fraction(rounded.eps * rounded.classes[0], n)
-    stride = math.ceil(n / rounded.eps)
-    points = max(math.ceil(Fraction(n * n, 1) / rounded.eps), (len(rounded.large) - 1) * stride) + 1
-    return Grid(step=step, points=points)
+    a, b = rounded.eps.numerator, rounded.eps.denominator
+    stride = -(-n * b // a)
+    return max(-(-n * n * b // a), (len(rounded.large) - 1) * stride) + 1
 
 
-# makespan: a Fraction; schedule: the rounded sizes at their grid starts;
-# states: the non-final configurations reached
-DPResult = namedtuple("DPResult", "makespan schedule states")
+# order: the class index of each placed job, in start order; states: the
+# non-final configurations reached
+DPResult = namedtuple("DPResult", "order states")
 
 
-def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_BUDGET) -> DPResult:
-    """Best grid-restricted schedule of the rounded large jobs.
+def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGET) -> DPResult:
+    """Best grid-restricted schedule of the rounded large jobs, as the
+    order in which it places their classes.
 
-    A state is one tuple: the grid index C_x of the last placed job of each
-    class x, then the unplaced count of each class.  A job of class z goes
-    to the first grid index at or after every C_x*step + min(x, z), which
-    keeps it feasible against all earlier jobs (left-shifting shows no grid
-    schedule does better): max(0, C_x + reach[z][x]) with reach[z][x] =
-    ceil(min(x, z)/step).  An empty class sits at -reach[0][0] and constrains
-    nothing.  A completed state is worth max over x of C_x*step + x, kept as
-    an int in units of 1/scale, the common denominator of step and classes.
+    n is the size of the whole original instance, which sets the grid step
+    K (see `grid_points`).  A state is one tuple: the grid index C_x of the
+    last placed job of each class x, then the unplaced count of each class.
+    A job of class z goes to the first grid index at or after every
+    C_x*K + min(x, z), which keeps it feasible against all earlier jobs
+    (left-shifting shows no grid schedule does better):
+    max(0, C_x + reach[z][x]) with reach[z][x] = ceil(min(x, z)/K).  An
+    empty class sits at -reach[0][0] and constrains nothing.  A completed
+    state is worth max over x of C_x*K + x.  With eps = a/b and top the
+    largest exponent, every size and K times n*b^(top+1)/unit is an int:
+    n*(a+b)^k*b^(top+1-k) for class k and a*(a+b)^top for K.
 
     States are enumerated one placed job per layer in a single forward
-    sweep; each layer maps a state to (parent, class index, grid index) of
-    the first move that reached it.  Parents are swept in insertion order
-    and moves in class order, so a layer's states sit in the order of their
+    sweep; each layer maps a state to (parent, class index) of the first
+    move that reached it.  Parents are swept in insertion order and moves
+    in class order, so a layer's states sit in the order of their
     lexicographically first paths, and the first best final state, followed
     back through its parents, is the first optimal move sequence in class
-    order.  More than `budget` states before the last job raise
-    StateBudgetExceeded.
+    order.  Each placement lands past every earlier start, so that sequence
+    is the start order.  More than `budget` states before the last job
+    raise StateBudgetExceeded.
     """
     classes = rounded.classes
-    if not classes:
-        return DPResult(Fraction(0), Schedule(()), 0)
-    step = grid.step
-    scale = math.lcm(step.denominator, *(x.denominator for x in classes))
-    tick = int(step * scale)
-    sizes = [int(x * scale) for x in classes]
+    a, b = rounded.eps.numerator, rounded.eps.denominator
+    top = classes[0]
+    tick = a * (a + b) ** top
+    sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in classes]
     reach = [[-(-min(x, z) // tick) for x in sizes] for z in sizes]
     m = len(classes)
-    counts = tuple(sum(1 for _, r in rounded.large if r == z) for z in classes)
+    counts = tuple(sum(1 for _, k in rounded.large if k == z) for z in classes)
     root = (-reach[0][0],) * m + counts
 
     layers = [{root: None}]
@@ -158,19 +161,19 @@ def dp_solve(rounded: RoundedInstance, grid: Grid, budget: int = DEFAULT_STATE_B
                     index = max(0, max(map(add, state, reach[zi])))
                     child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
                     if child not in following:
-                        following[child] = (state, zi, index)
+                        following[child] = (state, zi)
         layers.append(following)
 
     def value(state):
         return max(c * tick + x for c, x in zip(state, sizes))
 
-    state = best = min(layers[-1], key=value)
-    placements = []
+    state = min(layers[-1], key=value)
+    order = []
     for layer in layers[:0:-1]:
-        state, zi, index = layer[state]
-        placements.append((classes[zi], step * index))
-    placements.reverse()
-    return DPResult(makespan=Fraction(value(best), scale), schedule=Schedule(tuple(placements)), states=states)
+        state, zi = layer[state]
+        order.append(zi)
+    order.reverse()
+    return DPResult(order=tuple(order), states=states)
 
 
 QptasStats = namedtuple("QptasStats", "eps threshold large small classes grid_points dp_states")
@@ -217,24 +220,21 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
     # there of the i-th large job
     sizes: list[int] = []
     order: list[int] = []
-    classes = grid_points = dp_states = 0
+    classes = points = dp_states = 0
     if large:
         rounded = round_sizes(new_instance(large), eps)
-        grid = make_grid(rounded, instance.n)
-        result = dp_solve(rounded, grid)
+        result = dp_solve(rounded, instance.n)
         classes = len(rounded.classes)
-        grid_points = grid.points
+        points = grid_points(rounded, instance.n)
         dp_states = result.states
 
-        # Each DP placement lands past every earlier start, so the placements
-        # come in start order.  Hand each class's starts to the original
-        # sizes that rounded into it, in start order; same class means same
-        # separation guarantee, so any pairing is feasible.  Rounding is
-        # monotone, so a stable sort by falling rung lines the placements up
-        # with `large`, the original sizes in non-increasing order.
-        placed = result.schedule.jobs
-        order = sorted(range(len(placed)), key=lambda k: -placed[k][0])
-        sizes = [0] * len(placed)
+        # Hand each class's starts to the original sizes that rounded into
+        # it, in start order; same class means same separation guarantee,
+        # so any pairing is feasible.  Rounding is monotone, so a stable
+        # sort by class index lines the placements up with `large`, the
+        # original sizes in non-increasing order.
+        order = sorted(range(len(result.order)), key=result.order.__getitem__)
+        sizes = [0] * len(order)
         for original, k in zip(large, order):
             sizes[k] = original
 
@@ -248,7 +248,7 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
         large=len(large),
         small=len(small),
         classes=classes,
-        grid_points=grid_points,
+        grid_points=points,
         dp_states=dp_states,
     )
     return schedule, stats

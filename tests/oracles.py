@@ -4,15 +4,16 @@ These are the straightforward loops that the library's near-linear
 `check_feasible` and `greedy_schedule` replaced, the optimization-form
 branch and bound that the exact oracle's deadline search replaced, the
 recursive Fraction DP that the QPTAS's integer layered DP replaced (with
-the per-class hand-back of grid starts that one sort replaced), and a
-brute force over integer start tuples that never uses the exact oracle's
-canonical form.  Tests cross-check the fast paths against them on small
-inputs.  The gap split rule `insert_into_gap`, which the library's greedy
-loop inlines, lives here beside the quadratic greedy that calls it.  The
-canonical schedule of an order is the reference for the exact
-oracle's witness, the `*_to_obj` functions below are the reference for
-the text writers that replaced them (`dumps` of their dict is the file a
-writer must match byte for byte), and the two strict readers load the
+the per-class hand-back of grid starts that one sort replaced, and the
+Fraction rungs and grid schedule that the DP's integer exponents and class
+order stand for), and a brute force over integer start tuples that never
+uses the exact oracle's canonical form.  Tests cross-check the fast paths
+against them on small inputs.  The gap split rule `insert_into_gap`, which
+the library's greedy loop inlines, lives here beside the quadratic greedy
+that calls it.  The canonical schedule of an order is the reference for the
+exact oracle's witness, the `*_to_obj` functions below are the reference
+for the text writers that replaced them (`dumps` of their dict is the file
+a writer must match byte for byte), and the two strict readers load the
 greedy trace and ratio-search report files that the CLI writes but never
 reads.  The per-entry instance, schedule and 3DM readers are the reference
 for the loaders' C-level pass over files of plain ints: they decode every
@@ -20,13 +21,15 @@ value and leave every check, and its message, to the public constructor.
 The reduction's decoder that re-encodes the instance, sweeps the whole
 schedule for feasibility and walks each window's jobs is the reference for
 the window-by-window decoder.  The eager parser, which gives every
-subcommand its arguments through the CLI's own per-subcommand functions, is
-the reference for the parser that gives them only to the subcommand it runs.
+subcommand its arguments through the CLI's own per-subcommand functions,
+is the reference for the parser that gives them only to the subcommand it
+runs.
 """
 
 import argparse
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -48,7 +51,7 @@ from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.cli import SUBCOMMANDS, build_parser
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
-from trisched.qptas import DPResult, Grid, QptasStats, RoundedInstance, make_grid, round_sizes, split_small
+from trisched.qptas import QptasStats, RoundedInstance, grid_points, round_sizes, split_small
 from trisched.hardness import JOB_TYPES, ReductionLabels
 from trisched.serialize import _field, _integer, decode_exact, encode_exact
 from trisched.simulate import ExecutionTrace
@@ -250,7 +253,37 @@ def order_brute_force_optimum(sizes) -> int:
     return min(makespan(canonical_schedule_for_order(order)) for order in set(itertools.permutations(sizes)))
 
 
-def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
+def rung(rounded: RoundedInstance, k: int) -> Fraction:
+    """The rounded size of exponent k: unit*(1+eps)^k, where the unit is
+    the smallest original size, the last of `rounded.large`."""
+    return rounded.large[-1][0] * (1 + rounded.eps) ** k
+
+
+def grid_step(rounded: RoundedInstance, n: int) -> Fraction:
+    """The QPTAS grid step eps * (largest rounded size) / n."""
+    return rounded.eps * rung(rounded, rounded.classes[0]) / n
+
+
+# makespan: a Fraction; schedule: the rounded sizes at their grid starts;
+# states: the non-final configurations reached
+GridResult = namedtuple("GridResult", "makespan schedule states")
+
+
+def grid_schedule(rounded: RoundedInstance, n: int, order) -> tuple[Fraction, Schedule]:
+    """The grid makespan and schedule of the rounded jobs placed class by
+    class in `order` (indices into `rounded.classes`), each at the first
+    grid point at or after s + min(x, z) for every earlier job of rounded
+    size x at s, z its own rounded size."""
+    step = grid_step(rounded, n)
+    placements = []
+    for zi in order:
+        z = rung(rounded, rounded.classes[zi])
+        need = max((s + min(x, z) for x, s in placements), default=0)
+        placements.append((z, step * math.ceil(need / step)))
+    return max(s + x for x, s in placements), Schedule(tuple(placements))
+
+
+def dp_solve_oracle(rounded: RoundedInstance, n: int) -> GridResult:
     """The QPTAS configuration DP as a memoized recursion on Fractions.
 
     A configuration maps each class to the grid index of its rightmost
@@ -259,13 +292,11 @@ def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
     (C_x + min(x, z)); ties go to the first class.  `states` counts the
     memoized configurations.
     """
-    classes = rounded.classes
+    classes = [rung(rounded, k) for k in rounded.classes]
     z_count = len(classes)
-    if z_count == 0:
-        return DPResult(Fraction(0), Schedule(()), 0)
-    step = grid.step
-    top_index = grid.points - 1
-    counts0 = tuple(sum(1 for _, r in rounded.large if r == z) for z in classes)
+    step = grid_step(rounded, n)
+    top_index = grid_points(rounded, n) - 1
+    counts0 = tuple(sum(1 for _, k in rounded.large if k == z) for z in rounded.classes)
     empty = (-1,) * z_count
     memo: dict[tuple, tuple] = {}
 
@@ -311,7 +342,7 @@ def dp_solve_oracle(rounded: RoundedInstance, grid: Grid) -> DPResult:
         placements.append((classes[zi], step * index))
         config = config[:zi] + (index,) + config[zi + 1:]
         counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
-    return DPResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))
+    return GridResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))
 
 
 def qptas_solve_oracle(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
@@ -321,24 +352,23 @@ def qptas_solve_oracle(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
     eps = Fraction(eps)
     large, small, threshold = split_small(instance, eps)
     jobs = []
-    classes = grid_points = dp_states = 0
+    classes = points = dp_states = 0
     if large:
         rounded = round_sizes(new_instance(large), eps)
-        grid = make_grid(rounded, instance.n)
-        result = dp_solve_oracle(rounded, grid)
-        classes, grid_points, dp_states = len(rounded.classes), grid.points, result.states
+        result = dp_solve_oracle(rounded, instance.n)
+        classes, points, dp_states = len(rounded.classes), grid_points(rounded, instance.n), result.states
         by_class: dict[Fraction, list[Fraction]] = {}
         for size, start in result.schedule.jobs:
             by_class.setdefault(size, []).append(start)
         for starts in by_class.values():
             starts.sort()
-        for original, rung in rounded.large:
-            jobs.append((original, by_class[rung].pop(0)))
+        for original, k in rounded.large:
+            jobs.append((original, by_class[rung(rounded, k)].pop(0)))
     current = max((start + size for size, start in jobs), default=0)
     for p in small:
         jobs.append((p, current))
         current += p
-    stats = QptasStats(eps, threshold, len(large), len(small), classes, grid_points, dp_states)
+    stats = QptasStats(eps, threshold, len(large), len(small), classes, points, dp_states)
     return Schedule(tuple(jobs)), stats
 
 

@@ -18,6 +18,7 @@ from oracles import (
     canonical_schedule_for_order,
     dp_solve_oracle,
     greedy_schedule_oracle,
+    grid_schedule,
     optimal_makespan_oracle,
     order_brute_force_optimum,
     pairs_oracle,
@@ -37,7 +38,7 @@ from trisched import (
     schedule_from_matching,
 )
 from trisched.greedy import untraced_greedy
-from trisched.qptas import dp_solve, make_grid, round_sizes
+from trisched.qptas import dp_solve, round_sizes
 
 int_jobs = st.tuples(st.integers(1, 12), st.integers(0, 60))
 fraction_jobs = st.tuples(
@@ -229,10 +230,14 @@ dp_sizes = st.one_of(
 )
 
 
+# a/b with a and b both past 1 tells a, b and a+b apart in the DP's sizes
+DP_EPS = (3, Fraction(5, 2), 2, 1, Fraction(2, 3), Fraction(1, 2), Fraction(1, 3))
+
+
 class TestDpMatchesFractionOracle:
     # at eps = 3 the grid is sized by the stacked jobs, (n-1)*ceil(n/eps),
     # for 7 equal sizes; 4 equal sizes end exactly on the last grid point
-    @given(dp_sizes, st.sampled_from((3, 2, 1, Fraction(1, 2), Fraction(1, 3))))
+    @given(dp_sizes, st.sampled_from(DP_EPS))
     @settings(max_examples=100, deadline=None)
     @example([7] * 7, 3)
     @example([7] * 4, 3)
@@ -241,11 +246,12 @@ class TestDpMatchesFractionOracle:
     def test_same_makespan_schedule_and_states(self, sizes, eps):
         inst = new_instance(sizes)
         rounded = round_sizes(inst, eps)
-        grid = make_grid(rounded, inst.n)
-        # DPResult equality covers makespan, schedule and states
-        assert dp_solve(rounded, grid) == dp_solve_oracle(rounded, grid)
+        order, states = dp_solve(rounded, inst.n)
+        # the order, replayed on the Fraction grid, gives the oracle's
+        # makespan and schedule
+        assert (*grid_schedule(rounded, inst.n, order), states) == dp_solve_oracle(rounded, inst.n)
 
-    @given(dp_sizes, st.sampled_from((3, 2, 1, Fraction(1, 2), Fraction(1, 3))))
+    @given(dp_sizes, st.sampled_from(DP_EPS))
     @settings(max_examples=100, deadline=None)
     @example([7] * 7, 3)
     @example(list(fixture_instance("greedy-gap-9").sizes), Fraction(1, 2))

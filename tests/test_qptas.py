@@ -1,12 +1,14 @@
 """Approximation scheme: splitting, rounding, grid, DP, full pipeline."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import grid_schedule, grid_step, rung
 from trisched import (
     StateBudgetExceeded,
     check_feasible,
@@ -15,9 +17,9 @@ from trisched import (
     optimal_makespan,
     qptas_solve,
 )
-from trisched.qptas import dp_solve, make_grid, round_sizes, split_small
+from trisched.qptas import dp_solve, grid_points, round_sizes, split_small
 
-EPS_VALUES = (1, Fraction(1, 2), Fraction(1, 4))
+EPS_VALUES = (1, Fraction(2, 3), Fraction(1, 2), Fraction(1, 4))
 
 random_or_equal_sizes = st.one_of(
     st.lists(st.integers(1, 50), min_size=1, max_size=7),
@@ -54,19 +56,15 @@ class TestSplitSmall:
 
 class TestRoundSizes:
     def test_four_job_ladder(self):
+        # rungs 3, 9/2 and 27/4
         rounded = round_sizes(new_instance([6, 5, 4, 3]), Fraction(1, 2))
-        assert rounded.large == (
-            (6, Fraction(27, 4)),
-            (5, Fraction(27, 4)),
-            (4, Fraction(9, 2)),
-            (3, Fraction(3)),
-        )
-        assert rounded.classes == (Fraction(27, 4), Fraction(9, 2), Fraction(3))
+        assert rounded.large == ((6, 2), (5, 2), (4, 1), (3, 0))
+        assert rounded.classes == (2, 1, 0)
 
     def test_smallest_size_rounds_to_itself(self):
         rounded = round_sizes(new_instance([3]), 1)
-        assert rounded.large == ((3, Fraction(3)),)
-        assert rounded.classes == (Fraction(3),)
+        assert rounded.large == ((3, 0),)
+        assert rounded.classes == (0,)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=10),
@@ -75,46 +73,46 @@ class TestRoundSizes:
     @settings(max_examples=120)
     def test_rounding_within_one_factor(self, sizes, eps):
         rounded = round_sizes(new_instance(sizes), eps)
-        for original, rung in rounded.large:
-            assert original <= rung < original * (1 + Fraction(eps))
+        for original, k in rounded.large:
+            assert original <= rung(rounded, k) < original * (1 + Fraction(eps))
         assert list(rounded.classes) == sorted(set(rounded.classes), reverse=True)
 
     def test_equal_sizes_share_a_class(self):
         rounded = round_sizes(new_instance([5, 5, 5]), Fraction(1, 4))
-        assert rounded.classes == (Fraction(5),)
+        assert rounded.classes == (0,)
 
 
-class TestMakeGrid:
+class TestGridPoints:
     def test_four_job_grid(self):
         rounded = round_sizes(new_instance([6, 5, 4, 3]), Fraction(1, 2))
-        grid = make_grid(rounded, 4)
-        assert grid.step == Fraction(27, 32)
-        assert grid.points == 33
+        assert grid_step(rounded, 4) == Fraction(27, 32)
+        assert grid_points(rounded, 4) == 33
 
     def test_point_count_grows_with_precision(self):
         inst = new_instance([6, 5, 4, 3])
-        coarse = make_grid(round_sizes(inst, 1), 4)
-        fine = make_grid(round_sizes(inst, Fraction(1, 4)), 4)
-        assert coarse.points == 17
-        assert fine.points == 65
+        assert grid_points(round_sizes(inst, 1), 4) == 17
+        assert grid_points(round_sizes(inst, Fraction(1, 4)), 4) == 65
 
 
 class TestDpSolve:
     def test_two_equal_jobs(self):
         rounded = round_sizes(new_instance([4, 4]), 1)
-        grid = make_grid(rounded, 2)
-        result = dp_solve(rounded, grid)
-        assert result.makespan == 8
-        assert check_feasible(result.schedule) == []
+        result = dp_solve(rounded, 2)
+        assert result.order == (0, 0)
+        grid_makespan, schedule = grid_schedule(rounded, 2, result.order)
+        assert grid_makespan == 8
+        assert check_feasible(schedule) == []
 
     def test_four_job_value_and_states(self):
         rounded = round_sizes(new_instance([6, 5, 4, 3]), Fraction(1, 2))
-        grid = make_grid(rounded, 4)
-        result = dp_solve(rounded, grid)
-        assert result.makespan == Fraction(261, 16)
+        result = dp_solve(rounded, 4)
+        # grid starts 0, 27/8, 27/4 and 189/16
+        assert result.order == (0, 2, 0, 1)
         assert result.states == 23
-        assert check_feasible(result.schedule) == []
-        assert all(start % grid.step == 0 for start in result.schedule.starts)
+        grid_makespan, schedule = grid_schedule(rounded, 4, result.order)
+        assert grid_makespan == Fraction(261, 16)
+        assert check_feasible(schedule) == []
+        assert all(start % grid_step(rounded, 4) == 0 for start in schedule.starts)
 
     @given(random_or_equal_sizes, st.sampled_from((Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(5, 2), 3, 4)))
     # equal sizes stack to index (n-1)*ceil(n/eps): 18 here, past ceil(n^2/eps) = 17
@@ -123,16 +121,16 @@ class TestDpSolve:
     def test_every_placement_is_a_grid_point(self, sizes, eps):
         inst = new_instance(sizes)
         rounded = round_sizes(inst, eps)
-        grid = make_grid(rounded, inst.n)
-        for _, start in dp_solve(rounded, grid).schedule.jobs:
-            index = start / grid.step
-            assert index.denominator == 1 and 0 <= index < grid.points
+        step = grid_step(rounded, inst.n)
+        _, schedule = grid_schedule(rounded, inst.n, dp_solve(rounded, inst.n).order)
+        for start in schedule.starts:
+            index = start / step
+            assert index.denominator == 1 and 0 <= index < grid_points(rounded, inst.n)
 
     def test_budget_exhaustion(self):
         rounded = round_sizes(new_instance([6, 3]), 1)
-        grid = make_grid(rounded, 2)
         with pytest.raises(StateBudgetExceeded) as info:
-            dp_solve(rounded, grid, budget=1)
+            dp_solve(rounded, 2, budget=1)
         assert info.value.states == 1
 
     @pytest.mark.parametrize(
@@ -143,12 +141,11 @@ class TestDpSolve:
     def test_budget_fires_past_the_reachable_states(self, sizes, eps):
         # [4, 4, 4] is a chain of three states, the others branch
         rounded = round_sizes(new_instance(sizes), eps)
-        grid = make_grid(rounded, len(sizes))
-        states = dp_solve(rounded, grid).states
-        assert dp_solve(rounded, grid, budget=states).states == states
+        states = dp_solve(rounded, len(sizes)).states
+        assert dp_solve(rounded, len(sizes), budget=states).states == states
         for budget in (1, states - 1):
             with pytest.raises(StateBudgetExceeded) as info:
-                dp_solve(rounded, grid, budget=budget)
+                dp_solve(rounded, len(sizes), budget=budget)
             assert info.value.states == budget
 
 
@@ -177,6 +174,16 @@ class TestQptasPipeline:
         assert makespan(sched) == 257
         assert check_feasible(sched) == []
         assert optimal_makespan(inst)[0] == 234
+
+    def test_fine_eps_rounds_in_ints(self):
+        # the Fraction ladder climbed about 39 000 rungs with a gcd each
+        # and took 12.5 s here; the DP sees only 206 states
+        t0 = time.perf_counter()
+        sched, stats = qptas_solve(new_instance([50, 37, 12, 3, 1]), Fraction(1, 10000))
+        elapsed = time.perf_counter() - t0
+        assert makespan(sched) == 74
+        assert (stats.classes, stats.grid_points, stats.dp_states) == (5, 250001, 206)
+        assert elapsed < 5.0, f"qptas took {elapsed:.1f}s at eps 1/10000"
 
     def test_original_sizes_come_back(self):
         inst = new_instance([17, 13, 11, 7, 5])
