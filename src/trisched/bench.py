@@ -35,14 +35,6 @@ def evaluate_ratio(instance: Instance) -> Fraction:
     return Fraction(makespan(sched), best)
 
 
-def _better(candidate: tuple[Fraction, tuple[int, ...]], incumbent) -> bool:
-    if incumbent is None:
-        return True
-    if candidate[0] != incumbent[0]:
-        return candidate[0] > incumbent[0]
-    return candidate[1] < incumbent[1]
-
-
 def ratio_search(
     n: int,
     iterations: int,
@@ -72,19 +64,12 @@ def ratio_search(
         else:
             pool.append(ratio_bounded_instance(rng, n, bound, max_size))
 
-    incumbent = None
-    findings = []
-    for instance in pool:
-        ratio = evaluate_ratio(instance)
-        candidate = (ratio, instance.sizes)
-        if _better(candidate, incumbent):
-            incumbent = candidate
-        if ratio > FIXTURE_RATIO:
-            findings.append((instance.sizes, ratio))
+    evaluated = [(evaluate_ratio(instance), instance.sizes) for instance in pool]
+    ratio, witness = min(evaluated, key=lambda pair: (-pair[0], pair[1]))
     return RatioSearchReport(
-        ratio=incumbent[0],
-        witness=incumbent[1],
+        ratio=ratio,
+        witness=witness,
         iterations=iterations,
         seed=seed,
-        findings=tuple(findings),
+        findings=tuple((sizes, r) for r, sizes in evaluated if r > FIXTURE_RATIO),
     )

@@ -5,12 +5,13 @@ every job sits exactly at max_i (s_i + min(p_i, p_k)) over the jobs before
 it.  That canonical form is determined by the order alone, so the optimum is
 the best canonical makespan over all orders of the size multiset.
 
-The search is a sequence of decision questions.  Greedy seeds the
-incumbent; then it asks whether some order ends every job at or below one
-less than the incumbent, takes any order it finds as the new incumbent, and
-asks again, until the answer is no or the incumbent reaches `lower_bound`.
-Each question branches on distinct sizes (equal sizes are interchangeable)
-and cuts:
+The search is a sequence of decision questions, each one a call of
+`decide(instance, target)`: does some order end every job by `target`?
+Greedy seeds the incumbent; then `optimal_makespan` asks for one less than
+the incumbent, takes any order it finds as the new incumbent, and asks
+again, until the answer is no or the incumbent reaches `lower_bound`.
+`decide` branches on distinct sizes (equal sizes are interchangeable) and
+cuts:
 
 - a placement that would end past the target;
 - a prefix whose unplaced jobs of size >= some live size d already cannot
@@ -38,6 +39,77 @@ class InstanceTooLargeError(ValueError):
     """The exact search refuses instances beyond its configured size."""
 
 
+def decide(instance: Instance, target: int) -> Schedule | None:
+    """A canonical schedule whose jobs all end by `target`, or None when no
+    order of the sizes fits.  Unlike `optimal_makespan` it has no size cap."""
+    n = instance.n
+    distinct = sorted(set(instance.sizes), reverse=True)
+    m = len(distinct)
+    cnt = [instance.sizes.count(p) for p in distinct]
+    # caps[j][r] = min(distinct[j], distinct[r]): placing a job of class j at
+    # s pushes the next start of class r to at least s + caps[j][r].
+    caps = [[min(p, q) for q in distinct] for p in distinct]
+    # unplaced multiset -> [(r, half-sum bound of the unplaced jobs of size
+    # >= distinct[r])] over the live classes r
+    suffix_bounds: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # next_start[r]: earliest start of a job of size distinct[r] after the
+    # placed prefix, non-increasing in r.
+    next_start = [0] * m
+    jobs: list[tuple[int, int]] = []
+    # unplaced multiset -> minimal next-start vectors (live classes only)
+    # of the prefixes explored so far, all of which failed
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def descend(depth: int) -> bool:
+        if depth == n:
+            return True
+        key = tuple(cnt)
+        bounds = suffix_bounds.get(key)
+        if bounds is None:
+            bounds = suffix_bounds[key] = []
+            suffix: list[int] = []
+            for r in range(m):
+                if key[r]:
+                    suffix += [distinct[r]] * key[r]
+                    bounds.append((r, _half_sum_bound(suffix)))
+        for r, bound in bounds:
+            if next_start[r] + bound > target:
+                return False
+        vec = tuple([next_start[r] for r, _ in bounds])
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [vec]
+        else:
+            for old in bucket:
+                if all(a <= b for a, b in zip(old, vec)):
+                    return False
+            bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
+            bucket.append(vec)
+        for j in range(m):
+            if not cnt[j]:
+                continue
+            p = distinct[j]
+            s = next_start[j]
+            if s + p > target:
+                continue
+            cnt[j] -= 1
+            jobs.append((p, s))
+            saved = next_start[:]
+            cap = caps[j]
+            for r in range(m):
+                need = s + cap[r]
+                if need > next_start[r]:
+                    next_start[r] = need
+            if descend(depth + 1):
+                return True
+            next_start[:] = saved
+            jobs.pop()
+            cnt[j] += 1
+        return False
+
+    return Schedule._trusted(tuple(jobs)) if descend(0) else None
+
+
 def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
     """Exact optimum makespan with a witness schedule.
 
@@ -58,89 +130,10 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
     best, _ = greedy_schedule(instance)
     best_val = makespan(best)
     floor = lower_bound(instance)
-    if best_val == floor:
-        return best_val, best
-
-    distinct = sorted(set(instance.sizes), reverse=True)
-    m = len(distinct)
-    counts = [instance.sizes.count(p) for p in distinct]
-    # caps[j][r] = min(distinct[j], distinct[r]): placing a job of class j at
-    # s pushes the next start of class r to at least s + caps[j][r].
-    caps = [[min(p, q) for q in distinct] for p in distinct]
-    # unplaced multiset -> [(r, half-sum bound of the unplaced jobs of size
-    # >= distinct[r])] over the live classes r
-    suffix_bounds: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-
-    def live_bounds(key: tuple[int, ...]) -> list[tuple[int, int]]:
-        bounds = []
-        suffix: list[int] = []
-        for r in range(m):
-            if key[r]:
-                suffix += [distinct[r]] * key[r]
-                bounds.append((r, _half_sum_bound(suffix)))
-        suffix_bounds[key] = bounds
-        return bounds
-
-    def fits(target: int) -> list[tuple[int, int]] | None:
-        """The (size, start) jobs, in start order, of a canonical schedule
-        that ends by `target`, or None."""
-        cnt = counts[:]
-        # next_start[r]: earliest start of a job of size distinct[r] after the
-        # placed prefix, non-increasing in r.
-        next_start = [0] * m
-        jobs: list[tuple[int, int]] = []
-        # unplaced multiset -> minimal next-start vectors (live classes only)
-        # of the prefixes explored so far, all of which failed
-        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-        def descend(depth: int) -> bool:
-            if depth == n:
-                return True
-            key = tuple(cnt)
-            bounds = suffix_bounds.get(key) or live_bounds(key)
-            for r, bound in bounds:
-                if next_start[r] + bound > target:
-                    return False
-            vec = tuple([next_start[r] for r, _ in bounds])
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [vec]
-            else:
-                for old in bucket:
-                    if all(a <= b for a, b in zip(old, vec)):
-                        return False
-                bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
-                bucket.append(vec)
-            for j in range(m):
-                if not cnt[j]:
-                    continue
-                p = distinct[j]
-                s = next_start[j]
-                if s + p > target:
-                    continue
-                cnt[j] -= 1
-                jobs.append((p, s))
-                saved = next_start[:]
-                cap = caps[j]
-                for r in range(m):
-                    need = s + cap[r]
-                    if need > next_start[r]:
-                        next_start[r] = need
-                if descend(depth + 1):
-                    return True
-                next_start[:] = saved
-                jobs.pop()
-                cnt[j] += 1
-            return False
-
-        return jobs if descend(0) else None
-
     # Ask for an order ending one below the incumbent until none exists.
     while best_val > floor:
-        jobs = fits(best_val - 1)
-        if jobs is None:
+        better = decide(instance, best_val - 1)
+        if better is None:
             break
-        best = Schedule._trusted(tuple(jobs))
-        best_val = makespan(best)
+        best, best_val = better, makespan(better)
     return best_val, best
-

@@ -1,5 +1,6 @@
 """Ratio-search harness: evaluation, merging, reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from oracles import order_brute_force_optimum, report_from_obj
 from trisched import check_feasible, fixture_instance, makespan, new_instance, optimal_makespan
 from trisched.bench import FIXTURE_RATIO, RatioSearchReport, evaluate_ratio, ratio_search
+from trisched.generators import ratio_bounded_instance
 from trisched.greedy import untraced_greedy
 from trisched.serialize import report_to_obj
 
@@ -54,6 +56,15 @@ class TestRatioSearch:
         # ratio <= 2 instances are solved optimally, so the best ratio is 1
         report = ratio_search(n=8, iterations=10, seed=3, bound=Fraction(2))
         assert report.ratio == 1
+
+    def test_ties_report_the_smallest_witness(self):
+        # every ratio in a bound-2 pool is 1, so the witness is the pool's
+        # lexicographically smallest sizes, here not its first instance
+        rng = random.Random(3)
+        pool = [ratio_bounded_instance(rng, 6, Fraction(2), 50).sizes for _ in range(30)]
+        report = ratio_search(n=6, iterations=30, seed=3, bound=Fraction(2))
+        assert report.ratio == 1
+        assert report.witness == min(pool) != pool[0]
 
     @pytest.mark.parametrize("iterations, bound", [(-1, None), (-1, Fraction(2)), (0, Fraction(2))])
     def test_iterations_that_leave_no_report_rejected(self, iterations, bound):

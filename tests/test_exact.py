@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_schedule_for_order, grid_exhaustive_optimum
+from oracles import canonical_schedule_for_order, grid_exhaustive_optimum, order_brute_force_optimum
 from trisched import (
     InstanceTooLargeError,
     Schedule,
@@ -19,6 +19,7 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
+from trisched.exact import decide
 from trisched.generators import random_instance
 
 small_sizes = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8)
@@ -155,6 +156,26 @@ class TestOptimalMakespan:
                 for order in itertools.permutations(sizes)
             )
             assert value == brute
+
+
+class TestDecide:
+    def test_answers_match_brute_force_orders(self):
+        # targets around the optimum, some above the greedy incumbent, which
+        # `optimal_makespan` never asks, and one below the largest size
+        rng = random.Random(8)
+        for k in range(35):
+            n = 1 + k % 7
+            sizes = [rng.randint(1, (3, 12, 40)[k % 3]) for _ in range(n)]
+            inst = new_instance(sizes)
+            opt = order_brute_force_optimum(sizes)
+            for target in (*range(opt - 2, opt + 3), inst.sizes[0] - 1):
+                found = decide(inst, target)
+                if target < opt:
+                    assert found is None
+                else:
+                    assert sorted(found.sizes, reverse=True) == list(inst.sizes)
+                    assert check_feasible(found) == []
+                    assert makespan(found) <= target
 
 
 def test_n12_scale_gate():

@@ -26,6 +26,7 @@ from trisched import (
     schedule_from_matching,
     solve_3dm_bruteforce,
 )
+from trisched.exact import decide
 
 TDM1 = ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,))
 TDM2 = ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
@@ -326,6 +327,44 @@ class TestSolve3dmBruteforce:
                 assert tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] == tdm.D
             for coord in range(3):
                 assert sorted(t[coord] for t in matching) == list(range(1, tdm.n + 1))
+
+
+def random_tdm(rng, n, D):
+    """3n values in the open range (D/4, D/2) summing to n*D, dealt into the
+    columns in drawn order; a matching may or may not exist."""
+    lo, hi = D // 4 + 1, (D - 1) // 2
+    while True:
+        values = [rng.randint(lo, hi) for _ in range(3 * n - 1)]
+        last = n * D - sum(values)
+        if lo <= last <= hi:
+            values.append(last)
+            return ThreeDMInstance(D=D, a=tuple(values[:n]), b=tuple(values[n:2 * n]), c=tuple(values[2 * n:]))
+
+
+class TestReductionBothWays:
+    """The encoding fits its target n*(8M+5D) exactly when a matching exists,
+    checked by the exact search on these instances (not a proof)."""
+
+    def assert_fits_iff_matching(self, tdm, M):
+        instance, _ = encode(tdm, M)
+        found = decide(instance, tdm.n * (8 * M + 5 * tdm.D))
+        matching = solve_3dm_bruteforce(tdm)
+        assert (found is None) == (matching is None)
+        if found is not None:
+            matching_from_schedule(tdm, M, found)   # a DecodeError unless it holds a matching
+        return matching is not None
+
+    def test_three_slots(self):
+        rng = random.Random(41)
+        solvable = []
+        for _ in range(20):
+            tdm = random_tdm(rng, 3, rng.choice((14, 18, 22)))
+            solvable.append(self.assert_fits_iff_matching(tdm, min_padding(tdm) + rng.choice((0, 5))))
+        assert 0 < sum(solvable) < len(solvable)
+
+    def test_four_slots_unsolvable(self):
+        tdm = ThreeDMInstance(D=22, a=(9, 6, 6, 6), b=(7, 10, 6, 7), c=(8, 9, 7, 7))
+        assert not self.assert_fits_iff_matching(tdm, min_padding(tdm))
 
 
 def random_rows_tdm(rng, n, D):

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, args",
     [
         ("qptas_quality.py", ["--instances", "2", "--n", "4", "--eps", "1"]),
-        ("reduction_roundtrip.py", ["--trials", "2", "--max-slots", "1"]),
+        ("reduction_roundtrip.py", ["--trials", "4", "--max-slots", "4"]),
     ],
 )
 def test_script_runs(script, args):
