@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Exercise the hardness reduction end to end on random matching instances.
 
-For each trial: build a random solvable numerical 3-dimensional matching
-instance, encode it as a scheduling instance, solve the matching by brute
-force, lay the matching out as a schedule, confirm on every trial, by two
-`decide` questions, that the target makespan n*(8M+5D) is optimal (some
-order ends by it, none ends one earlier), and decode the certificate back
-into a matching.  Any disagreement is a bug in the reduction.
+For each trial: build a random numerical 3-dimensional matching instance,
+encode it as a scheduling instance and solve the matching by brute force.
+Odd trials draw instances with D = 10, which always have a matching; even
+trials draw D in {14, 18, 22} and at most 5 slots, where a matching may not
+exist.  Every trial asks `decide` whether some order ends by the target
+makespan n*(8M+5D): it must find one exactly when a matching exists.  When
+one exists, the script also lays the matching out as a schedule, confirms
+by a second `decide` question that no order ends one earlier, and decodes
+the certificate back into a matching.  Any disagreement is a bug in the
+reduction.
 """
 
 import argparse
@@ -39,6 +43,18 @@ def random_solvable_tdm(rng: random.Random, n: int) -> ThreeDMInstance:
     return ThreeDMInstance(D=10, a=tuple(cols[0]), b=tuple(cols[1]), c=tuple(cols[2]))
 
 
+def random_tdm(rng: random.Random, n: int, D: int) -> ThreeDMInstance:
+    """3n values in the open range (D/4, D/2) summing to n*D, dealt into the
+    columns in drawn order; a matching may or may not exist."""
+    lo, hi = D // 4 + 1, (D - 1) // 2
+    while True:
+        values = [rng.randint(lo, hi) for _ in range(3 * n - 1)]
+        last = n * D - sum(values)
+        if lo <= last <= hi:
+            values.append(last)
+            return ThreeDMInstance(D=D, a=tuple(values[:n]), b=tuple(values[n:2 * n]), c=tuple(values[2 * n:]))
+
+
 def check(condition: bool, message: str) -> None:
     """Exit with status 1 and a one-line message unless `condition` holds;
     unlike an assert, it still checks under `python -O`."""
@@ -57,33 +73,47 @@ def main() -> None:
 
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
+    unmatched = 0
     for trial in range(1, args.trials + 1):
-        n = rng.randint(1, args.max_slots)
-        tdm = random_solvable_tdm(rng, n)
+        solvable = trial % 2 == 1
+        if solvable:
+            n = rng.randint(1, args.max_slots)
+            tdm = random_solvable_tdm(rng, n)
+        else:
+            n = rng.randint(1, min(args.max_slots, 5))
+            tdm = random_tdm(rng, n, rng.choice((14, 18, 22)))
         M = min_padding(tdm) + rng.randint(0, args.extra_padding)
         instance, labels = encode(tdm, M)
         target = n * (8 * M + 5 * tdm.D)
         check(labels.target == target, f"trial {trial}: labels target {labels.target}, expected {target}")
 
         matching = solve_3dm_bruteforce(tdm)
-        check(matching is not None, f"trial {trial}: no matching found, but the generator promised one")
-        certificate = schedule_from_matching(tdm, M, matching)
-        check(check_feasible(certificate) == [], f"trial {trial}: certificate is infeasible")
-        check(makespan(certificate) == target, f"trial {trial}: certificate makespan {makespan(certificate)}, target {target}")
+        check(matching is not None or not solvable, f"trial {trial}: no matching found, but the generator promised one")
+        found = decide(instance, target)
+        check((found is None) == (matching is None),
+              f"trial {trial}: the oracle {'finds no' if found is None else 'finds a'} schedule ending by {target}, "
+              f"but the instance has {'a' if matching else 'no'} matching")
+        if matching is None:
+            unmatched += 1
+        else:
+            certificate = schedule_from_matching(tdm, M, matching)
+            check(check_feasible(certificate) == [], f"trial {trial}: certificate is infeasible")
+            check(makespan(certificate) == target,
+                  f"trial {trial}: certificate makespan {makespan(certificate)}, target {target}")
+            check(decide(instance, target - 1) is None, f"trial {trial}: the oracle finds a schedule ending before {target}")
 
-        check(decide(instance, target) is not None, f"trial {trial}: the oracle finds no schedule ending by {target}")
-        check(decide(instance, target - 1) is None, f"trial {trial}: the oracle finds a schedule ending before {target}")
-
-        decoded = matching_from_schedule(tdm, M, certificate)
-        redone = schedule_from_matching(tdm, M, decoded)
-        check(sorted(redone.jobs) == sorted(certificate.jobs), f"trial {trial}: decoded matching lays out another schedule")
+            decoded = matching_from_schedule(tdm, M, certificate)
+            redone = schedule_from_matching(tdm, M, decoded)
+            check(sorted(redone.jobs) == sorted(certificate.jobs),
+                  f"trial {trial}: decoded matching lays out another schedule")
 
         excess = binary_tree_ratio(instance) - 2
         check(excess == ratio_excess(tdm, M), f"trial {trial}: ratio excess {excess}, formula {ratio_excess(tdm, M)}")
-        print(f"trial {trial:>3}: slots {n}, M {M:>3}, target {target:>4}, ratio 2+{excess}")
+        print(f"trial {trial:>3}: slots {n}, D {tdm.D}, M {M:>3}, target {target:>4}, ratio 2+{excess}"
+              + ("" if matching else ", no matching"))
 
     dt = time.perf_counter() - t0
-    print(f"{args.trials} round trips ok, each oracle-confirmed, in {dt:.2f}s")
+    print(f"{args.trials} trials ok, each oracle-confirmed, {unmatched} without a matching, in {dt:.2f}s")
 
 
 if __name__ == "__main__":

@@ -51,11 +51,19 @@ def _load(path: str, from_obj):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(output: str | None, convert, *args, **kwargs) -> None:
+    """Write convert(*args, **kwargs) to the file `output`, or to stdout when
+    it is None.  The text is made at any digit count (`serialize.any_digits`)."""
+    text = serialize.any_digits(convert, *args, **kwargs)
     if output is None:
         sys.stdout.write(text)
     else:
         serialize.write_text(output, text)
+
+
+def _print(template: str, *values) -> None:
+    """print(template.format(*values)), at any digit count."""
+    print(serialize.any_digits(template.format, *values))
 
 
 def _cmd_gen(args) -> int:
@@ -64,10 +72,10 @@ def _cmd_gen(args) -> int:
             raise ValueError("--kind reduction needs --tdm and --M")
         tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
-        _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
+        _emit(args.output, serialize.dumps, serialize.instance_to_obj(instance))
         if args.output is not None:
             root, suffix = os.path.splitext(args.output)
-            serialize.write_text(root + ".labels" + suffix, serialize.labels_json(labels))
+            _emit(root + ".labels" + suffix, serialize.labels_json, labels)
         return 0
     if args.kind == "fixture":
         if args.fixture is None:
@@ -83,7 +91,7 @@ def _cmd_gen(args) -> int:
             if args.bound is None:
                 raise ValueError("--kind ratio-bounded needs --bound")
             instance = generators.ratio_bounded_instance(rng, args.n, args.bound, args.max_size)
-    _emit(serialize.dumps(serialize.instance_to_obj(instance)), args.output)
+    _emit(args.output, serialize.dumps, serialize.instance_to_obj(instance))
     return 0
 
 
@@ -108,7 +116,7 @@ def _cmd_solve(args) -> int:
     _check_solve_flags(args)
     instance = _load(args.instance, serialize.instance_from_obj)
     if args.algo == "lb":
-        print(f"lower bound {lower_bound(instance)}")
+        _print("lower bound {}", lower_bound(instance))
         return 0
     if args.algo == "greedy":
         if args.trace is None and args.tree is None:
@@ -116,21 +124,21 @@ def _cmd_solve(args) -> int:
         else:
             schedule, trace = greedy_schedule(instance)
             if args.trace is not None:
-                serialize.write_text(args.trace, serialize.greedy_trace_json(trace))
+                _emit(args.trace, serialize.greedy_trace_json, trace)
             if args.tree is not None:
-                serialize.write_text(args.tree, tree_to_dot(trace))
+                _emit(args.tree, tree_to_dot, trace)
     elif args.algo == "exact":
         limit = DEFAULT_SIZE_LIMIT if args.limit is None else args.limit
         _, schedule = optimal_makespan(instance, limit=limit)
     else:
         schedule, stats = qptas.qptas_solve(instance, args.eps)
-    print(f"makespan {serialize.encode_exact(makespan(schedule))}")
     if args.algo == "qptas":
-        print(f"classes {stats.classes}")
-        print(f"grid-points {stats.grid_points}")
-        print(f"dp-states {stats.dp_states}")
+        _print("makespan {}\nclasses {}\ngrid-points {}\ndp-states {}",
+               makespan(schedule), stats.classes, stats.grid_points, stats.dp_states)
+    else:
+        _print("makespan {}", makespan(schedule))
     if args.output is not None:
-        serialize.write_text(args.output, serialize.schedule_json(schedule))
+        _emit(args.output, serialize.schedule_json, schedule)
     return 0
 
 
@@ -142,17 +150,21 @@ def _read_schedule(path: str) -> Schedule:
     return schedule
 
 
+def _infeasible_text(schedule: Schedule, violations) -> str:
+    lines = ["infeasible\n"]
+    for i, j in violations:
+        (p_i, s_i), (p_j, s_j) = schedule.jobs[i], schedule.jobs[j]
+        lines.append(f"  jobs {i} and {j}: |{s_i} - {s_j}| < min({p_i}, {p_j})\n")
+    return "".join(lines)
+
+
 def _cmd_check(args) -> int:
     schedule = _read_schedule(args.schedule)
     violations = check_feasible(schedule)
     if violations:
-        print("infeasible")
-        for i, j in violations:
-            p_i, s_i = schedule.jobs[i]
-            p_j, s_j = schedule.jobs[j]
-            print(f"  jobs {i} and {j}: |{s_i} - {s_j}| < min({p_i}, {p_j})")
+        _emit(None, _infeasible_text, schedule, violations)
         return 1
-    print(f"feasible makespan {serialize.encode_exact(makespan(schedule))}")
+    _print("feasible makespan {}", makespan(schedule))
     return 0
 
 
@@ -166,9 +178,9 @@ def _cmd_simulate(args) -> int:
         rng = random.Random(_seed(args.seed))
         demands = tuple(rng.randint(1, size) for size, _ in schedule.jobs)
     trace = simulate(schedule, demands)
-    print(f"completion {serialize.encode_exact(trace.completion)}")
+    _print("completion {}", trace.completion)
     if args.output is not None:
-        serialize.write_text(args.output, serialize.execution_trace_json(trace))
+        _emit(args.output, serialize.execution_trace_json, trace)
     return 0
 
 
@@ -179,11 +191,8 @@ def _cmd_render(args) -> int:
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
         schedule = _load(args.schedule, serialize.schedule_from_obj)
-    if args.format == "svg":
-        text = render.render_svg(schedule, scale=args.scale, trace=trace)
-    else:
-        text = render.render_ascii(schedule, scale=args.scale, trace=trace)
-    _emit(text, args.output)
+    draw = render.render_svg if args.format == "svg" else render.render_ascii
+    _emit(args.output, draw, schedule, scale=args.scale, trace=trace)
     return 0
 
 
@@ -195,15 +204,12 @@ def _cmd_bench(args) -> int:
         max_size=args.max_size,
         bound=args.bound,
     )
-    obj = serialize.report_to_obj(report)
-    print(f"ratio {obj['ratio']} witness {report.witness}")
+    obj = serialize.any_digits(serialize.report_to_obj, report)
+    _print("ratio {} witness {}", obj["ratio"], report.witness)
     if args.output is not None:
-        serialize.write_json(args.output, obj)
+        _emit(args.output, serialize.dumps, obj)
     if args.findings is not None and report.findings:
-        serialize.write_json(
-            args.findings,
-            {"findings": obj["findings"]},
-        )
+        _emit(args.findings, serialize.dumps, {"findings": obj["findings"]})
     return 0
 
 
@@ -294,14 +300,19 @@ SUBCOMMANDS = (
 
 
 def _parser_class(formatter_class):
-    return functools.partial(argparse.ArgumentParser, formatter_class=formatter_class)
+    """A subparser class that builds no parser for `add_parser(..., build=False)`."""
+    def parser_class(build=True, **kwargs):
+        return argparse.ArgumentParser(formatter_class=formatter_class, **kwargs) if build else None
+    return parser_class
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
     """The parser for `argv`.  Every subcommand is a choice, so the top-level
     help, usage and errors list them all, but only the one that `argv` runs
-    gets its arguments: the first token not starting with "-" (the top level
-    has no option but -h, so that token is the subcommand)."""
+    has a parser: the first token not starting with "-" (the top level has
+    no option but -h, so that token is the subcommand).  The others map to
+    None, which argparse never reads, as it reads only the subparser it
+    dispatches to."""
     # One terminal query: argparse's formatters without a width each make their own.
     import shutil
 
@@ -314,7 +325,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, summary, add_arguments in SUBCOMMANDS:
-        subparser = sub.add_parser(name, help=summary)
+        subparser = sub.add_parser(name, help=summary, build=name == chosen)
         if name == chosen:
             add_arguments(subparser)
     return parser

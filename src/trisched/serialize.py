@@ -44,6 +44,22 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def any_digits(convert, *args, **kwargs):
+    """convert(*args, **kwargs), with CPython's digit limit lifted for the
+    call and restored after it.  Results can have more digits than the inputs
+    the loaders admit (two sizes of 4300 digits end past 4300), so every text
+    the CLI prints or writes is made through here, one call per output; the
+    loaders keep the limit."""
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return convert(*args, **kwargs)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 class DigitLimitError(ValueError):
     """A number in a file has more digits than `_digit_limit()`; `literal`
     is its JSON text, of which the message shows a short prefix."""

@@ -585,17 +585,13 @@ def matching_from_schedule_reference(tdm: ThreeDMInstance, M: int, schedule: Sch
     return tuple(matching)
 
 
-def subcommand_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """The subparser of each subcommand of `parser`, by name."""
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return subparsers.choices
-
-
 def eager_parser(argv) -> argparse.ArgumentParser:
-    """`build_parser` with every subcommand given its arguments, whatever
-    `argv` runs."""
-    parser = build_parser([])
-    subparsers = subcommand_parsers(parser)
-    for name, _, add_arguments in SUBCOMMANDS:
-        add_arguments(subparsers[name])
+    """The parser `build_parser` stands for: argparse's own default formatter,
+    and all six subparsers built and given their arguments, whatever `argv`
+    runs.  Only the prog and description come from `build_parser`."""
+    lazy = build_parser([])
+    parser = argparse.ArgumentParser(prog=lazy.prog, description=lazy.description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, add_arguments in SUBCOMMANDS:
+        add_arguments(sub.add_parser(name, help=summary))
     return parser

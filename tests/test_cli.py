@@ -1,5 +1,6 @@
 """Command line surface: every subcommand end to end, plus exit codes."""
 
+import argparse
 import contextlib
 import copy
 import functools
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eager_parser, greedy_trace_from_obj, report_from_obj, subcommand_parsers
-from trisched import cli, greedy_schedule, new_instance, optimal_makespan
+from oracles import eager_parser, greedy_trace_from_obj, report_from_obj
+from trisched import cli, greedy_schedule, new_instance, optimal_makespan, serialize
 from trisched.cli import build_parser, cli_main
 from trisched.qptas import dp_solve
 from trisched.serialize import read_json
@@ -475,6 +476,28 @@ def test_number_past_the_digit_limit_names_the_file(tmp_path, capsys, start):
     assert err == f"error: {bad}: number {start[:24]}... has more than {sys.get_int_max_str_digits()} digits\n"
 
 
+@pytest.mark.parametrize("algo", [("greedy",), ("exact",), ("qptas", "--eps", "1/2"), ("lb",)], ids=operator.itemgetter(0))
+def test_results_past_the_digit_limit_print_and_write(tmp_path, capsys, algo):
+    """Two sizes at the digit limit load, and their makespan, one digit
+    longer, prints and is written; `check` and `simulate` read the schedule
+    back.  The process keeps its limit."""
+    limit = sys.get_int_max_str_digits()
+    size = 10 ** limit - 1
+    instance, schedule = tmp_path / "big.json", tmp_path / "schedule.json"
+    instance.write_text('{"sizes": [%d, %d]}' % (size, size))
+    output = () if algo == ("lb",) else ("-o", str(schedule))
+    code, out, err = run(capsys, "solve", str(instance), "--algo", *algo, *output)
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    two = serialize.any_digits(str, 2 * size)
+    assert out.splitlines()[0] == ("lower bound " if algo == ("lb",) else "makespan ") + two
+    if output:
+        assert run(capsys, "check", str(schedule)) == (0, f"feasible makespan {two}\n", "")
+        code, out, err = run(capsys, "simulate", "--schedule", str(schedule), "--random")
+        assert (code, err) == (0, "") and out.startswith("completion ")
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2
@@ -542,7 +565,7 @@ PARSER_ARGV = [
     ["bench", "ratio-search", "--max-size", "x"], ["bench", "ratio-search", "--bound", "x"],
     ["simulate", "--schedule", "s", "--random", "--demands", "d"], ["render", "--schedule", "s", "--trace", "t"],
     ["check", "a", "b"], ["solve", "i.json", "--algo", "lb", "extra"], ["bench", "ratio-search", "extra"],
-    ["gen", "--kind", "fixture", "--fixture", "staircase-4"],
+    ["gen", "--kind", "fixture", "--fixture", "staircase-4"], ["--", "frobnicate"], ["-x", "gen"], ["gen", "-h"],
 ]
 
 
@@ -555,12 +578,23 @@ def test_parser_matches_the_eager_parser(capsys, monkeypatch, columns, argv):
     assert run(capsys, *argv) == lazy
 
 
-def test_parser_adds_arguments_only_to_the_subcommand_it_runs():
-    parsers = subcommand_parsers(build_parser(["check", "x"]))
-    assert list(parsers) == ["gen", "solve", "check", "simulate", "render", "bench"]
-    assert "--algo" not in parsers["solve"]._option_string_actions
-    assert [action.dest for action in parsers["check"]._actions] == ["help", "schedule"]
-    assert parsers["bench"]._subparsers is None   # no ratio-search until bench runs
+# argparse parsers a build constructs: the top level, plus the subcommand that
+# runs and, for bench, its nested ratio-search
+PARSERS_BUILT = {("check", "x"): 2, ("bench", "ratio-search"): 3, (): 1, ("-h",): 1, ("frobnicate",): 1}
+
+
+@pytest.mark.parametrize("argv", PARSERS_BUILT, ids=lambda argv: " ".join(argv) or repr(argv))
+def test_parser_builds_only_the_subcommand_it_runs(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser(list(argv))
+    assert len(built) == PARSERS_BUILT[argv], built
 
 
 STAIRCASE = {"jobs": [
