@@ -7,9 +7,10 @@ Odd trials draw instances with D = 10, which always have a matching; even
 trials draw D in {14, 18, 22} and at most 5 slots, where a matching may not
 exist.  Every trial asks `decide` whether some order ends by the target
 makespan n*(8M+5D): it must find one exactly when a matching exists.  When
-one exists, the script also lays the matching out as a schedule, confirms
-by a second `decide` question that no order ends one earlier, and decodes
-the certificate back into a matching.  Any disagreement is a bug in the
+one exists, the script decodes the schedule `decide` found back into a
+matching, lays the brute-force matching out as a schedule, confirms by a
+second `decide` question that no order ends one earlier, and decodes that
+certificate back into a matching.  Any disagreement is a bug in the
 reduction.
 """
 
@@ -19,6 +20,7 @@ import sys
 import time
 
 from trisched import (
+    DecodeError,
     ThreeDMInstance,
     binary_tree_ratio,
     check_feasible,
@@ -62,6 +64,15 @@ def check(condition: bool, message: str) -> None:
         sys.exit(f"error: {message}")
 
 
+def decoded(tdm: ThreeDMInstance, M: int, schedule, what: str):
+    """The matching `schedule` decodes to; exits like `check` when the
+    decoder refuses it."""
+    try:
+        return matching_from_schedule(tdm, M, schedule)
+    except DecodeError as exc:
+        sys.exit(f"error: {what} does not decode: {exc}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=25)
@@ -96,14 +107,16 @@ def main() -> None:
         if matching is None:
             unmatched += 1
         else:
+            held = decoded(tdm, M, found, f"trial {trial}: the oracle's schedule")
+            check(all(tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] == tdm.D for i, j, k in held),
+                  f"trial {trial}: the oracle's schedule decodes to {held}, not a matching")
             certificate = schedule_from_matching(tdm, M, matching)
             check(check_feasible(certificate) == [], f"trial {trial}: certificate is infeasible")
             check(makespan(certificate) == target,
                   f"trial {trial}: certificate makespan {makespan(certificate)}, target {target}")
             check(decide(instance, target - 1) is None, f"trial {trial}: the oracle finds a schedule ending before {target}")
 
-            decoded = matching_from_schedule(tdm, M, certificate)
-            redone = schedule_from_matching(tdm, M, decoded)
+            redone = schedule_from_matching(tdm, M, decoded(tdm, M, certificate, f"trial {trial}: the certificate"))
             check(sorted(redone.jobs) == sorted(certificate.jobs),
                   f"trial {trial}: decoded matching lays out another schedule")
 

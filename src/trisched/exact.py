@@ -13,10 +13,11 @@ again, until the answer is no or the incumbent reaches `lower_bound`.
 `decide` branches on distinct sizes (equal sizes are interchangeable) and
 cuts:
 
-- a placement that would end past the target;
 - a prefix whose unplaced jobs of size >= some live size d already cannot
   fit: they all start at or after the next start for d, and among
-  themselves they need the half-sum bound of `lower_bound`;
+  themselves they need the half-sum bound of `lower_bound`.  That bound is
+  at least d (one job gives d, two or more at least 2d), so a prefix that
+  passes can place a job of every live size and end it by the target;
 - a prefix dominated by an explored one.  With the target fixed, a prefix
   matters to the future only through the unplaced multiset and the earliest
   next start of each remaining size, so a table keyed by the multiset holds
@@ -90,8 +91,6 @@ def decide(instance: Instance, target: int) -> Schedule | None:
                 continue
             p = distinct[j]
             s = next_start[j]
-            if s + p > target:
-                continue
             cnt[j] -= 1
             jobs.append((p, s))
             saved = next_start[:]

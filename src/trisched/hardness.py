@@ -27,13 +27,14 @@ least p_x after every E_u with u <= t and ends no later than every E_u
 with u > t starts, so it keeps min(p_x, W) = p_x from each; E jobs stand W
 apart; and a job y of a later window u starts at s_y >= u*W + p_y >=
 s_x + p_x + p_y.  Only the six pairs among each window's four other jobs
-are left to check, and the last window's bound gives makespan n*W.  Every
-schedule that decodes meets these conditions: each E job sits at t*W, each
-window holds four other jobs, and feasibility against E_t and E_{t+1} is
-the window bound.  So only a schedule that fails to decode can miss them,
-and the decoder then runs the global checks (the feasibility sweep, the
-makespan, the E starts, then each window's types and sum, window by
-window), which raise the DecodeError that names its first fault.
+are left to check, and the last window's bound gives makespan n*W.
+
+By the reduction's "schedule => matching" direction, every feasible
+schedule of makespan n*W is such a layout, with one job of each type per
+window and each triplet summing to D.  So a schedule that fails the proof
+fails the global checks that follow it (the feasibility sweep, then the
+makespan), which raise the DecodeError that names its fault; passing both
+would contradict the reduction, and raises a DecodeError too.
 
 A window holds one job of each type when its four other jobs, sorted by
 size, fall in the C, B, A and F size ranges in that order, and its triplet
@@ -186,13 +187,7 @@ def schedule_from_matching(tdm: ThreeDMInstance, M: int, matching: Matching) -> 
 
 
 class DecodeError(ValueError):
-    """A tight schedule failed to decode; `block` is the offending window
-    (0-based) or None when the failure is global."""
-
-    def __init__(self, message: str, block: int | None = None):
-        where = f" (block {block})" if block is not None else ""
-        super().__init__(message + where)
-        self.block = block
+    """A tight schedule failed to decode."""
 
 
 def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> Matching:
@@ -200,14 +195,13 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
 
     The E jobs must sit exactly at multiples of 8M+5D; each window between
     them must then hold exactly one F, A, B, C, and each window's triplet
-    must sum to D.  Anything else raises DecodeError naming the window.
-    Feasibility is proved window by window (see the module docstring); the
-    global checks run only when that proof does not go through.  Window t
-    takes, for each value, the smallest source index of that value that no
+    must sum to D.  Feasibility is proved window by window (see the module
+    docstring).  A schedule that fails that proof is infeasible, too long
+    or of the wrong sizes, and the DecodeError says which.  Window t takes,
+    for each value, the smallest source index of that value that no
     earlier window took.
     """
     sizes = _type_sizes(tdm, M)
-    n, window = tdm.n, sizes["E"][0]
     jobs = sorted(schedule.jobs, key=itemgetter(1))
     if sorted(map(itemgetter(0), jobs)) != sorted(chain.from_iterable(sizes.values())):
         raise DecodeError("schedule job sizes do not match the encoded instance")
@@ -216,14 +210,10 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
         violations = check_feasible(schedule)
         if violations:
             raise DecodeError(f"schedule is infeasible at pairs {violations}")
-        target = n * window
+        target = tdm.n * sizes["E"][0]
         if makespan(schedule) > target:
             raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
-        e_starts = [start for size, start in jobs if size == window]
-        expected = list(range(0, target, window))
-        if e_starts != expected:
-            raise DecodeError(f"E jobs start at {e_starts}, need exactly {expected}")
-        columns = _checked_windows(tdm, sizes, schedule)
+        raise DecodeError(f"feasible schedule within the target {target} is not a window layout")
     return tuple(zip(*map(_first_unused, columns, (sizes["A"], sizes["B"], sizes["C"]))))
 
 
@@ -258,32 +248,6 @@ def _tight_windows(jobs: list[tuple[int, int]], sizes: dict[str, tuple[int, ...]
         if not all(map(ge, map(abs, map(sub, larger_start, start)), size)):
             return None
     return p[2], p[1], p[0]
-
-
-def _checked_windows(tdm: ThreeDMInstance, sizes: dict[str, tuple[int, ...]], schedule: Schedule):
-    """Each window's A, B and C sizes, as three columns, for a schedule
-    whose E jobs sit at the window starts and whose jobs all start before
-    n*W.  Checks the windows in order, each for one job of every type and
-    then for its triplet sum, and raises DecodeError at the first that
-    fails."""
-    window = sizes["E"][0]
-    kind_of = {size: kind for kind in JOB_TYPES for size in sizes[kind]}
-    value_of = {
-        size: value
-        for kind, column in zip("ABC", (tdm.a, tdm.b, tdm.c))
-        for size, value in zip(sizes[kind], column)
-    }
-    held = [{kind: [] for kind in JOB_TYPES} for _ in range(tdm.n)]
-    for size, start in schedule.jobs:
-        held[start // window][kind_of[size]].append(size)
-    for t, block in enumerate(held):
-        for kind in JOB_TYPES:
-            if len(block[kind]) != 1:
-                raise DecodeError(f"window holds {len(block[kind])} jobs of type {kind}, need 1", block=t)
-        total = sum(value_of[block[kind][0]] for kind in "ABC")
-        if total != tdm.D:
-            raise DecodeError(f"triplet values sum to {total}, need {tdm.D}", block=t)
-    return tuple(tuple(block[kind][0] for block in held) for kind in "ABC")
 
 
 def _first_unused(held: tuple[int, ...], column: tuple[int, ...]) -> list[int]:

@@ -570,15 +570,12 @@ def matching_from_schedule_reference(tdm: ThreeDMInstance, M: int, schedule: Sch
     for t in range(tdm.n):
         for kind in JOB_TYPES:
             if len(blocks[t][kind]) != 1:
-                raise DecodeError(
-                    f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1",
-                    block=t,
-                )
+                raise DecodeError(f"window holds {len(blocks[t][kind])} jobs of type {kind}, need 1")
         unused = [free[blocks[t][kind][0]][1] for kind in ("A", "B", "C")]
         i, j, k = (indices[-1] for indices in unused)
         total = tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1]
         if total != tdm.D:
-            raise DecodeError(f"triplet values sum to {total}, need {tdm.D}", block=t)
+            raise DecodeError(f"triplet values sum to {total}, need {tdm.D}")
         for indices in unused:
             indices.pop()
         matching.append((i, j, k))

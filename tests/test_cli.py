@@ -400,6 +400,16 @@ class TestBench:
         assert out.startswith("ratio ")
         assert report_from_obj(read_json(report)).iterations == 3   # the reader recomputes the ratio
 
+    def test_findings_written(self, tmp_path, capsys):
+        # seed 4 draws (50, 17, 14, 12, 7), where greedy pays 55/52 of the optimum
+        findings = tmp_path / "findings.json"
+        code, out, _ = run(
+            capsys, "bench", "ratio-search", "--n", "5", "--iterations", "10",
+            "--seed", "4", "--findings", str(findings),
+        )
+        assert (code, out) == (0, "ratio 55/52 witness (50, 17, 14, 12, 7)\n")
+        assert read_json(findings) == {"findings": [{"sizes": [50, 17, 14, 12, 7], "ratio": "55/52"}]}
+
 
 # BAD stands for the malformed file, SCHEDULE for a valid schedule file.
 SOLVE = ("solve", "BAD", "--algo", "greedy")
@@ -444,6 +454,7 @@ MALFORMED = [
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
     case(("gen", "--kind", "ratio-bounded", "--n", "3", "--bound", "2"), "", id="seed-env-not-integer-ratio-bounded",
          env={"TS_SEED": "abc"}),
+    case(("gen", "--kind", "ratio-bounded", "--n", "0", "--bound", "2", "--seed", "1"), "", id="ratio-bounded-no-jobs"),
     case(("simulate", "--schedule", "SCHEDULE", "--random"), "", id="seed-env-not-integer-simulate", env={"TS_SEED": "abc"}),
     case(("bench", "ratio-search", "--n", "3", "--iterations", "1"), "", id="seed-env-not-integer-bench",
          env={"TS_SEED": "abc"}),

@@ -76,6 +76,10 @@ class TestAscii:
         with pytest.raises(ValueError):
             render_ascii(Schedule(((4, 0), (4, 1))))
 
+    def test_bad_scale_rejected(self):
+        with pytest.raises(ValueError, match="^scale must be positive$"):
+            render_ascii(STAIRCASE, scale=0)
+
     def test_time_axis_up_to_the_column_cap(self):
         fits = Schedule(((4, 0), (4, MAX_COLUMNS - 4)))
         assert render_ascii(fits).splitlines()[-1] == "-" * MAX_COLUMNS
