@@ -208,7 +208,7 @@ def _cmd_bench(args) -> int:
     _print("ratio {} witness {}", obj["ratio"], report.witness)
     if args.output is not None:
         _emit(args.output, serialize.dumps, obj)
-    if args.findings is not None and report.findings:
+    if args.findings is not None:
         _emit(args.findings, serialize.dumps, {"findings": obj["findings"]})
     return 0
 

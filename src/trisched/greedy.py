@@ -5,6 +5,12 @@ gap (earliest on ties) at distance its own size from the gap's left edge;
 when the gap is too short to absorb it, everything to the right slides over
 by the missing amount.
 
+The tie rule decides the schedule but never the makespan.  The makespan is
+the sum of the gap lengths, and placing p in a gap of length x replaces
+that length by p and max(p, x - p).  Every choice among equal largest gaps
+changes the multiset of lengths in the same way, so a heap of lengths alone
+follows the makespan step by step; the tests check greedy against one.
+
 Two entry points run the same loop.  `untraced_greedy` returns the schedule
 alone.  `greedy_schedule` also records the placement trace: where each job
 went, how far it shifted the jobs to its right, and its parent, the job

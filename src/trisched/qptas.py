@@ -3,7 +3,10 @@
 Pipeline: peel off small jobs (below eps*p_1/n), round the remaining sizes
 up to unit*(1+eps)^k where the unit is the smallest surviving size, restrict
 starts to a uniform grid, and run a configuration DP over the rounded size
-classes.  Large jobs take their original sizes back in the DP's start
+classes.  The DP drops two kinds of dominated state, which leaves its
+answer as it is: it forgets a class that can no longer bind a later job,
+and it drops a state that an earlier one of its layer beats by a uniform
+shift.  Large jobs take their original sizes back in the DP's start
 order and the small jobs follow them; each job then starts as early as the
 jobs before it allow, which moves no job right of its grid start (or, for a
 small job, of its slot after the makespan).
@@ -127,15 +130,37 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     largest exponent, every size and K times n*b^(top+1)/unit is an int:
     n*(a+b)^k*b^(top+1-k) for class k and a*(a+b)^top for K.
 
+    Two kinds of child are never stored, each because a state the DP keeps
+    does at least as well.  Placement and value are both monotone in the C
+    vector: a pointwise lower vector with the same counts places every later
+    job no later and ends no later.
+    - A class that can bind nothing is forgotten.  Placing z at index I
+      puts I >= C_x + reach[x][x] for every class x at or below z in size,
+      so C_x*K + x <= I*K and C_x + reach[w][x] <= I + reach[w][z] for every
+      later class w: x neither constrains a later job nor sets the value.
+      The child stores such classes as empty, which changes no path's
+      value and lets states that differed only there merge.
+    - A child that an earlier child of the same layer dominates by a
+      translation is dropped.  Two children after a move of class z with
+      the same counts, the same empty classes and the same placed indices
+      relative to I differ only by a shift delta >= 0 of every placed index;
+      one dict per layer keyed that way keeps the least I seen, and a child
+      at an I no smaller is dominated.  An exact duplicate is the case
+      delta = 0.
+
     States are enumerated one placed job per layer in a single forward
     sweep; each layer maps a state to (parent, class index) of the first
     move that reached it.  Parents are swept in insertion order and moves
     in class order, so a layer's states sit in the order of their
     lexicographically first paths, and the first best final state, followed
     back through its parents, is the first optimal move sequence in class
-    order.  Each placement lands past every earlier start, so that sequence
-    is the start order.  More than `budget` states before the last job
-    raise StateBudgetExceeded.
+    order.  The cuts keep that sequence: were one of its states dominated
+    by an earlier state of its layer, the earlier state's path followed by
+    the same remaining moves would be optimal too and lexicographically
+    smaller.  So the order is the one the uncut DP returns, and only the
+    state count falls.  Each placement lands past every earlier start, so
+    that sequence is the start order.  More than `budget` states before the
+    last job raise StateBudgetExceeded with the count reached.
     """
     classes = rounded.classes
     a, b = rounded.eps.numerator, rounded.eps.denominator
@@ -147,21 +172,28 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     counts = tuple(sum(1 for _, k in rounded.large if k == z) for z in classes)
     root = (-reach[0][0],) * m + counts
 
+    # a child's tail: the classes below the one just placed, forgotten
+    forgotten = [root[:m - zi - 1] for zi in range(m)]
+
     layers = [{root: None}]
     states = 0
     for _ in range(sum(counts)):
-        layer, following = layers[-1], {}
+        layer, following, least = layers[-1], {}, {}
         states += len(layer)
         if states > budget:
-            raise StateBudgetExceeded(budget)
+            raise StateBudgetExceeded(states)
         for state in layer:
             for zi in range(m):
                 left = state[m + zi]
                 if left:
                     index = max(0, max(map(add, state, reach[zi])))
-                    child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
-                    if child not in following:
-                        following[child] = (state, zi)
+                    head = state[:zi]
+                    rest = state[m:m + zi] + (left - 1,) + state[m + zi + 1:]
+                    # placed indices relative to this one; None marks empty
+                    key = tuple([c - index if c >= 0 else None for c in head]) + rest
+                    if least.get(key, index + 1) > index:
+                        least[key] = index
+                        following[head + (index,) + forgotten[zi] + rest] = (state, zi)
         layers.append(following)
 
     def value(state):

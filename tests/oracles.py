@@ -6,24 +6,26 @@ branch and bound that the exact oracle's deadline search replaced, the
 recursive Fraction DP that the QPTAS's integer layered DP replaced (with
 the per-class hand-back of grid starts that one sort replaced, and the
 Fraction rungs and grid schedule that the DP's integer exponents and class
-order stand for), and a brute force over integer start tuples that never
-uses the exact oracle's canonical form.  Tests cross-check the fast paths
-against them on small inputs.  The gap split rule `insert_into_gap`, which
-the library's greedy loop inlines, lives here beside the quadratic greedy
-that calls it.  The canonical schedule of an order is the reference for the
-exact oracle's witness, the `*_to_obj` functions below are the reference
-for the text writers that replaced them (`dumps` of their dict is the file
-a writer must match byte for byte), and the two strict readers load the
-greedy trace and ratio-search report files that the CLI writes but never
-reads.  The per-entry instance, schedule and 3DM readers are the reference
-for the loaders' C-level pass over files of plain ints: they decode every
-value and leave every check, and its message, to the public constructor.
-The reduction's decoder that re-encodes the instance, sweeps the whole
-schedule for feasibility and walks each window's jobs is the reference for
-the window-by-window decoder.  The eager parser, which gives every
-subcommand its arguments through the CLI's own per-subcommand functions,
-is the reference for the parser that gives them only to the subcommand it
-runs.
+order stand for), the layered DP that stores every state it reaches, which
+the DP over undominated states replaced, the heap of gap lengths that gives
+greedy's makespan without its schedule, and a brute force over integer
+start tuples that never uses the exact oracle's canonical form.  Tests
+cross-check the fast paths against them on small inputs.  The gap split
+rule `insert_into_gap`, which the library's greedy loop inlines, lives here
+beside the quadratic greedy that calls it.  The canonical schedule of an
+order is the reference for the exact oracle's witness, the `*_to_obj`
+functions below are the reference for the text writers that replaced them
+(`dumps` of their dict is the file a writer must match byte for byte), and
+the two strict readers load the greedy trace and ratio-search report files
+that the CLI writes but never reads.  The per-entry instance, schedule and
+3DM readers are the reference for the loaders' C-level pass over files of
+plain ints: they decode every value and leave every check, and its message,
+to the public constructor.  The reduction's decoder that re-encodes the
+instance, sweeps the whole schedule for feasibility and walks each window's
+jobs is the reference for the window-by-window decoder.  The eager parser,
+which gives every subcommand its arguments through the CLI's own
+per-subcommand functions, is the reference for the parser that gives them
+only to the subcommand it runs.
 """
 
 import argparse
@@ -31,6 +33,8 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heappush, heapreplace
+from operator import add
 from typing import Any, Sequence
 
 from trisched import (
@@ -51,7 +55,7 @@ from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.cli import SUBCOMMANDS, build_parser
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
-from trisched.qptas import QptasStats, RoundedInstance, grid_points, round_sizes, split_small
+from trisched.qptas import DPResult, QptasStats, RoundedInstance, grid_points, round_sizes, split_small
 from trisched.hardness import JOB_TYPES, ReductionLabels
 from trisched.serialize import _field, _integer, decode_exact, encode_exact
 from trisched.simulate import ExecutionTrace
@@ -174,6 +178,25 @@ def greedy_schedule_oracle(instance: Instance):
     for step, _, _, starts in greedy_oracle(instance):
         trace.append(step)
     return Schedule(tuple(zip(instance.sizes, starts))), tuple(trace)
+
+
+def greedy_makespan_oracle(sizes: Sequence[int]) -> int:
+    """Greedy's makespan from a heap of its gap lengths alone.
+
+    Placing p in a largest gap of length x leaves gaps of lengths p and
+    max(p, x - p), and the makespan is the sum of the lengths, so it grows
+    by max(0, 2p - x).  No start and no tie rule enters.
+    """
+    order = sorted(sizes, reverse=True)
+    span = order[0]
+    heap = [-span]
+    for p in order[1:]:
+        x = -heap[0]
+        heapreplace(heap, -p)
+        heappush(heap, min(-p, p - x))
+        if 2 * p > x:
+            span += 2 * p - x
+    return span
 
 
 def optimal_makespan_oracle(instance: Instance) -> tuple[int, Schedule]:
@@ -343,6 +366,51 @@ def dp_solve_oracle(rounded: RoundedInstance, n: int) -> GridResult:
         config = config[:zi] + (index,) + config[zi + 1:]
         counts = counts[:zi] + (counts[zi] - 1,) + counts[zi + 1:]
     return GridResult(makespan=result, schedule=Schedule(tuple(placements)), states=len(memo))
+
+
+def dp_solve_unpruned(rounded: RoundedInstance, n: int) -> DPResult:
+    """The QPTAS's integer layered DP with every reached state stored.
+
+    The same forward sweep as `qptas.dp_solve` in the same ints, but a
+    child is dropped only when it repeats a state of its layer: no class is
+    forgotten and no dominated state is cut.  It returns the same order, so
+    `dp_solve` may differ from it only in a lower state count.
+    """
+    classes = rounded.classes
+    a, b = rounded.eps.numerator, rounded.eps.denominator
+    top = classes[0]
+    tick = a * (a + b) ** top
+    sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in classes]
+    reach = [[-(-min(x, z) // tick) for x in sizes] for z in sizes]
+    m = len(classes)
+    counts = tuple(sum(1 for _, k in rounded.large if k == z) for z in classes)
+    root = (-reach[0][0],) * m + counts
+
+    layers = [{root: None}]
+    states = 0
+    for _ in range(sum(counts)):
+        layer, following = layers[-1], {}
+        states += len(layer)
+        for state in layer:
+            for zi in range(m):
+                left = state[m + zi]
+                if left:
+                    index = max(0, max(map(add, state, reach[zi])))
+                    child = state[:zi] + (index,) + state[zi + 1:m + zi] + (left - 1,) + state[m + zi + 1:]
+                    if child not in following:
+                        following[child] = (state, zi)
+        layers.append(following)
+
+    def value(state):
+        return max(c * tick + x for c, x in zip(state, sizes))
+
+    state = min(layers[-1], key=value)
+    order = []
+    for layer in layers[:0:-1]:
+        state, zi = layer[state]
+        order.append(zi)
+    order.reverse()
+    return DPResult(order=tuple(order), states=states)
 
 
 def qptas_solve_oracle(instance: Instance, eps) -> tuple[Schedule, QptasStats]:

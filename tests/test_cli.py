@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import eager_parser, greedy_trace_from_obj, report_from_obj
 from trisched import cli, greedy_schedule, new_instance, optimal_makespan, serialize
 from trisched.cli import build_parser, cli_main
-from trisched.qptas import dp_solve
+from trisched.qptas import StateBudgetExceeded, dp_solve, round_sizes
 from trisched.serialize import read_json
 
 
@@ -166,7 +166,7 @@ class TestSolve:
         assert lines[0] == "makespan 14"
         assert lines[1] == "classes 3"
         assert lines[2] == "grid-points 33"
-        assert lines[3] == "dp-states 23"
+        assert lines[3] == "dp-states 20"
 
     def test_qptas_on_the_readme_fixture(self, tmp_path, capsys):
         # the README's CLI tour prints these four lines
@@ -174,7 +174,7 @@ class TestSolve:
         assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-9", "-o", str(instance))[0] == 0
         code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert (code, err) == (0, "")
-        assert out == "makespan 42\nclasses 4\ngrid-points 163\ndp-states 6157\n"
+        assert out == "makespan 42\nclasses 4\ngrid-points 163\ndp-states 1417\n"
 
     def test_qptas_at_a_fine_eps(self, tmp_path, capsys):
         # the grid schedule's makespan had a numerator past CPython's
@@ -205,12 +205,20 @@ class TestSolve:
         assert Fraction(out.splitlines()[0].split()[1]) <= (1 + 3) ** 3 * optimum
 
     def test_qptas_past_the_state_budget(self, tmp_path, capsys, monkeypatch):
+        # the README fixture's layers hold 1, 4, 15, 42 and 94 states, so a
+        # budget of 100 trips at the count 156 that the fifth layer reaches,
+        # and the error names that count
+        sizes = [20, 20, 10, 5, 5, 4, 4, 4, 4]
+        rounded = round_sizes(new_instance(sizes), Fraction(1, 2))
+        with pytest.raises(StateBudgetExceeded) as info:
+            dp_solve(rounded, len(sizes), budget=100)
+        assert info.value.states == 156
         monkeypatch.setattr("trisched.qptas.dp_solve", functools.partial(dp_solve, budget=100))
         instance = tmp_path / "i.json"
-        instance.write_text('{"sizes": [20, 20, 10, 5, 5, 4, 4, 4, 4]}')
+        instance.write_text(json.dumps({"sizes": sizes}))
         code, _, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 1
-        assert err == "error: dp state budget exceeded after 100 states\n"
+        assert err == "error: dp state budget exceeded after 156 states\n"
 
     def test_qptas_needs_eps(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
@@ -409,6 +417,20 @@ class TestBench:
         )
         assert (code, out) == (0, "ratio 55/52 witness (50, 17, 14, 12, 7)\n")
         assert read_json(findings) == {"findings": [{"sizes": [50, 17, 14, 12, 7], "ratio": "55/52"}]}
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["absent", "stale"])
+    def test_findings_written_when_there_are_none(self, tmp_path, capsys, stale):
+        # seed 0 at n = 4 finds nothing past 21/20; the file still says so,
+        # and a file left by an earlier run does not survive
+        findings = tmp_path / "findings.json"
+        if stale:
+            findings.write_text('{"findings": [{"sizes": [1], "ratio": "2"}]}')
+        code, _, err = run(
+            capsys, "bench", "ratio-search", "--n", "4", "--iterations", "3",
+            "--seed", "0", "--findings", str(findings),
+        )
+        assert (code, err) == (0, "")
+        assert findings.read_text() == '{"findings": []}\n'
 
 
 # BAD stands for the malformed file, SCHEDULE for a valid schedule file.

@@ -1,22 +1,27 @@
 """The near-linear `check_feasible` and greedy against their quadratic
 oracles, the untraced greedy against the traced one, a scale gate that a
-quadratic regression fails, the exact oracle's deadline search against the
-branch and bound it replaced, the QPTAS's integer layered DP against the
-recursive Fraction DP it replaced, its left-shifted hand-back against the
-per-class pairing of grid starts shifted by the quadratic canonical
-schedule, a linear-time gate for that shift, and the schedules that skip
-the public constructor's checks against what those checks make of them."""
+quadratic regression fails, greedy's makespan against a heap of gap
+lengths at n = 10^5, the exact oracle's deadline search against the branch
+and bound it replaced, the QPTAS's DP over undominated states against the
+recursive Fraction DP and the layered DP over every reached state that it
+replaced, its left-shifted hand-back against the per-class pairing of grid
+starts shifted by the quadratic canonical schedule, a linear-time gate for
+that shift, and the schedules that skip the public constructor's checks
+against what those checks make of them."""
 
 import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     canonical_schedule_for_order,
     dp_solve_oracle,
+    dp_solve_unpruned,
+    greedy_makespan_oracle,
     greedy_schedule_oracle,
     grid_schedule,
     optimal_makespan_oracle,
@@ -161,6 +166,7 @@ def test_greedy_and_check_scale_near_linearly():
         elapsed = time.perf_counter() - t0
         assert violations == []
         assert len(trace) == n and trace[-1].makespan == makespan(schedule)
+        assert makespan(schedule) == greedy_makespan_oracle(sizes)
         assert makespan(schedule) >= lower_bound(inst)
         if len(set(sizes)) == 1:
             assert makespan(schedule) == lower_bound(inst)
@@ -170,6 +176,15 @@ def test_greedy_and_check_scale_near_linearly():
         elapsed = time.perf_counter() - t0
         assert untraced == schedule
         assert elapsed < 10.0, f"untraced greedy took {elapsed:.1f}s at n={n}"
+
+
+@pytest.mark.parametrize("top", [10**6, 3])
+def test_untraced_greedy_makespan_at_n_1e5(top):
+    # the heap of gap lengths checks every step's shift, which no schedule
+    # oracle reaches at this size; about 0.5 s for sizes up to 10^6
+    rng = random.Random(top)
+    sizes = [rng.randint(1, top) for _ in range(100_000)]
+    assert makespan(untraced_greedy(new_instance(sizes))) == greedy_makespan_oracle(sizes)
 
 
 def check_exact(sizes, expected):
@@ -248,8 +263,29 @@ class TestDpMatchesFractionOracle:
         rounded = round_sizes(inst, eps)
         order, states = dp_solve(rounded, inst.n)
         # the order, replayed on the Fraction grid, gives the oracle's
-        # makespan and schedule
-        assert (*grid_schedule(rounded, inst.n, order), states) == dp_solve_oracle(rounded, inst.n)
+        # makespan and schedule; the oracle memoizes every configuration,
+        # dominated ones too
+        grid_makespan, schedule, oracle_states = dp_solve_oracle(rounded, inst.n)
+        assert grid_schedule(rounded, inst.n, order) == (grid_makespan, schedule)
+        assert states <= oracle_states
+
+    @given(st.one_of(st.lists(st.integers(1, 50), min_size=1, max_size=8),
+                     st.lists(st.integers(1, 3), min_size=1, max_size=8),
+                     st.lists(st.integers(1, 1000), min_size=1, max_size=8)),
+           st.sampled_from(DP_EPS))
+    @settings(max_examples=200, deadline=None)
+    @example([8, 8, 8, 4, 4, 4, 4], 1)
+    @example(list(fixture_instance("greedy-gap-9").sizes)[:8], Fraction(1, 2))
+    def test_undominated_states_give_the_same_order(self, sizes, eps):
+        # the DP that stores every state it reaches returns the same first
+        # optimal order; forgetting and dropping dominated states only
+        # lowers the count
+        inst = new_instance(sizes)
+        rounded = round_sizes(inst, eps)
+        order, states = dp_solve(rounded, inst.n)
+        reference = dp_solve_unpruned(rounded, inst.n)
+        assert order == reference.order
+        assert states <= reference.states
 
     @given(dp_sizes, st.sampled_from(DP_EPS))
     @settings(max_examples=100, deadline=None)
@@ -269,7 +305,9 @@ class TestDpMatchesFractionOracle:
         starts = [0] * grid.n
         for k, start in zip(by_start, shifted):
             starts[k] = start
-        assert (schedule, stats) == (Schedule(tuple(zip(grid.sizes, starts))), grid_stats)
+        assert schedule == Schedule(tuple(zip(grid.sizes, starts)))
+        assert stats._replace(dp_states=None) == grid_stats._replace(dp_states=None)
+        assert stats.dp_states <= grid_stats.dp_states
         assert all(s <= g for s, g in zip(schedule.starts, grid.starts))
         assert_trusted(schedule)
 
