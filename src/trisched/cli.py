@@ -3,7 +3,9 @@
 Subcommands: gen, solve, check, simulate, render, bench.  Exit codes:
 0 on success, 1 on domain errors (bad instances, infeasible schedules,
 decode failures), 2 on usage errors.  TS_SEED supplies the default seed
-of the commands that draw random numbers.
+of the commands that draw random numbers.  A command runs under CPython's
+int-string digit limit plus 20 (`serialize.any_digits`), so what it writes
+reads back.  An error in reading or decoding a file names the file.
 """
 
 from __future__ import annotations
@@ -43,27 +45,19 @@ def _seed(seed: int | None) -> int:
 
 
 def _load(path: str, from_obj):
-    """from_obj(read_json(path)); a number past CPython's digit limit names
-    the file."""
+    """from_obj(read_json(path)), with any ValueError naming the file."""
     try:
         return from_obj(serialize.read_json(path))
-    except serialize.DigitLimitError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _emit(output: str | None, convert, *args, **kwargs) -> None:
-    """Write convert(*args, **kwargs) to the file `output`, or to stdout when
-    it is None.  The text is made at any digit count (`serialize.any_digits`)."""
-    text = serialize.any_digits(convert, *args, **kwargs)
+def _emit(output: str | None, text: str) -> None:
+    """Write `text` to the file `output`, or to stdout when it is None."""
     if output is None:
         sys.stdout.write(text)
     else:
         serialize.write_text(output, text)
-
-
-def _print(template: str, *values) -> None:
-    """print(template.format(*values)), at any digit count."""
-    print(serialize.any_digits(template.format, *values))
 
 
 def _cmd_gen(args) -> int:
@@ -72,10 +66,10 @@ def _cmd_gen(args) -> int:
             raise ValueError("--kind reduction needs --tdm and --M")
         tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
-        _emit(args.output, serialize.dumps, serialize.instance_to_obj(instance))
+        _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))
         if args.output is not None:
             root, suffix = os.path.splitext(args.output)
-            _emit(root + ".labels" + suffix, serialize.labels_json, labels)
+            _emit(root + ".labels" + suffix, serialize.labels_json(labels))
         return 0
     if args.kind == "fixture":
         if args.fixture is None:
@@ -91,7 +85,7 @@ def _cmd_gen(args) -> int:
             if args.bound is None:
                 raise ValueError("--kind ratio-bounded needs --bound")
             instance = generators.ratio_bounded_instance(rng, args.n, args.bound, args.max_size)
-    _emit(args.output, serialize.dumps, serialize.instance_to_obj(instance))
+    _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))
     return 0
 
 
@@ -116,7 +110,7 @@ def _cmd_solve(args) -> int:
     _check_solve_flags(args)
     instance = _load(args.instance, serialize.instance_from_obj)
     if args.algo == "lb":
-        _print("lower bound {}", lower_bound(instance))
+        print(f"lower bound {lower_bound(instance)}")
         return 0
     if args.algo == "greedy":
         if args.trace is None and args.tree is None:
@@ -124,21 +118,21 @@ def _cmd_solve(args) -> int:
         else:
             schedule, trace = greedy_schedule(instance)
             if args.trace is not None:
-                _emit(args.trace, serialize.greedy_trace_json, trace)
+                _emit(args.trace, serialize.greedy_trace_json(trace))
             if args.tree is not None:
-                _emit(args.tree, tree_to_dot, trace)
+                _emit(args.tree, tree_to_dot(trace))
     elif args.algo == "exact":
         limit = DEFAULT_SIZE_LIMIT if args.limit is None else args.limit
         _, schedule = optimal_makespan(instance, limit=limit)
     else:
         schedule, stats = qptas.qptas_solve(instance, args.eps)
     if args.algo == "qptas":
-        _print("makespan {}\nclasses {}\ngrid-points {}\ndp-states {}",
-               makespan(schedule), stats.classes, stats.grid_points, stats.dp_states)
+        print(f"makespan {makespan(schedule)}\nclasses {stats.classes}\n"
+              f"grid-points {stats.grid_points}\ndp-states {stats.dp_states}")
     else:
-        _print("makespan {}", makespan(schedule))
+        print(f"makespan {makespan(schedule)}")
     if args.output is not None:
-        _emit(args.output, serialize.schedule_json, schedule)
+        _emit(args.output, serialize.schedule_json(schedule))
     return 0
 
 
@@ -162,9 +156,9 @@ def _cmd_check(args) -> int:
     schedule = _read_schedule(args.schedule)
     violations = check_feasible(schedule)
     if violations:
-        _emit(None, _infeasible_text, schedule, violations)
+        _emit(None, _infeasible_text(schedule, violations))
         return 1
-    _print("feasible makespan {}", makespan(schedule))
+    print(f"feasible makespan {makespan(schedule)}")
     return 0
 
 
@@ -178,9 +172,9 @@ def _cmd_simulate(args) -> int:
         rng = random.Random(_seed(args.seed))
         demands = tuple(rng.randint(1, size) for size, _ in schedule.jobs)
     trace = simulate(schedule, demands)
-    _print("completion {}", trace.completion)
+    print(f"completion {trace.completion}")
     if args.output is not None:
-        _emit(args.output, serialize.execution_trace_json, trace)
+        _emit(args.output, serialize.execution_trace_json(trace))
     return 0
 
 
@@ -192,7 +186,7 @@ def _cmd_render(args) -> int:
     else:
         schedule = _load(args.schedule, serialize.schedule_from_obj)
     draw = render.render_svg if args.format == "svg" else render.render_ascii
-    _emit(args.output, draw, schedule, scale=args.scale, trace=trace)
+    _emit(args.output, draw(schedule, scale=args.scale, trace=trace))
     return 0
 
 
@@ -204,12 +198,12 @@ def _cmd_bench(args) -> int:
         max_size=args.max_size,
         bound=args.bound,
     )
-    obj = serialize.any_digits(serialize.report_to_obj, report)
-    _print("ratio {} witness {}", obj["ratio"], report.witness)
+    obj = serialize.report_to_obj(report)
+    print(f"ratio {obj['ratio']} witness {report.witness}")
     if args.output is not None:
-        _emit(args.output, serialize.dumps, obj)
+        _emit(args.output, serialize.dumps(obj))
     if args.findings is not None:
-        _emit(args.findings, serialize.dumps, {"findings": obj["findings"]})
+        _emit(args.findings, serialize.dumps({"findings": obj["findings"]}))
     return 0
 
 
@@ -340,7 +334,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        return serialize.any_digits(args.func, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

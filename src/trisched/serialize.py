@@ -2,8 +2,10 @@
 
 Exact rationals travel as "num/den" strings and integers stay bare JSON
 numbers; floats are rejected on load so wire data can never smuggle rounding
-error into the solvers.  Every loader reads its fields through `_field`, so
-a malformed file raises ValueError naming the field, never a KeyError.
+error into the solvers.  A string has one spelling (`_RATIONAL`), so no
+`int()` leniency can change a value on the way in.  Every loader reads its
+fields through `_field`, so a malformed file raises ValueError naming the
+field, never a KeyError.
 
 The per-job files the CLI writes (schedules, greedy and execution traces,
 reduction labels) come from text writers that format one row per job from
@@ -25,7 +27,7 @@ from .bench import RatioSearchReport
 from .core import ExactNumber, Instance, Schedule, new_instance
 from .greedy import GreedyTrace, TraceStep
 from .hardness import ReductionLabels, ThreeDMInstance
-from .simulate import ExecutionRecord, ExecutionTrace
+from .simulate import ExecutionRecord, ExecutionTrace, simulate
 
 
 def encode_exact(value: ExactNumber) -> int | str:
@@ -45,14 +47,15 @@ def _digit_limit() -> int:
 
 
 def any_digits(convert, *args, **kwargs):
-    """convert(*args, **kwargs), with CPython's digit limit lifted for the
-    call and restored after it.  Results can have more digits than the inputs
-    the loaders admit (two sizes of 4300 digits end past 4300), so every text
-    the CLI prints or writes is made through here, one call per output; the
-    loaders keep the limit."""
+    """convert(*args, **kwargs) under CPython's digit limit plus 20, then
+    the limit restored; no limit stays none.  `cli_main` runs each command
+    through here, so its loaders and writers share one cap.  Below 10^9
+    jobs no result passes its inputs by 20 digits (greedy's starts are at
+    most twice the sum of the sizes, the reduction's target n(8M+5D), the
+    QPTAS grid about n^2/eps points), so the CLI reads back what it writes."""
     limit = _digit_limit()
     if limit:
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(limit + 20)
     try:
         return convert(*args, **kwargs)
     finally:
@@ -60,22 +63,15 @@ def any_digits(convert, *args, **kwargs):
             sys.set_int_max_str_digits(limit)
 
 
-class DigitLimitError(ValueError):
-    """A number in a file has more digits than `_digit_limit()`; `literal`
-    is its JSON text, of which the message shows a short prefix."""
-
-    def __init__(self, literal: str):
-        super().__init__(f"number {_prefix(literal)} has more than {_digit_limit()} digits")
-
-
 def _prefix(text: str) -> str:
     """`text`, cut short when it is long."""
     return text if len(text) <= 40 else text[:24] + "..."
 
 
-def _too_many_digits(text: str) -> bool:
-    digits = text.strip().lstrip("+-")
-    return len(digits) > _digit_limit() > 0 and digits.isdecimal()
+# ASCII digits without leading zeros, a minus only on the numerator, and a
+# positive denominator; no spaces or underscores.  `re` compiles it on first
+# use, so a process that reads only plain ints never pays for it.
+_RATIONAL = r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?"
 
 
 def decode_exact(value: object) -> ExactNumber:
@@ -86,13 +82,14 @@ def decode_exact(value: object) -> ExactNumber:
     if isinstance(value, float):
         raise ValueError(f"floats are not allowed on the wire: {value!r}; use \"num/den\"")
     if isinstance(value, str):
+        if not re.fullmatch(_RATIONAL, value):
+            raise ValueError(f"bad rational literal {_prefix(repr(value))}")
         num, _, den = value.partition("/")
         try:
-            f = Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
-            if _too_many_digits(num) or _too_many_digits(den):
-                raise DigitLimitError(f'"{value}"') from None
-            raise ValueError(f"bad rational literal {_prefix(repr(value))}") from exc
+            f = Fraction(int(num), int(den or 1))
+        except ValueError:
+            # the spelling is right, so only the digit count can be wrong
+            raise ValueError(f"number {_prefix(json.dumps(value))} has more than {_digit_limit()} digits") from None
         return int(f) if f.denominator == 1 else f
     raise ValueError(f"expected int or \"num/den\" string, got {_prefix(repr(value))}")
 
@@ -185,9 +182,10 @@ def _integers(values: list, what: str) -> tuple[int, ...]:
 
 
 def execution_trace_from_obj(obj: object) -> ExecutionTrace:
-    """Load a trace that `simulate` could have written: record k is job k,
-    an executed record has start < end <= start + size, and a canceled one
-    names an executed record as its canceler."""
+    """Load a trace that `simulate` writes.  Record k must be job k, and
+    `simulate` must give the same trace when it runs the records' jobs with
+    each executed job's demand `end - start` and each canceled job's demand
+    1 (a canceled job uses no time, so its demand does not matter)."""
     records = []
     for k, r in enumerate(_field(obj, "records", "execution trace JSON", array=True)):
         job = _integer(_field(r, "job", "trace record"), "trace record jobs")
@@ -200,17 +198,22 @@ def execution_trace_from_obj(obj: object) -> ExecutionTrace:
         start = decode_exact(_field(r, "start", "trace record"))
         if status == "executed":
             end = decode_exact(_field(r, "end", "trace record"))
-            if not start < end <= start + size:
-                raise ValueError(f"trace record {k} runs [{start}, {end}), but needs start < end <= start + {size}")
             records.append(ExecutionRecord(k, size, start, True, end, None))
         else:
             canceler = _integer(_field(r, "canceled_by", "trace record"), "trace record cancelers")
             records.append(ExecutionRecord(k, size, start, False, None, canceler))
-    for r in records:
-        if not r.executed and not (0 <= r.canceled_by < len(records) and records[r.canceled_by].executed):
-            raise ValueError(f"trace record {r.job} is canceled by {r.canceled_by}, which is not an executed record")
     completion = decode_exact(_field(obj, "completion", "execution trace JSON"))
-    return ExecutionTrace(records=tuple(records), completion=completion)
+    trace = ExecutionTrace(records=tuple(records), completion=completion)
+    demands = [r.end - r.start if r.executed else 1 for r in records]
+    try:
+        expected = simulate(Schedule(tuple((r.size, r.start) for r in records)), demands)
+    except ValueError as exc:
+        raise ValueError(f"not a trace simulate writes: {exc}") from None
+    if trace != expected:
+        k = next((r.job for r, e in zip(records, expected.records) if r != e), None)
+        where = "completion" if k is None else f"record {k}"
+        raise ValueError(f"not a trace simulate writes: its {where} differs")
+    return trace
 
 
 def demands_from_obj(obj: object) -> tuple[ExactNumber, ...]:
@@ -323,12 +326,13 @@ def read_json(path) -> object:
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to load") from None
+        raise ValueError("JSON nested too deeply to load") from None
     except json.JSONDecodeError:
         raise
     except ValueError:
-        # the JSON parses, but a bare int is too long to convert
-        long_int = _digit_limit() and re.search(r"\d{%d,}" % (_digit_limit() + 1), text)
+        # the JSON parses, but a bare int is too long to convert; the search
+        # starts only where a run of digits starts, so it reads each digit once
+        long_int = _digit_limit() and re.search(r"(?<![0-9])[0-9]{%d}" % (_digit_limit() + 1), text)
         if not long_int:
             raise
-        raise DigitLimitError(long_int[0]) from None
+        raise ValueError(f"number {_prefix(long_int[0])} has more than {_digit_limit()} digits") from None

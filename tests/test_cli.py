@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import eager_parser, greedy_trace_from_obj, report_from_obj
-from trisched import cli, greedy_schedule, new_instance, optimal_makespan, serialize
+from trisched import cli, greedy_schedule, new_instance, optimal_makespan
 from trisched.cli import build_parser, cli_main
 from trisched.qptas import StateBudgetExceeded, dp_solve, round_sizes
 from trisched.serialize import read_json
@@ -471,6 +471,9 @@ MALFORMED = [
     # past CPython's 4300-digit limit for converting between text and int
     case(("check", "BAD"), '{"jobs": [{"size": 3, "start": "%s/2"}]}' % ("9" * 5000), id="check-rational-past-digit-limit"),
     case(("check", "BAD"), '{"jobs": [{"size": 3, "start": %s}]}' % ("9" * 5000), id="check-int-past-digit-limit"),
+    # int() reads "1_0" as 10 and the Arabic-Indic "\u0661\u0662" as 12
+    case(("check", "BAD"), '{"jobs": [{"size": 3, "start": "1_0/2"}, {"size": 2, "start": "\u0661\u0662"}]}',
+         id="check-lax-rational-spellings"),
     case(GEN, '{"D": 10, "a": ["7/2"], "b": [3], "c": [4]}', id="tdm-fraction"),
     case(GEN, '{"D": 10, "a": 3, "b": [3], "c": [4]}', id="tdm-column-not-array"),
     case(("gen", "--kind", "random", "--n", "3"), "", id="seed-env-not-integer", env={"TS_SEED": "abc"}),
@@ -499,6 +502,12 @@ def test_malformed_file_is_one_error_line(staircase_schedule, tmp_path, capsys, 
 
 
 
+# CPython's limit on converting between text and int, as `cli_main` raises it
+# for a command
+def cap():
+    return sys.get_int_max_str_digits() + 20
+
+
 @pytest.mark.parametrize("start", ['"%s/2"' % ("9" * 5000), "9" * 5000, '"2/%s"' % ("9" * 5000)],
                          ids=["numerator", "bare-int", "denominator"])
 def test_number_past_the_digit_limit_names_the_file(tmp_path, capsys, start):
@@ -506,7 +515,21 @@ def test_number_past_the_digit_limit_names_the_file(tmp_path, capsys, start):
     bad.write_text('{"jobs": [{"size": 3, "start": %s}]}' % start)
     code, out, err = run(capsys, "check", str(bad))
     assert (code, out) == (1, "")
-    assert err == f"error: {bad}: number {start[:24]}... has more than {sys.get_int_max_str_digits()} digits\n"
+    assert err == f"error: {bad}: number {start[:24]}... has more than {cap()} digits\n"
+
+
+def test_number_past_the_digit_limit_is_found_in_linear_time(tmp_path, capsys):
+    """The search for the long number starts only where a run of digits
+    starts: one that started inside every run took 2.5 s on this file on a
+    2-vCPU Xeon VM."""
+    limit = cap()
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sizes": [%s]}' % ", ".join(["9" * limit] * 40 + ["9" * (limit + 1)]))
+    began = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(bad), "--algo", "lb")
+    assert time.perf_counter() - began < 0.5
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: number {'9' * 24}... has more than {limit} digits\n"
 
 
 @pytest.mark.parametrize("algo", [("greedy",), ("exact",), ("qptas", "--eps", "1/2"), ("lb",)], ids=operator.itemgetter(0))
@@ -522,13 +545,85 @@ def test_results_past_the_digit_limit_print_and_write(tmp_path, capsys, algo):
     code, out, err = run(capsys, "solve", str(instance), "--algo", *algo, *output)
     assert sys.get_int_max_str_digits() == limit
     assert (code, err) == (0, "")
-    two = serialize.any_digits(str, 2 * size)
+    two = "1" + "9" * (limit - 1) + "8"   # 2 * size
     assert out.splitlines()[0] == ("lower bound " if algo == ("lb",) else "makespan ") + two
     if output:
         assert run(capsys, "check", str(schedule)) == (0, f"feasible makespan {two}\n", "")
         code, out, err = run(capsys, "simulate", "--schedule", str(schedule), "--random")
         assert (code, err) == (0, "") and out.startswith("completion ")
         assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("algo", [("greedy",), ("exact",), ("qptas", "--eps", "1/2")], ids=operator.itemgetter(0))
+def test_files_written_from_inputs_at_the_limit_read_back(tmp_path, capsys, algo):
+    """Four sizes at the digit limit: the schedule's starts pass the limit,
+    and `check` reads the file back."""
+    instance, schedule = tmp_path / "big.json", tmp_path / "schedule.json"
+    instance.write_text('{"sizes": [%s]}' % ", ".join(["9" * sys.get_int_max_str_digits()] * 4))
+    code, out, err = run(capsys, "solve", str(instance), "--algo", *algo, "-o", str(schedule))
+    assert (code, err) == (0, "")
+    makespan = out.splitlines()[0].removeprefix("makespan ")
+    assert max(map(len, re.findall("[0-9]+", schedule.read_text()))) > sys.get_int_max_str_digits()
+    assert run(capsys, "check", str(schedule)) == (0, f"feasible makespan {makespan}\n", "")
+
+
+def test_execution_trace_past_the_limit_loads(tmp_path, capsys):
+    """Two sizes at the digit limit: the trace's completion passes the limit,
+    and `render --trace` loads it and stops where it draws."""
+    limit = sys.get_int_max_str_digits()
+    instance, schedule, trace = tmp_path / "big.json", tmp_path / "schedule.json", tmp_path / "trace.json"
+    instance.write_text('{"sizes": [%s, %s]}' % ("9" * limit, "9" * limit))
+    assert run(capsys, "solve", str(instance), "--algo", "greedy", "-o", str(schedule))[0] == 0
+    assert run(capsys, "simulate", "--schedule", str(schedule), "--random", "-o", str(trace))[0] == 0
+    assert run(capsys, "render", "--trace", str(trace)) == (1, "", "error: a coordinate is too large to draw\n")
+
+
+@pytest.mark.parametrize("algo", [("greedy",), ("lb",)], ids=operator.itemgetter(0))
+def test_result_past_the_cap_is_one_error_line(tmp_path, capsys, algo):
+    """Two sizes at the cap: their sum is one digit past it, and the call
+    ends in CPython's one line without writing the -o file."""
+    limit = cap()
+    instance, schedule = tmp_path / "big.json", tmp_path / "schedule.json"
+    instance.write_text('{"sizes": [%s, %s]}' % ("9" * limit, "9" * limit))
+    output = () if algo == ("lb",) else ("-o", str(schedule))
+    code, out, err = run(capsys, "solve", str(instance), "--algo", *algo, *output)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: Exceeds the limit ({limit} digits)") and err.count("\n") == 1
+    assert not schedule.exists()
+
+
+# A trace no run of `simulate` writes: job 2 starts after job 1 has ended, yet
+# says job 0 canceled it, and the completion is 99.
+IMPOSSIBLE_TRACE = {"completion": 99, "records": [
+    {"job": 0, "size": 6, "start": 0, "status": "executed", "end": 3},
+    {"job": 1, "size": 4, "start": 6, "status": "executed", "end": 8},
+    {"job": 2, "size": 2, "start": 9, "status": "canceled", "canceled_by": 0},
+]}
+
+
+def test_impossible_trace_is_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(IMPOSSIBLE_TRACE))
+    code, out, err = run(capsys, "render", "--trace", str(bad), "--format", "ascii")
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: not a trace simulate writes: its record 2 differs\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (SOLVE, '{"sizes": [3, 4}', "Expecting ',' delimiter"),
+    (("check", "BAD"), '{"schedule": []}', "schedule JSON has no 'jobs' field"),
+    (SIMULATE, '{"demands": [1, "١"]}', "bad rational literal"),
+    (GEN, '{"D": 10, "a": [3], "b": [3]}', "3DM JSON has no 'c' field"),
+    (RENDER, '{"records": []}', "execution trace JSON has no 'completion' field"),
+    (SOLVE, '{"sizes": ' + "[" * DEEP + "]" * DEEP + "}", "JSON nested too deeply to load"),
+], ids=["instance", "schedule", "demands", "3dm", "trace", "nesting"])
+def test_load_error_names_the_file(staircase_schedule, tmp_path, capsys, argv, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"BAD": str(bad), "SCHEDULE": str(staircase_schedule)}
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
 
 class TestExitCodes:

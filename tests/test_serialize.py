@@ -73,6 +73,14 @@ class TestExactNumbers:
         with pytest.raises(ValueError):
             decode_exact(bad)
 
+    # int() would take each of these: underscores, spaces, non-ASCII digits,
+    # signs other than the numerator's minus, and leading zeros
+    @pytest.mark.parametrize("bad", ["1_0/2", " 7 / 2 ", "7/2 ", "\u0661\u0662", "3/-2", "+3", "3/+2", "07", "3/04",
+                                     "-", "/2", "3/", "3/0"])
+    def test_only_one_spelling_is_read(self, bad):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            decode_exact(bad)
+
 
 class TestInstanceWire:
     def test_round_trip(self):
@@ -206,14 +214,16 @@ class TestTraceConsistency:
             (1, {"job": 0}, "must be job 1"),
             (0, {"job": "x"}, "rational"),
             (0, {"job": "1/2"}, "jobs must be integers"),
-            (0, {"end": 0}, "start < end"),             # ends where it starts
-            (0, {"end": 7}, "start < end"),             # runs longer than its size
-            (0, {"start": 4, "end": 2}, "start < end"), # ends before it starts
+            # these ids name the rule the case breaks: start < end <= start + size,
+            # and a canceler that is an executed record
+            pytest.param(0, {"end": 0}, "demand 0 outside", id="0-change3-start < end"),  # ends where it starts
+            pytest.param(0, {"end": 7}, "demand 7 outside", id="0-change4-start < end"),  # runs longer than its size
+            pytest.param(0, {"start": 4, "end": 2}, "infeasible", id="0-change5-start < end"),  # ends before it starts
             (1, {"canceled_by": "nobody"}, "rational"),
             (1, {"canceled_by": "1/2"}, "cancelers must be integers"),
-            (1, {"canceled_by": 1}, "not an executed record"),
-            (1, {"canceled_by": 2}, "not an executed record"),
-            (1, {"canceled_by": -1}, "not an executed record"),
+            pytest.param(1, {"canceled_by": 1}, "its record 1 differs", id="1-change8-not an executed record"),
+            pytest.param(1, {"canceled_by": 2}, "its record 1 differs", id="1-change9-not an executed record"),
+            pytest.param(1, {"canceled_by": -1}, "its record 1 differs", id="1-change10-not an executed record"),
             (1, {"canceled_by": None}, "expected int"),
         ],
     )
@@ -229,10 +239,16 @@ class TestTraceConsistency:
         with pytest.raises(ValueError, match="canceled_by"):
             execution_trace_from_obj(obj)
 
+    def test_completion_must_be_simulates(self):
+        obj = self.executed_and_canceled()
+        obj["completion"] = 99
+        with pytest.raises(ValueError, match="its completion differs"):
+            execution_trace_from_obj(obj)
+
     def test_canceled_by_a_canceled_record_rejected(self):
         obj = self.executed_and_canceled()
         obj["records"][0] = {"job": 0, "size": 6, "start": 0, "status": "canceled", "canceled_by": 1}
-        with pytest.raises(ValueError, match="not an executed record"):
+        with pytest.raises(ValueError, match="its record 0 differs"):
             execution_trace_from_obj(obj)
 
     @pytest.mark.parametrize(
