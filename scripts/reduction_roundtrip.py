@@ -111,7 +111,7 @@ def main() -> None:
             check(all(tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] == tdm.D for i, j, k in held),
                   f"trial {trial}: the oracle's schedule decodes to {held}, not a matching")
             certificate = schedule_from_matching(tdm, M, matching)
-            check(check_feasible(certificate) == [], f"trial {trial}: certificate is infeasible")
+            check(check_feasible(certificate) is None, f"trial {trial}: certificate is infeasible")
             check(makespan(certificate) == target,
                   f"trial {trial}: certificate makespan {makespan(certificate)}, target {target}")
             check(decide(instance, target - 1) is None, f"trial {trial}: the oracle finds a schedule ending before {target}")

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import bench, generators, qptas, render, serialize
-from .core import Schedule, check_feasible, lower_bound, makespan
+from .core import Schedule, check_feasible, conflict_text, lower_bound, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .greedy import greedy_schedule, tree_to_dot, untraced_greedy
 from .hardness import encode
@@ -136,34 +136,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _read_schedule(path: str) -> Schedule:
-    """A schedule file for `check` and `simulate`, which need at least one job."""
-    schedule = _load(path, serialize.schedule_from_obj)
+def _nonempty_schedule_from_obj(obj) -> Schedule:
+    """A schedule with at least one job, which `check`, `simulate` and
+    `render` need."""
+    schedule = serialize.schedule_from_obj(obj)
     if not schedule.jobs:
         raise ValueError("schedule has no jobs")
     return schedule
 
 
-def _infeasible_text(schedule: Schedule, violations) -> str:
-    lines = ["infeasible\n"]
-    for i, j in violations:
-        (p_i, s_i), (p_j, s_j) = schedule.jobs[i], schedule.jobs[j]
-        lines.append(f"  jobs {i} and {j}: |{s_i} - {s_j}| < min({p_i}, {p_j})\n")
-    return "".join(lines)
-
-
 def _cmd_check(args) -> int:
-    schedule = _read_schedule(args.schedule)
-    violations = check_feasible(schedule)
-    if violations:
-        _emit(None, _infeasible_text(schedule, violations))
+    schedule = _load(args.schedule, _nonempty_schedule_from_obj)
+    conflict = check_feasible(schedule)
+    if conflict is not None:
+        print(f"infeasible\n  {conflict_text(schedule, conflict)}")
         return 1
     print(f"feasible makespan {makespan(schedule)}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    schedule = _read_schedule(args.schedule)
+    schedule = _load(args.schedule, _nonempty_schedule_from_obj)
     if args.demands is not None:
         demands = _load(args.demands, serialize.demands_from_obj)
     else:
@@ -184,7 +177,7 @@ def _cmd_render(args) -> int:
         trace = _load(args.trace, serialize.execution_trace_from_obj)
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
-        schedule = _load(args.schedule, serialize.schedule_from_obj)
+        schedule = _load(args.schedule, _nonempty_schedule_from_obj)
     draw = render.render_svg if args.format == "svg" else render.render_ascii
     _emit(args.output, draw(schedule, scale=args.scale, trace=trace))
     return 0

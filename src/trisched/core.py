@@ -141,45 +141,40 @@ class Schedule(_Frozen):
         return tuple(start for _, start in self.jobs)
 
 
-def check_feasible(schedule: Schedule) -> list[tuple[int, int]]:
-    """Return every unordered pair of jobs violating the separation rule.
+def check_feasible(schedule: Schedule) -> tuple[int, int] | None:
+    """Return the first pair of jobs violating the separation rule, or None.
 
     A pair (i, j) of positions in ``schedule.jobs`` violates feasibility when
-    |s_i - s_j| < min(p_i, p_j).  An empty list means the schedule is
-    feasible; pairs come as (i, j) with i < j, in increasing order.
+    |s_i - s_j| < min(p_i, p_j).  None means the schedule is feasible;
+    otherwise the pair comes as (i, j) with i < j.
 
-    A stack sweep in start order: an earlier job i conflicts with j exactly
-    when its window covers s_j (s_i + p_i > s_j) and s_i > s_j - p_j.  Jobs
-    whose window ended before s_j are popped off the top, so the top is the
-    latest-starting earlier job covering s_j, and the walk down the stack
-    stops at the first job starting at or before s_j - p_j.  On a feasible
-    schedule that walk looks at one job, so the check is O(n log n); only a
-    job that conflicts with an earlier one walks further.
+    A stack sweep in start order, ties by position: jobs whose window ended
+    by s_j are popped off the top, so the top is the latest-starting earlier
+    job whose window covers s_j, and j conflicts with an earlier job exactly
+    when it conflicts with the top (s_top > s_j - p_j).  The pair returned
+    is that of the first job in sweep order to conflict with an earlier one
+    and of the top of the stack, the latest-swept job it conflicts with.
+    The check is O(n log n) whatever the schedule.
     """
     jobs = schedule.jobs
     starts = schedule.starts
-    stack: list[int] = []
-    stack_starts: list[ExactNumber] = []
-    stack_ends: list[ExactNumber] = []
-    bad = []
+    stack: list[tuple[ExactNumber, ExactNumber, int]] = []
     for j in sorted(range(len(jobs)), key=starts.__getitem__):
         p_j, s_j = jobs[j]
-        while stack_ends and stack_ends[-1] <= s_j:
+        while stack and stack[-1][1] <= s_j:
             stack.pop()
-            stack_starts.pop()
-            stack_ends.pop()
-        reach = s_j - p_j
-        k = len(stack) - 1
-        while k >= 0 and stack_starts[k] > reach:
-            if stack_ends[k] > s_j:
-                i = stack[k]
-                bad.append((i, j) if i < j else (j, i))
-            k -= 1
-        stack.append(j)
-        stack_starts.append(s_j)
-        stack_ends.append(s_j + p_j)
-    bad.sort()
-    return bad
+        if stack and stack[-1][0] > s_j - p_j:
+            i = stack[-1][2]
+            return (i, j) if i < j else (j, i)
+        stack.append((s_j, s_j + p_j, j))
+    return None
+
+
+def conflict_text(schedule: Schedule, pair: tuple[int, int]) -> str:
+    """The one-line account of a pair that `check_feasible` returned."""
+    i, j = pair
+    (p_i, s_i), (p_j, s_j) = schedule.jobs[i], schedule.jobs[j]
+    return f"jobs {i} and {j}: |{s_i} - {s_j}| < min({p_i}, {p_j})"
 
 
 def makespan(schedule: Schedule) -> ExactNumber:

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import add, ge, itemgetter, le, sub
 
-from .core import Instance, Schedule, check_feasible, makespan, new_instance
+from .core import Instance, Schedule, check_feasible, conflict_text, makespan, new_instance
 
 Matching = tuple[tuple[int, int, int], ...]
 
@@ -207,9 +207,9 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
         raise DecodeError("schedule job sizes do not match the encoded instance")
     columns = _tight_windows(jobs, sizes)
     if columns is None:
-        violations = check_feasible(schedule)
-        if violations:
-            raise DecodeError(f"schedule is infeasible at pairs {violations}")
+        conflict = check_feasible(schedule)
+        if conflict is not None:
+            raise DecodeError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
         target = tdm.n * sizes["E"][0]
         if makespan(schedule) > target:
             raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")

@@ -3,16 +3,18 @@
 Each job draws as a right triangle with vertices (s, 0), (s, h*p),
 (s + p, 0): full criticality at the start, expiring linearly at s + p.
 Execution traces add one row of rectangles under the time axis, one per
-executed interval.  Rendering refuses infeasible schedules and reports the
-violating pairs instead, and text rendering refuses a time axis longer than
-MAX_COLUMNS cells rather than write rows as long as the largest start.
+executed interval.  Rendering refuses an infeasible schedule with the
+message `simulate` gives, naming its first conflicting pair; it refuses an
+empty one because it has no makespan; and text rendering refuses a time
+axis longer than MAX_COLUMNS cells rather than write rows as long as the
+largest start.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Schedule, check_feasible, makespan
+from .core import Schedule, check_feasible, conflict_text, makespan
 from .simulate import ExecutionTrace
 
 # Widest time axis render_ascii draws, in text columns.
@@ -20,11 +22,9 @@ MAX_COLUMNS = 10_000
 
 
 def _require_feasible(schedule: Schedule) -> None:
-    violations = check_feasible(schedule)
-    if violations:
-        raise ValueError(f"refusing to render an infeasible schedule; violations {violations}")
-    if not schedule.jobs:
-        raise ValueError("refusing to render an empty schedule")
+    conflict = check_feasible(schedule)
+    if conflict is not None:
+        raise ValueError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
 
 
 def _digits(value: int) -> str:

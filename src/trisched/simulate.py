@@ -5,14 +5,16 @@ Sizes are worst-case budgets; at runtime each job has an actual demand
 falls inside the currently executing job's window is canceled by it and
 consumes no time; otherwise it executes for exactly its demand.  The gap
 structure of a feasible schedule guarantees the canceler always has strictly
-higher criticality than the job it cancels, whatever the demands are.
+higher criticality than the job it cancels, whatever the demands are.  An
+infeasible schedule is refused with one line, `schedule is infeasible:`
+followed by `core.conflict_text` of the first pair `check_feasible` finds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ExactNumber, Schedule, as_exact, check_feasible
+from .core import ExactNumber, Schedule, as_exact, check_feasible, conflict_text
 
 
 # One per job, so a named tuple, and `simulate` builds its rows with
@@ -38,9 +40,9 @@ def simulate(schedule: Schedule, demands) -> ExecutionTrace:
     schedules, out-of-range demands, and a cancellation that breaks the
     protection property (which feasibility rules out).
     """
-    violations = check_feasible(schedule)
-    if violations:
-        raise ValueError(f"schedule is infeasible at pairs {violations}")
+    conflict = check_feasible(schedule)
+    if conflict is not None:
+        raise ValueError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
     jobs = schedule.jobs
     if len(demands) != len(jobs):
         raise ValueError(f"need {len(jobs)} demands, got {len(demands)}")

@@ -10,7 +10,9 @@ order stand for), the layered DP that stores every state it reaches, which
 the DP over undominated states replaced, the heap of gap lengths that gives
 greedy's makespan without its schedule, and a brute force over integer
 start tuples that never uses the exact oracle's canonical form.  Tests
-cross-check the fast paths against them on small inputs.  The gap split
+cross-check the fast paths against them on small inputs; of the pairs
+the quadratic check lists, `first_pair_oracle` picks the one that
+`check_feasible` returns.  The gap split
 rule `insert_into_gap`, which the library's greedy loop inlines, lives here
 beside the quadratic greedy that calls it.  The canonical schedule of an
 order is the reference for the exact oracle's witness, the `*_to_obj`
@@ -52,6 +54,7 @@ from trisched import (
     new_instance,
 )
 from trisched.bench import RatioSearchReport, evaluate_ratio
+from trisched.core import conflict_text
 from trisched.cli import SUBCOMMANDS, build_parser
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
@@ -112,6 +115,21 @@ def pairs_oracle(schedule: Schedule) -> list[tuple[int, int]]:
             if abs(s_i - s_j) < min(p_i, p_j):
                 bad.append((i, j))
     return bad
+
+
+def first_pair_oracle(schedule: Schedule) -> tuple[int, int] | None:
+    """The pair of `pairs_oracle` that `check_feasible` names: jobs are swept
+    by (start, position), and the pair whose later-swept job comes first
+    wins, ties going to the pair whose earlier-swept job comes last; None
+    when there is no pair."""
+    order = sorted(range(schedule.n), key=lambda k: (schedule.jobs[k][1], k))
+    rank = {k: r for r, k in enumerate(order)}
+
+    def sweep_key(pair):
+        early, late = sorted(map(rank.__getitem__, pair))
+        return late, -early
+
+    return min(pairs_oracle(schedule), key=sweep_key, default=None)
 
 
 def insert_into_gap(
@@ -609,9 +627,9 @@ def matching_from_schedule_reference(tdm: ThreeDMInstance, M: int, schedule: Sch
     instance, labels = encode(tdm, M)
     if sorted(schedule.sizes, reverse=True) != list(instance.sizes):
         raise DecodeError("schedule job sizes do not match the encoded instance")
-    violations = check_feasible(schedule)
-    if violations:
-        raise DecodeError(f"schedule is infeasible at pairs {violations}")
+    conflict = check_feasible(schedule)
+    if conflict is not None:
+        raise DecodeError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
     target = labels.target
     window = target // tdm.n
     if makespan(schedule) > target:

@@ -23,7 +23,7 @@ class TestEvaluateRatio:
         # checked by every order of the sizes
         instance = fixture_instance("greedy-gap-65-58")
         schedule = untraced_greedy(instance)
-        assert makespan(schedule) == 130 and check_feasible(schedule) == []
+        assert makespan(schedule) == 130 and check_feasible(schedule) is None
         assert optimal_makespan(instance)[0] == 116
         assert order_brute_force_optimum(instance.sizes) == 116
         assert evaluate_ratio(instance) == Fraction(65, 58) > FIXTURE_RATIO

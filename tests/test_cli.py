@@ -291,7 +291,7 @@ class TestCheck:
         sched = tmp_path / "s.json"
         sched.write_text('{"jobs": []}')
         code, out, err = run(capsys, "check", str(sched))
-        assert (code, out, err) == (1, "", "error: schedule has no jobs\n")
+        assert (code, out, err) == (1, "", f"error: {sched}: schedule has no jobs\n")
 
 
 class TestSimulate:
@@ -344,7 +344,7 @@ class TestSimulate:
         demands.write_text('{"demands": []}')
         argv = ["--random"] if source == "--random" else ["--demands", str(demands)]
         code, out, err = run(capsys, "simulate", "--schedule", str(sched), *argv)
-        assert (code, out, err) == (1, "", "error: schedule has no jobs\n")
+        assert (code, out, err) == (1, "", f"error: {sched}: schedule has no jobs\n")
 
     def test_random_needs_integer_sizes(self, tmp_path, capsys):
         sched = tmp_path / "s.json"
@@ -356,6 +356,13 @@ class TestSimulate:
 
 
 class TestRender:
+    @pytest.mark.parametrize("fmt", ["svg", "ascii"])
+    def test_empty_schedule(self, tmp_path, capsys, fmt):
+        sched = tmp_path / "s.json"
+        sched.write_text('{"jobs": []}')
+        code, out, err = run(capsys, "render", "--schedule", str(sched), "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {sched}: schedule has no jobs\n")
+
     def test_ascii_schedule(self, staircase_schedule, capsys):
         code, out, _ = run(
             capsys, "render", "--schedule", str(staircase_schedule), "--format", "ascii"
@@ -607,6 +614,22 @@ def test_impossible_trace_is_refused(tmp_path, capsys):
     code, out, err = run(capsys, "render", "--trace", str(bad), "--format", "ascii")
     assert (code, out) == (1, "")
     assert err == f"error: {bad}: not a trace simulate writes: its record 2 differs\n"
+
+
+def test_coincident_jobs_end_in_one_conflict(tmp_path, capsys):
+    """2000 jobs at one start violate every pair: `check` names the first
+    pair and `simulate` refuses in one line, each within a second."""
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps({"jobs": [{"size": 5, "start": 0}] * 2000}))
+    t0 = time.perf_counter()
+    checked = run(capsys, "check", str(sched))
+    t1 = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--schedule", str(sched), "--random")
+    t2 = time.perf_counter()
+    assert checked == (1, "infeasible\n  jobs 0 and 1: |0 - 0| < min(5, 5)\n", "")
+    assert (code, out, err) == (1, "", "error: schedule is infeasible: jobs 0 and 1: |0 - 0| < min(5, 5)\n")
+    assert t1 - t0 < 1.0, f"check took {t1 - t0:.2f}s"
+    assert t2 - t1 < 1.0, f"simulate took {t2 - t1:.2f}s"
 
 
 @pytest.mark.parametrize("argv, text, message", [

@@ -21,12 +21,12 @@ from oracles import (
     canonical_schedule_for_order,
     dp_solve_oracle,
     dp_solve_unpruned,
+    first_pair_oracle,
     greedy_makespan_oracle,
     greedy_schedule_oracle,
     grid_schedule,
     optimal_makespan_oracle,
     order_brute_force_optimum,
-    pairs_oracle,
     qptas_solve_oracle,
 )
 from trisched import (
@@ -64,22 +64,22 @@ class TestCheckFeasibleMatchesPairOracle:
     @given(schedules(int_jobs))
     @settings(max_examples=300)
     def test_int_schedules(self, schedule):
-        assert check_feasible(schedule) == pairs_oracle(schedule)
+        assert check_feasible(schedule) == first_pair_oracle(schedule)
 
     @given(schedules(fraction_jobs))
     @settings(max_examples=300)
     def test_fraction_schedules(self, schedule):
-        assert check_feasible(schedule) == pairs_oracle(schedule)
+        assert check_feasible(schedule) == first_pair_oracle(schedule)
 
     @given(schedules(crowded_jobs))
     @settings(max_examples=200)
     def test_coincident_starts(self, schedule):
-        assert check_feasible(schedule) == pairs_oracle(schedule)
+        assert check_feasible(schedule) == first_pair_oracle(schedule)
 
     @given(schedules(dense_jobs))
     @settings(max_examples=200)
     def test_many_violations(self, schedule):
-        assert check_feasible(schedule) == pairs_oracle(schedule)
+        assert check_feasible(schedule) == first_pair_oracle(schedule)
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=60), st.data())
     @settings(max_examples=150)
@@ -90,7 +90,7 @@ class TestCheckFeasibleMatchesPairOracle:
         size, start = jobs[k]
         jobs[k] = (size, max(0, start + data.draw(st.integers(-3, 3))))
         schedule = Schedule(tuple(jobs))
-        assert check_feasible(schedule) == pairs_oracle(schedule)
+        assert check_feasible(schedule) == first_pair_oracle(schedule)
 
 
 uniform_sizes = st.lists(st.integers(1, 10**6), min_size=1, max_size=120)
@@ -162,9 +162,9 @@ def test_greedy_and_check_scale_near_linearly():
         inst = new_instance(sizes)
         t0 = time.perf_counter()
         schedule, trace = greedy_schedule(inst)
-        violations = check_feasible(schedule)
+        conflict = check_feasible(schedule)
         elapsed = time.perf_counter() - t0
-        assert violations == []
+        assert conflict is None
         assert len(trace) == n and trace[-1].makespan == makespan(schedule)
         assert makespan(schedule) == greedy_makespan_oracle(sizes)
         assert makespan(schedule) >= lower_bound(inst)
@@ -187,10 +187,15 @@ def test_untraced_greedy_makespan_at_n_1e5(top):
     assert makespan(untraced_greedy(new_instance(sizes))) == greedy_makespan_oracle(sizes)
 
 
+def test_coincident_jobs_name_their_first_pair_at_n_1e5():
+    # every one of the 5 * 10^9 pairs violates; the sweep stops at the first
+    assert check_feasible(Schedule(((5, 0),) * 100_000)) == (0, 1)
+
+
 def check_exact(sizes, expected):
     value, witness = optimal_makespan(new_instance(sizes))
     assert value == expected
-    assert check_feasible(witness) == []
+    assert check_feasible(witness) is None
     assert sorted(witness.sizes) == sorted(sizes)
     assert makespan(witness) == value
 

@@ -70,7 +70,7 @@ class TestGreedySchedule:
             (4, 8),
         )
         assert makespan(sched) == 42
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         last = trace[-1]
         assert (last.job, last.size, last.gap_start, last.gap_length) == (9, 4, 4, 6)
         assert (last.placement, last.shift, last.parent, last.makespan) == (8, 2, 6, 42)
@@ -86,7 +86,7 @@ class TestGreedySchedule:
         sched, _ = greedy_schedule(new_instance([8, 8, 4, 4, 4]))
         assert sched.jobs == ((8, 0), (8, 12), (4, 8), (4, 16), (4, 4))
         assert makespan(sched) == 20
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
 
     def test_single_job(self):
         sched, trace = greedy_schedule(new_instance([7]))
@@ -101,7 +101,7 @@ class TestGreedySchedule:
     def test_always_feasible_and_above_lower_bound(self, sizes):
         inst = new_instance(sizes)
         sched, _ = greedy_schedule(inst)
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         assert makespan(sched) >= lower_bound(inst)
 
     @given(sizes_lists)

@@ -175,12 +175,12 @@ class TestScheduleFromMatching:
             (52, 96),
             (29, 125),
         )
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         assert makespan(sched) == 154
 
     def test_two_slots_telescope(self):
         sched = schedule_from_matching(TDM2, 13, ((1, 1, 1), (2, 2, 2)))
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         assert makespan(sched) == 2 * 154
 
     def test_wrong_number_of_triplets_rejected(self):
@@ -228,7 +228,7 @@ class TestScheduleFromMatching:
     def test_alternative_valid_matching_accepted(self):
         # TDM2 also matches crosswise; both certificates are tight
         sched = schedule_from_matching(TDM2, 13, ((1, 2, 1), (2, 1, 2)))
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         assert makespan(sched) == 2 * 154
 
 
@@ -314,7 +314,7 @@ class TestMatchingFromSchedule:
         jobs = list(good.jobs)
         jobs[4] = (29, 126)  # feasible but one unit past the target
         sched = Schedule(tuple(jobs))
-        assert check_feasible(sched) == []
+        assert check_feasible(sched) is None
         with pytest.raises(DecodeError) as info:
             matching_from_schedule(TDM1, 13, sched)
         assert "exceeds" in str(info.value)
@@ -474,7 +474,7 @@ def pair_checks_off():
     sweep reports none.  Infeasible schedules then reach its E-start,
     per-window type and triplet-sum checks, which no feasible schedule of
     the target makespan fails."""
-    with mock.patch.object(oracles, "check_feasible", lambda schedule: []):
+    with mock.patch.object(oracles, "check_feasible", lambda schedule: None):
         yield
 
 

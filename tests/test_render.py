@@ -38,7 +38,7 @@ class TestSvg:
     def test_infeasible_rejected_with_pairs(self):
         with pytest.raises(ValueError) as info:
             render_svg(Schedule(((6, 0), (4, 3))))
-        assert "(0, 1)" in str(info.value)
+        assert "jobs 0 and 1" in str(info.value)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ class TestValidation:
             "import importlib\n"
             "from trisched import Schedule\n"
             "sim = importlib.import_module('trisched.simulate')\n"
-            "sim.check_feasible = lambda schedule: []\n"
+            "sim.check_feasible = lambda schedule: None\n"
             "try:\n"
             "    sim.simulate(Schedule(((4, 0), (6, 2))), (4, 1))\n"
             "except ValueError as exc:\n"
