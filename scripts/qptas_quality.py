@@ -4,8 +4,8 @@
 The algorithm promises makespan <= (1+eps)^3 * OPT.  In practice the
 rounding loses far less.  This sweep solves seeded random instances for a
 range of eps values and reports, per eps, the worst and mean realized
-ratio against the exact oracle next to the proven guarantee, plus the DP
-state counts that the accuracy is paid for with.
+ratio against the exact oracle next to the proven guarantee, plus the
+search node counts that the accuracy is paid for with.
 """
 
 import argparse
@@ -42,23 +42,23 @@ def main() -> None:
 
     header = (
         f"{'eps':>5}  {'guarantee':>10}  {'worst':>8}  {'mean':>8}"
-        f"  {'max states':>10}  {'time':>7}"
+        f"  {'max nodes':>10}  {'time':>7}"
     )
     print(header)
     for eps_text in args.eps:
         eps = Fraction(eps_text)
         t0 = time.perf_counter()
         ratios = []
-        max_states = 0
+        max_nodes = 0
         for inst in pool:
             schedule, stats = qptas_solve(inst, eps)
             ratios.append(Fraction(makespan(schedule), optima[inst]))
-            max_states = max(max_states, stats.dp_states)
+            max_nodes = max(max_nodes, stats.dp_states)
         dt = time.perf_counter() - t0
         guarantee = (1 + eps) ** 3
         print(
             f"{eps_text:>5}  {float(guarantee):>10.4f}  {float(max(ratios)):>8.4f}"
-            f"  {float(statistics.mean(ratios)):>8.4f}  {max_states:>10}  {dt:>6.2f}s"
+            f"  {float(statistics.mean(ratios)):>8.4f}  {max_nodes:>10}  {dt:>6.2f}s"
         )
         if max(ratios) > guarantee:
             sys.exit(f"error: eps {eps_text}: ratio {max(ratios)} exceeds the guarantee {guarantee}")

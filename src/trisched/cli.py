@@ -145,6 +145,14 @@ def _nonempty_schedule_from_obj(obj) -> Schedule:
     return schedule
 
 
+def _nonempty_trace_from_obj(obj):
+    """An execution trace with at least one record, which `render` needs."""
+    trace = serialize.execution_trace_from_obj(obj)
+    if not trace.records:
+        raise ValueError("trace has no records")
+    return trace
+
+
 def _cmd_check(args) -> int:
     schedule = _load(args.schedule, _nonempty_schedule_from_obj)
     conflict = check_feasible(schedule)
@@ -174,7 +182,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_render(args) -> int:
     trace = None
     if args.trace is not None:
-        trace = _load(args.trace, serialize.execution_trace_from_obj)
+        trace = _load(args.trace, _nonempty_trace_from_obj)
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
         schedule = _load(args.schedule, _nonempty_schedule_from_obj)

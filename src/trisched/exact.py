@@ -10,8 +10,13 @@ The search is a sequence of decision questions, each one a call of
 Greedy seeds the incumbent; then `optimal_makespan` asks for one less than
 the incumbent, takes any order it finds as the new incumbent, and asks
 again, until the answer is no or the incumbent reaches `lower_bound`.
-`decide` branches on distinct sizes (equal sizes are interchangeable) and
-cuts:
+
+`decide` is `_search` with the separation caps min(p, q).  The QPTAS asks
+the same search about its grid, with each cap rounded up to whole grid
+steps; every cut below holds for any caps at least min(p, q) that fall
+with the size as it does.  The search branches on distinct sizes (equal
+sizes are interchangeable), depth first in size order on its own stack,
+so no recursion limit caps the job count, and cuts:
 
 - a prefix whose unplaced jobs of size >= some live size d already cannot
   fit: they all start at or after the next start for d, and among
@@ -30,6 +35,9 @@ the cuts are strong rather than the nodes cheap.
 
 from __future__ import annotations
 
+import math
+from operator import le, lt
+
 from .core import Instance, Schedule, _half_sum_bound, lower_bound, makespan
 from .greedy import greedy_schedule
 
@@ -40,30 +48,40 @@ class InstanceTooLargeError(ValueError):
     """The exact search refuses instances beyond its configured size."""
 
 
-def decide(instance: Instance, target: int) -> Schedule | None:
-    """A canonical schedule whose jobs all end by `target`, or None when no
-    order of the sizes fits.  Unlike `optimal_makespan` it has no size cap."""
-    n = instance.n
-    distinct = sorted(set(instance.sizes), reverse=True)
-    m = len(distinct)
-    cnt = [instance.sizes.count(p) for p in distinct]
-    # caps[j][r] = min(distinct[j], distinct[r]): placing a job of class j at
-    # s pushes the next start of class r to at least s + caps[j][r].
-    caps = [[min(p, q) for q in distinct] for p in distinct]
-    # unplaced multiset -> [(r, half-sum bound of the unplaced jobs of size
-    # >= distinct[r])] over the live classes r
-    suffix_bounds: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    # next_start[r]: earliest start of a job of size distinct[r] after the
-    # placed prefix, non-increasing in r.
+def _search(sizes: list[int], counts: list[int], caps: list[list[int]], target: int,
+            suffix_bounds: dict, budget: float = math.inf) -> tuple[list[tuple[int, int]] | None, int]:
+    """The first order, in class order, whose jobs all end by `target`.
+
+    Class j has `counts[j]` jobs of size `sizes[j]`, sizes falling with j.
+    A job of class j at s pushes the next start of class r to s + caps[j][r]
+    or later; caps[j][r] is at least min(sizes[j], sizes[r]) and falls with
+    r as that does.  `suffix_bounds` memoizes a bound of the sizes and
+    counts alone, which questions on the same classes may share.  Returns
+    the placements, (class index, start) in start order, or None, and the
+    count of prefixes visited; more than `budget` of them give up with None.
+    """
+    n = sum(counts)
+    m = len(sizes)
+    cnt = list(counts)
+    # suffix_bounds: unplaced multiset -> [(r, half-sum bound of the
+    # unplaced jobs of size >= sizes[r])] over the live classes r
+    # next_start[r]: earliest start of a job of class r after the placed
+    # prefix, non-increasing in r; `saved` holds it before each placement
     next_start = [0] * m
+    saved: list[list[int]] = []
     jobs: list[tuple[int, int]] = []
     # unplaced multiset -> minimal next-start vectors (live classes only)
     # of the prefixes explored so far, all of which failed
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def descend(depth: int) -> bool:
-        if depth == n:
-            return True
+    # the next class to try after each prefix of `jobs`, m for none
+    tries: list[int] = []
+    nodes = 0
+    while True:
+        if len(jobs) == n:
+            return jobs, nodes
+        nodes += 1
+        if nodes > budget:
+            return None, nodes
         key = tuple(cnt)
         bounds = suffix_bounds.get(key)
         if bounds is None:
@@ -71,42 +89,54 @@ def decide(instance: Instance, target: int) -> Schedule | None:
             suffix: list[int] = []
             for r in range(m):
                 if key[r]:
-                    suffix += [distinct[r]] * key[r]
+                    suffix += [sizes[r]] * key[r]
                     bounds.append((r, _half_sum_bound(suffix)))
+        # the prefix gets children unless a cut proves it fails
+        tries.append(m)
         for r, bound in bounds:
             if next_start[r] + bound > target:
-                return False
-        vec = tuple([next_start[r] for r, _ in bounds])
-        bucket = table.get(key)
-        if bucket is None:
-            table[key] = [vec]
+                break
         else:
+            vec = tuple([next_start[r] for r, _ in bounds])
+            bucket = table.setdefault(key, [])
             for old in bucket:
-                if all(a <= b for a, b in zip(old, vec)):
-                    return False
-            bucket[:] = [old for old in bucket if any(a < b for a, b in zip(old, vec))]
-            bucket.append(vec)
-        for j in range(m):
-            if not cnt[j]:
-                continue
-            p = distinct[j]
-            s = next_start[j]
-            cnt[j] -= 1
-            jobs.append((p, s))
-            saved = next_start[:]
-            cap = caps[j]
-            for r in range(m):
-                need = s + cap[r]
-                if need > next_start[r]:
-                    next_start[r] = need
-            if descend(depth + 1):
-                return True
-            next_start[:] = saved
-            jobs.pop()
+                if all(map(le, old, vec)):
+                    break
+            else:
+                bucket[:] = [old for old in bucket if any(map(lt, old, vec))]
+                bucket.append(vec)
+                tries[-1] = 0
+        # back out of every prefix with no class left to try
+        while True:
+            j = tries[-1]
+            while j < m and not cnt[j]:
+                j += 1
+            if j < m:
+                break
+            tries.pop()
+            if not jobs:
+                return None, nodes
+            j, _ = jobs.pop()
             cnt[j] += 1
-        return False
+            next_start = saved.pop()
+        tries[-1] = j + 1
+        s = next_start[j]
+        cnt[j] -= 1
+        jobs.append((j, s))
+        saved.append(next_start)
+        next_start = [a if a > b else b for a, b in zip(next_start, [s + c for c in caps[j]])]
 
-    return Schedule._trusted(tuple(jobs)) if descend(0) else None
+
+def decide(instance: Instance, target: int) -> Schedule | None:
+    """A canonical schedule whose jobs all end by `target`, or None when no
+    order of the sizes fits.  Unlike `optimal_makespan` it has no size cap."""
+    distinct = sorted(set(instance.sizes), reverse=True)
+    counts = [instance.sizes.count(p) for p in distinct]
+    caps = [[min(p, q) for q in distinct] for p in distinct]
+    jobs, _ = _search(distinct, counts, caps, target, {})
+    if jobs is None:
+        return None
+    return Schedule._trusted(tuple([(distinct[j], s) for j, s in jobs]))
 
 
 def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:

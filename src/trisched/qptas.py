@@ -2,38 +2,38 @@
 
 Pipeline: peel off small jobs (below eps*p_1/n), round the remaining sizes
 up to unit*(1+eps)^k where the unit is the smallest surviving size, restrict
-starts to a uniform grid, and run a configuration DP over the rounded size
-classes.  The DP drops two kinds of dominated state, which leaves its
-answer as it is: it forgets a class that can no longer bind a later job,
-and it drops a state that an earlier one of its layer beats by a uniform
-shift.  Large jobs take their original sizes back in the DP's start
-order and the small jobs follow them; each job then starts as early as the
-jobs before it allow, which moves no job right of its grid start (or, for a
-small job, of its slot after the makespan).
+starts to a uniform grid, and find the best grid schedule of the rounded
+size classes with the exact oracle's search (`exact._search`), whose
+separation caps are rounded up to whole grid steps.  Large jobs take their
+original sizes back in the search's start order and the small jobs follow
+them; each job then starts as early as the jobs before it allow, which
+moves no job right of its grid start (or, for a small job, of its slot
+after the makespan).
 
 Each rounding loses at most a factor (1+eps), small jobs appended at the
 makespan would cost at most eps*p_1, and shifting left only lowers that,
 so the result is within (1+eps)^3 of optimal.  Every step runs on ints:
 with eps = a/b, a size's rung is the integer exponent k of the first
-unit*((a+b)/b)^k at or above it, the DP's sizes and grid step are ints in
-one common unit, the DP hands back only the order of its classes, and the
-shifted starts are plain ints.  eps must be a Fraction or int, never a
-float.
+unit*((a+b)/b)^k at or above it, the search's sizes and grid step are ints
+in one common unit, the search hands back only the order of its classes,
+and the shifted starts are plain ints.  eps must be a Fraction or int,
+never a float.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
 
 from .core import Instance, Schedule, as_exact, new_instance
+from .exact import _search
 
+# search nodes `dp_solve` may visit over all its questions
 DEFAULT_STATE_BUDGET = 5_000_000
 
 
 class StateBudgetExceeded(ValueError):
-    """The configuration DP hit its memoized-state budget."""
+    """The grid search visited more nodes than its budget allows."""
 
     def __init__(self, states: int):
         super().__init__(f"dp state budget exceeded after {states} states")
@@ -100,7 +100,7 @@ def grid_points(rounded: RoundedInstance, n: int) -> int:
 
     n is the size of the whole original instance.  Snapping any schedule of
     the rounded jobs onto this grid costs at most n*K = eps * p_1(rounded).
-    Each DP placement lands at most ceil(n/eps) points past the latest start
+    Each placement lands at most ceil(n/eps) points past the latest start
     so far, so the L rounded jobs fit by index (L-1)*ceil(n/eps); the grid
     reaches index max(ceil(n^2/eps), (L-1)*ceil(n/eps)).
     """
@@ -110,7 +110,7 @@ def grid_points(rounded: RoundedInstance, n: int) -> int:
 
 
 # order: the class index of each placed job, in start order; states: the
-# non-final configurations reached
+# search nodes visited over all questions
 DPResult = namedtuple("DPResult", "order states")
 
 
@@ -119,95 +119,50 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     order in which it places their classes.
 
     n is the size of the whole original instance, which sets the grid step
-    K (see `grid_points`).  A state is one tuple: the grid index C_x of the
-    last placed job of each class x, then the unplaced count of each class.
-    A job of class z goes to the first grid index at or after every
-    C_x*K + min(x, z), which keeps it feasible against all earlier jobs
-    (left-shifting shows no grid schedule does better):
-    max(0, C_x + reach[z][x]) with reach[z][x] = ceil(min(x, z)/K).  An
-    empty class sits at -reach[0][0] and constrains nothing.  A completed
-    state is worth max over x of C_x*K + x.  With eps = a/b and top the
-    largest exponent, every size and K times n*b^(top+1)/unit is an int:
-    n*(a+b)^k*b^(top+1-k) for class k and a*(a+b)^top for K.
+    K (see `grid_points`).  A job of class z goes to the first grid point at
+    or after s + min(x, z) for every earlier job of class x at s, which
+    keeps it feasible against all of them (left-shifting shows no grid
+    schedule does better).  With every start on the grid that is s plus the
+    cap K*ceil(min(x, z)/K), so this is `exact`'s search with those caps in
+    place of min(x, z), and start // K is the grid index.  With eps = a/b
+    and top the largest exponent, every size and K times n*b^(top+1)/unit is
+    an int: n*(a+b)^k*b^(top+1-k) for class k and a*(a+b)^top for K.
 
-    Two kinds of child are never stored, each because a state the DP keeps
-    does at least as well.  Placement and value are both monotone in the C
-    vector: a pointwise lower vector with the same counts places every later
-    job no later and ends no later.
-    - A class that can bind nothing is forgotten.  Placing z at index I
-      puts I >= C_x + reach[x][x] for every class x at or below z in size,
-      so C_x*K + x <= I*K and C_x + reach[w][x] <= I + reach[w][z] for every
-      later class w: x neither constrains a later job nor sets the value.
-      The child stores such classes as empty, which changes no path's
-      value and lets states that differed only there merge.
-    - A child that an earlier child of the same layer dominates by a
-      translation is dropped.  Two children after a move of class z with
-      the same counts, the same empty classes and the same placed indices
-      relative to I differ only by a shift delta >= 0 of every placed index;
-      one dict per layer keyed that way keeps the least I seen, and a child
-      at an I no smaller is dominated.  An exact duplicate is the case
-      delta = 0.
-
-    States are enumerated one placed job per layer in a single forward
-    sweep; each layer maps a state to (parent, class index) of the first
-    move that reached it.  Parents are swept in insertion order and moves
-    in class order, so a layer's states sit in the order of their
-    lexicographically first paths, and the first best final state, followed
-    back through its parents, is the first optimal move sequence in class
-    order.  The cuts keep that sequence: were one of its states dominated
-    by an earlier state of its layer, the earlier state's path followed by
-    the same remaining moves would be optimal too and lexicographically
-    smaller.  So the order is the one the uncut DP returns, and only the
-    state count falls.  Each placement lands past every earlier start, so
-    that sequence is the start order.  More than `budget` states before the
-    last job raise StateBudgetExceeded with the count reached.
+    The search branches on classes in class order and cuts only prefixes
+    proved to fail, so each question returns the lexicographically first
+    order that meets its target.  The first question, at a target every
+    order meets (no job starts later than the sum of the caps of the jobs
+    before it), returns the plain class order; each later one asks for one
+    less than the value just found, until the answer is no.  The last
+    order found has the optimal value v, as v - 1 is met by none, and its
+    target was at least v, so every optimal order met it too: it is the
+    first optimal order in class order.  Each placement lands past every
+    earlier start, so that order is the start order.  More than `budget`
+    search nodes over all questions raise StateBudgetExceeded with the
+    count reached.
     """
     classes = rounded.classes
     a, b = rounded.eps.numerator, rounded.eps.denominator
     top = classes[0]
     tick = a * (a + b) ** top
     sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in classes]
-    reach = [[-(-min(x, z) // tick) for x in sizes] for z in sizes]
-    m = len(classes)
-    counts = tuple(sum(1 for _, k in rounded.large if k == z) for z in classes)
-    root = (-reach[0][0],) * m + counts
-
-    # a child's tail: the classes below the one just placed, forgotten
-    forgotten = [root[:m - zi - 1] for zi in range(m)]
-
-    layers = [{root: None}]
+    caps = [[tick * -(-min(p, q) // tick) for q in sizes] for p in sizes]
+    counts = [sum(1 for _, k in rounded.large if k == z) for z in classes]
+    target = sum(c * caps[j][j] for j, c in enumerate(counts))
+    suffix_bounds: dict = {}
     states = 0
-    for _ in range(sum(counts)):
-        layer, following, least = layers[-1], {}, {}
-        states += len(layer)
+    while True:
+        jobs, nodes = _search(sizes, counts, caps, target, suffix_bounds, budget - states)
+        states += nodes
         if states > budget:
             raise StateBudgetExceeded(states)
-        for state in layer:
-            for zi in range(m):
-                left = state[m + zi]
-                if left:
-                    index = max(0, max(map(add, state, reach[zi])))
-                    head = state[:zi]
-                    rest = state[m:m + zi] + (left - 1,) + state[m + zi + 1:]
-                    # placed indices relative to this one; None marks empty
-                    key = tuple([c - index if c >= 0 else None for c in head]) + rest
-                    if least.get(key, index + 1) > index:
-                        least[key] = index
-                        following[head + (index,) + forgotten[zi] + rest] = (state, zi)
-        layers.append(following)
-
-    def value(state):
-        return max(c * tick + x for c, x in zip(state, sizes))
-
-    state = min(layers[-1], key=value)
-    order = []
-    for layer in layers[:0:-1]:
-        state, zi = layer[state]
-        order.append(zi)
-    order.reverse()
-    return DPResult(order=tuple(order), states=states)
+        if jobs is None:
+            return DPResult(order=tuple([j for j, _ in order]), states=states)
+        order = jobs
+        target = max(s + sizes[j] for j, s in jobs) - 1
 
 
+# dp_states: the search nodes `dp_solve` visited, 0 with no large job
 QptasStats = namedtuple("QptasStats", "eps threshold large small classes grid_points dp_states")
 
 

@@ -3,11 +3,11 @@
 These are the straightforward loops that the library's near-linear
 `check_feasible` and `greedy_schedule` replaced, the optimization-form
 branch and bound that the exact oracle's deadline search replaced, the
-recursive Fraction DP that the QPTAS's integer layered DP replaced (with
+recursive Fraction DP that the QPTAS's integer grid optimum replaced (with
 the per-class hand-back of grid starts that one sort replaced, and the
-Fraction rungs and grid schedule that the DP's integer exponents and class
+Fraction rungs and grid schedule that the integer exponents and class
 order stand for), the layered DP that stores every state it reaches, which
-the DP over undominated states replaced, the heap of gap lengths that gives
+the QPTAS's grid search replaced, the heap of gap lengths that gives
 greedy's makespan without its schedule, and a brute force over integer
 start tuples that never uses the exact oracle's canonical form.  Tests
 cross-check the fast paths against them on small inputs; of the pairs
@@ -387,12 +387,16 @@ def dp_solve_oracle(rounded: RoundedInstance, n: int) -> GridResult:
 
 
 def dp_solve_unpruned(rounded: RoundedInstance, n: int) -> DPResult:
-    """The QPTAS's integer layered DP with every reached state stored.
+    """The QPTAS's grid optimum as an integer layered DP with every
+    reached state stored.
 
-    The same forward sweep as `qptas.dp_solve` in the same ints, but a
-    child is dropped only when it repeats a state of its layer: no class is
-    forgotten and no dominated state is cut.  It returns the same order, so
-    `dp_solve` may differ from it only in a lower state count.
+    A state is the grid index of the last placed job of each class, then
+    the unplaced count of each class; one forward sweep enumerates them one
+    placed job per layer, and a child is dropped only when it repeats a
+    state of its layer.  Parents are swept in the order they were reached
+    and moves in class order, so the first best final state ends the
+    lexicographically first optimal order, the one `qptas.dp_solve`'s
+    search returns.
     """
     classes = rounded.classes
     a, b = rounded.eps.numerator, rounded.eps.denominator

@@ -166,7 +166,7 @@ class TestSolve:
         assert lines[0] == "makespan 14"
         assert lines[1] == "classes 3"
         assert lines[2] == "grid-points 33"
-        assert lines[3] == "dp-states 20"
+        assert lines[3] == "dp-states 33"
 
     def test_qptas_on_the_readme_fixture(self, tmp_path, capsys):
         # the README's CLI tour prints these four lines
@@ -174,7 +174,7 @@ class TestSolve:
         assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-9", "-o", str(instance))[0] == 0
         code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert (code, err) == (0, "")
-        assert out == "makespan 42\nclasses 4\ngrid-points 163\ndp-states 1417\n"
+        assert out == "makespan 42\nclasses 4\ngrid-points 163\ndp-states 335\n"
 
     def test_qptas_at_a_fine_eps(self, tmp_path, capsys):
         # the grid schedule's makespan had a numerator past CPython's
@@ -186,12 +186,12 @@ class TestSolve:
         assert out.splitlines()[0] == "makespan 74"
 
     def test_qptas_on_a_long_chain_of_equal_sizes(self, tmp_path, capsys):
-        # one DP state per placed job, far deeper than the recursion limit
+        # one search node per placed job, far deeper than the recursion limit
         instance = tmp_path / "i.json"
         instance.write_text(json.dumps({"sizes": [7] * 1200}))
         code, out, _ = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 0
-        assert out.splitlines()[1:] == ["classes 1", "grid-points 2880001", "dp-states 1200"]
+        assert out.splitlines()[1:] == ["classes 1", "grid-points 2880001", "dp-states 1201"]
 
     def test_qptas_where_the_stacked_jobs_pass_n_squared_over_eps(self, tmp_path, capsys):
         # 7 equal sizes at eps = 3 stack up to grid index 6*ceil(7/3) = 18,
@@ -205,20 +205,19 @@ class TestSolve:
         assert Fraction(out.splitlines()[0].split()[1]) <= (1 + 3) ** 3 * optimum
 
     def test_qptas_past_the_state_budget(self, tmp_path, capsys, monkeypatch):
-        # the README fixture's layers hold 1, 4, 15, 42 and 94 states, so a
-        # budget of 100 trips at the count 156 that the fifth layer reaches,
-        # and the error names that count
+        # the README fixture takes 335 search nodes, so a budget of 100
+        # trips at node 101, and the error names that count
         sizes = [20, 20, 10, 5, 5, 4, 4, 4, 4]
         rounded = round_sizes(new_instance(sizes), Fraction(1, 2))
         with pytest.raises(StateBudgetExceeded) as info:
             dp_solve(rounded, len(sizes), budget=100)
-        assert info.value.states == 156
+        assert info.value.states == 101
         monkeypatch.setattr("trisched.qptas.dp_solve", functools.partial(dp_solve, budget=100))
         instance = tmp_path / "i.json"
         instance.write_text(json.dumps({"sizes": sizes}))
         code, _, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 1
-        assert err == "error: dp state budget exceeded after 156 states\n"
+        assert err == "error: dp state budget exceeded after 101 states\n"
 
     def test_qptas_needs_eps(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
@@ -362,6 +361,13 @@ class TestRender:
         sched.write_text('{"jobs": []}')
         code, out, err = run(capsys, "render", "--schedule", str(sched), "--format", fmt)
         assert (code, out, err) == (1, "", f"error: {sched}: schedule has no jobs\n")
+
+    @pytest.mark.parametrize("fmt", ["svg", "ascii"])
+    def test_empty_trace(self, tmp_path, capsys, fmt):
+        trace = tmp_path / "t.json"
+        trace.write_text('{"completion": 0, "records": []}')
+        code, out, err = run(capsys, "render", "--trace", str(trace), "--format", fmt)
+        assert (code, out, err) == (1, "", f"error: {trace}: trace has no records\n")
 
     def test_ascii_schedule(self, staircase_schedule, capsys):
         code, out, _ = run(

@@ -16,6 +16,7 @@ from trisched import (
     new_instance,
     optimal_makespan,
     qptas_solve,
+    random_instance,
 )
 from trisched.qptas import dp_solve, grid_points, round_sizes, split_small
 
@@ -108,7 +109,7 @@ class TestDpSolve:
         result = dp_solve(rounded, 4)
         # grid starts 0, 27/8, 27/4 and 189/16
         assert result.order == (0, 2, 0, 1)
-        assert result.states == 20
+        assert result.states == 33
         grid_makespan, schedule = grid_schedule(rounded, 4, result.order)
         assert grid_makespan == Fraction(261, 16)
         assert check_feasible(schedule) is None
@@ -128,11 +129,11 @@ class TestDpSolve:
             assert index.denominator == 1 and 0 <= index < grid_points(rounded, inst.n)
 
     def test_budget_exhaustion(self):
-        # the root, then the two one-job states pass a budget of 1
+        # the first question's second node passes a budget of 1
         rounded = round_sizes(new_instance([6, 3]), 1)
         with pytest.raises(StateBudgetExceeded) as info:
             dp_solve(rounded, 2, budget=1)
-        assert info.value.states == 3
+        assert info.value.states == 2
 
     @pytest.mark.parametrize(
         "sizes, eps",
@@ -140,17 +141,15 @@ class TestDpSolve:
         ids=["two-classes", "four-jobs", "chain", "five-jobs"],
     )
     def test_budget_fires_past_the_reachable_states(self, sizes, eps):
-        # [4, 4, 4] is a chain of three states, the others branch
+        # [4, 4, 4] has one class, so each question is a chain; the others branch
         rounded = round_sizes(new_instance(sizes), eps)
         states = dp_solve(rounded, len(sizes)).states
         assert dp_solve(rounded, len(sizes), budget=states).states == states
         for budget in (1, states - 1):
             with pytest.raises(StateBudgetExceeded) as info:
                 dp_solve(rounded, len(sizes), budget=budget)
-            # the count after the first layer that passes the budget; only
-            # the last layer passes states - 1
-            assert budget < info.value.states <= states
-        assert info.value.states == states
+            # the search stops at the first node past the budget
+            assert info.value.states == budget + 1
 
 
 class TestQptasPipeline:
@@ -160,7 +159,7 @@ class TestQptasPipeline:
         assert sched.jobs == ((6, 0), (5, 6), (4, 10), (3, 3))
         assert makespan(sched) == 14
         assert (stats.large, stats.small, stats.classes) == (4, 0, 3)
-        assert (stats.grid_points, stats.dp_states) == (33, 20)
+        assert (stats.grid_points, stats.dp_states) == (33, 33)
         assert stats.threshold == Fraction(3, 4)
 
     def test_small_jobs_append_at_the_end(self):
@@ -181,13 +180,24 @@ class TestQptasPipeline:
 
     def test_fine_eps_rounds_in_ints(self):
         # the Fraction ladder climbed about 39 000 rungs with a gcd each
-        # and took 12.5 s here; the DP sees only 106 states
+        # and took 12.5 s here; the search visits only 11 nodes
         t0 = time.perf_counter()
         sched, stats = qptas_solve(new_instance([50, 37, 12, 3, 1]), Fraction(1, 10000))
         elapsed = time.perf_counter() - t0
         assert makespan(sched) == 74
-        assert (stats.classes, stats.grid_points, stats.dp_states) == (5, 250001, 106)
+        assert (stats.classes, stats.grid_points, stats.dp_states) == (5, 250001, 11)
         assert elapsed < 5.0, f"qptas took {elapsed:.1f}s at eps 1/10000"
+
+    def test_twelve_jobs_at_eps_one_half(self):
+        # the layered configuration DP that the grid search replaced took
+        # about 1 s on these five
+        rng = random.Random(0)
+        pool = [random_instance(rng, 12, 1000) for _ in range(5)]
+        t0 = time.perf_counter()
+        results = [qptas_solve(inst, Fraction(1, 2)) for inst in pool]
+        elapsed = time.perf_counter() - t0
+        assert all(check_feasible(schedule) is None for schedule, _ in results)
+        assert elapsed < 0.5, f"qptas took {elapsed:.2f}s on five instances of 12 jobs"
 
     def test_original_sizes_come_back(self):
         inst = new_instance([17, 13, 11, 7, 5])
