@@ -18,23 +18,13 @@ The decoder inverts this: E jobs must sit exactly at the window starts,
 every other job classifies by size, and each window must hold one F, A, B,
 C with its triplet summing to D.
 
-It proves feasibility window by window instead of sweeping every pair.
-Write W = 8M+5D and take the jobs in start order.  Suppose E_t starts at
-t*W and exactly four other jobs come between E_t and E_{t+1}, each inside
-its window: t*W + p <= s and s + p <= (t+1)*W.  Then no pair that involves
-an E job or spans two windows can conflict.  A job x of window t starts at
-least p_x after every E_u with u <= t and ends no later than every E_u
-with u > t starts, so it keeps min(p_x, W) = p_x from each; E jobs stand W
-apart; and a job y of a later window u starts at s_y >= u*W + p_y >=
-s_x + p_x + p_y.  Only the six pairs among each window's four other jobs
-are left to check, and the last window's bound gives makespan n*W.
-
-By the reduction's "schedule => matching" direction, every feasible
-schedule of makespan n*W is such a layout, with one job of each type per
-window and each triplet summing to D.  So a schedule that fails the proof
-fails the global checks that follow it (the feasibility sweep, then the
-makespan), which raise the DecodeError that names its fault; passing both
-would contradict the reduction, and raises a DecodeError too.
+It checks, in this order: the job sizes against the encoding, feasibility
+by `check_feasible`, the makespan against the target n*(8M+5D), and then
+the window layout.  By the reduction's "schedule => matching" direction,
+every feasible schedule of the target makespan is such a layout, with one
+job of each type per window and each triplet summing to D; a schedule that
+passes the first three checks and fails the layout would contradict the
+reduction, and raises a DecodeError too.
 
 A window holds one job of each type when its four other jobs, sorted by
 size, fall in the C, B, A and F size ranges in that order, and its triplet
@@ -46,8 +36,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, combinations, repeat
-from operator import add, ge, itemgetter, le, sub
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 from .core import Instance, Schedule, check_feasible, conflict_text, makespan, new_instance
 
@@ -195,43 +185,39 @@ def matching_from_schedule(tdm: ThreeDMInstance, M: int, schedule: Schedule) -> 
 
     The E jobs must sit exactly at multiples of 8M+5D; each window between
     them must then hold exactly one F, A, B, C, and each window's triplet
-    must sum to D.  Feasibility is proved window by window (see the module
-    docstring).  A schedule that fails that proof is infeasible, too long
-    or of the wrong sizes, and the DecodeError says which.  Window t takes,
-    for each value, the smallest source index of that value that no
-    earlier window took.
+    must sum to D.  A schedule of the wrong sizes, infeasible or too long
+    is refused first, and the DecodeError says which (see the module
+    docstring for the order).  Window t takes, for each value, the
+    smallest source index of that value that no earlier window took.
     """
     sizes = _type_sizes(tdm, M)
-    jobs = sorted(schedule.jobs, key=itemgetter(1))
-    if sorted(map(itemgetter(0), jobs)) != sorted(chain.from_iterable(sizes.values())):
+    if sorted(schedule.sizes) != sorted(chain.from_iterable(sizes.values())):
         raise DecodeError("schedule job sizes do not match the encoded instance")
-    columns = _tight_windows(jobs, sizes)
+    conflict = check_feasible(schedule)
+    if conflict is not None:
+        raise DecodeError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
+    target = tdm.n * sizes["E"][0]
+    if makespan(schedule) > target:
+        raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
+    columns = _window_columns(schedule, sizes)
     if columns is None:
-        conflict = check_feasible(schedule)
-        if conflict is not None:
-            raise DecodeError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
-        target = tdm.n * sizes["E"][0]
-        if makespan(schedule) > target:
-            raise DecodeError(f"makespan {makespan(schedule)} exceeds the target {target}")
         raise DecodeError(f"feasible schedule within the target {target} is not a window layout")
     return tuple(zip(*map(_first_unused, columns, (sizes["A"], sizes["B"], sizes["C"]))))
 
 
-def _tight_windows(jobs: list[tuple[int, int]], sizes: dict[str, tuple[int, ...]]):
-    """Each window's A, B and C sizes, as three columns, when `jobs`, in
-    start order, meet the window-local conditions of the module docstring
-    and every window holds one job of each type with its triplet summing to
-    D; otherwise None."""
+def _window_columns(schedule: Schedule, sizes: dict[str, tuple[int, ...]]):
+    """Each window's A, B and C sizes, as three columns, when the E jobs
+    start at the window starts and every window holds one job of each type
+    with its triplet summing to D; otherwise None."""
     n, window = len(sizes["E"]), sizes["E"][0]
-    edges = range(0, (n + 1) * window, window)
-    if jobs[::5] != list(zip(repeat(window), edges[:-1])):
+    jobs = sorted(schedule.jobs, key=itemgetter(1))
+    if jobs[::5] != list(zip(repeat(window), range(0, n * window, window))):
         return None
     # each window's four other jobs, smallest first: a C, B, A and F job
     # when the smallest is a C, the third an A and the largest an F; with
     # the sizes equal as multisets, the second is then a B
-    ranked = list(zip(*map(sorted, zip(jobs[1::5], jobs[2::5], jobs[3::5], jobs[4::5]))))
+    ranked = zip(*map(sorted, zip(jobs[1::5], jobs[2::5], jobs[3::5], jobs[4::5])))
     p = [list(map(itemgetter(0), column)) for column in ranked]
-    s = [list(map(itemgetter(1), column)) for column in ranked]
     if p[3].count(sizes["F"][0]) != n or not all(
         min(sizes[kind]) <= min(held) and max(held) <= max(sizes[kind])
         for kind, held in (("C", p[0]), ("A", p[2]))
@@ -240,13 +226,6 @@ def _tight_windows(jobs: list[tuple[int, int]], sizes: dict[str, tuple[int, ...]
     bc = list(map(add, p[0], p[1]))
     if list(map(add, p[2], map(add, bc, bc))) != [window] * n:
         return None
-    for size, start in zip(p, s):
-        if not (all(map(le, map(add, edges, size), start)) and all(map(le, map(add, start, size), edges[1:]))):
-            return None
-    # two jobs of a window stand at least the smaller one's size apart
-    for (size, start), (_, larger_start) in combinations(zip(p, s), 2):
-        if not all(map(ge, map(abs, map(sub, larger_start, start)), size)):
-            return None
     return p[2], p[1], p[0]
 
 
@@ -260,14 +239,18 @@ def _first_unused(held: tuple[int, ...], column: tuple[int, ...]) -> list[int]:
     return [take[size]() for size in held]
 
 
-def solve_3dm_bruteforce(tdm: ThreeDMInstance, limit: int = 6) -> Matching | None:
+# Largest n that solve_3dm_bruteforce accepts.
+BRUTEFORCE_LIMIT = 6
+
+
+def solve_3dm_bruteforce(tdm: ThreeDMInstance) -> Matching | None:
     """First matching in lexicographic order, or None; backtracking search.
 
     The a column is consumed in index order, so triplets come out with
     first coordinates 1..n.
     """
-    if tdm.n > limit:
-        raise ValueError(f"brute-force matcher limited to {limit} triplets, got {tdm.n}")
+    if tdm.n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"brute-force matcher limited to {BRUTEFORCE_LIMIT} triplets, got {tdm.n}")
     n = tdm.n
     used_b = [False] * n
     used_c = [False] * n

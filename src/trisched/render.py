@@ -21,10 +21,16 @@ from .simulate import ExecutionTrace
 MAX_COLUMNS = 10_000
 
 
-def _require_feasible(schedule: Schedule) -> None:
+def _drawing_scale(schedule: Schedule, scale) -> Fraction:
+    """`scale` as a Fraction; refuses an infeasible schedule, then a scale
+    that is not positive."""
     conflict = check_feasible(schedule)
     if conflict is not None:
         raise ValueError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    return scale
 
 
 def _digits(value: int) -> str:
@@ -46,10 +52,7 @@ def _fmt(value) -> str:
 
 def render_svg(schedule: Schedule, scale=1, trace: ExecutionTrace | None = None) -> str:
     """SVG text; `scale` stretches both axes, `trace` adds the execution row."""
-    _require_feasible(schedule)
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    scale = _drawing_scale(schedule, scale)
     span = makespan(schedule)
     peak = max(size for size, _ in schedule.jobs)
     axis_y = peak * scale
@@ -88,10 +91,7 @@ def render_svg(schedule: Schedule, scale=1, trace: ExecutionTrace | None = None)
 
 def render_ascii(schedule: Schedule, scale=1, trace: ExecutionTrace | None = None) -> str:
     """One text row per job in start order, offset by start, spanning size."""
-    _require_feasible(schedule)
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    scale = _drawing_scale(schedule, scale)
 
     def cells(value) -> int:
         return round(_float(value * scale))

