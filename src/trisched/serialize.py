@@ -311,9 +311,25 @@ def labels_json(labels: ReductionLabels) -> str:
 def write_text(path, text: str) -> None:
     """Write `text` to `path` as UTF-8.  The CLI writes every file through
     here: writing through `pathlib.Path` objects instead measured about
-    0.25 MiB more peak memory over 2700 CLI calls."""
-    with open(path, "w", encoding="utf-8") as handle:
+    0.25 MiB more peak memory over 2700 CLI calls.
+
+    A file that exists is rewritten in place and then cut to the new
+    length, since truncating it on open costs more than the write (a 1 KB
+    rewrite took 0.09 ms that way and 0.01 ms this way on ext4).  New
+    files, pipes and devices are never cut.  Neither way is atomic: a crash
+    or a full disk partway through can now leave the new bytes followed by
+    old ones, where a truncating open left an empty or short file."""
+    import os
+
+    def keep_contents(name, flags):
+        return os.open(name, flags & ~os.O_TRUNC, 0o666)   # open()'s own mode
+
+    with open(path, "w", encoding="utf-8", opener=keep_contents) as handle:
+        held = os.fstat(handle.fileno()).st_size
         handle.write(text)
+        # pipes, FIFOs and devices hold 0 bytes, and cannot seek
+        if held and held > handle.tell():
+            handle.truncate()
 
 
 def write_json(path, obj: dict) -> None:

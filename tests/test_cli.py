@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -668,6 +669,52 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"sizes": [0]}')
         assert run(capsys, "solve", str(bad), "--algo", "greedy")[0] == 1
+
+
+class TestOutputFiles:
+    """Output files are rewritten in place and cut to length only when they
+    held more bytes; what cannot be cut must never be asked to be."""
+
+    def test_schedule_over_its_own_trace_leaves_the_schedule(self, tmp_path, capsys):
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [20, 20, 10, 5, 5, 4, 4, 4, 4]}')
+        alone, shared = tmp_path / "alone.json", tmp_path / "shared.json"
+        assert run(capsys, "solve", str(instance), "--algo", "greedy", "-o", str(alone))[0] == 0
+        code, _, err = run(
+            capsys, "solve", str(instance), "--algo", "greedy", "--trace", str(shared), "-o", str(shared),
+        )
+        assert (code, err) == (0, "")
+        assert shared.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self, tmp_path, capsys):
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [6, 5, 4, 3]}')
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "greedy", "--trace", "/dev/null", "-o", "/dev/null")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_reader_gets_the_bytes(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code, _, err = run(capsys, "gen", "--kind", "fixture", "--fixture", "staircase-4", "-o", str(fifo))
+        finally:
+            # a writer that never came leaves the reader blocked in open
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert (code, err) == (0, "")
+        assert received == [b'{"sizes": [6, 5, 4, 3]}\n']
+
+    def test_directory_is_one_error_line(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "--kind", "fixture", "--fixture", "staircase-4", "-o", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
 
 
 HELP_ARGV = [(), ("gen",), ("solve",), ("check",), ("simulate",), ("render",), ("bench",), ("bench", "ratio-search")]

@@ -191,6 +191,23 @@ def test_n12_scale_gate():
     assert elapsed < 10.0, f"30 exact solves at n=12 took {elapsed:.1f}s"
 
 
+def test_three_halves_guarantee_past_the_size_cap():
+    # OPT is an int, so greedy <= 3/2 OPT exactly when no schedule ends by
+    # ceil(2 greedy / 3) - 1; n = 20 is past `optimal_makespan`'s cap, and
+    # a target under `lower_bound` needs no search at all
+    rng = random.Random(2029)
+    settled = searched = 0
+    for _ in range(200):
+        inst = random_instance(rng, 20, 50)
+        target = -(-2 * makespan(greedy_schedule(inst)[0]) // 3) - 1
+        if target < lower_bound(inst):
+            settled += 1
+        else:
+            searched += 1
+        assert decide(inst, target) is None
+    assert (settled, searched) == (167, 33)
+
+
 class TestGridExhaustiveOptimum:
     def test_matches_search_on_every_tiny_multiset(self):
         for n in range(1, 4):

@@ -1,6 +1,7 @@
 """Wire formats: exact numbers, instances, schedules, traces, demands."""
 
 import json
+import os
 from fractions import Fraction
 from itertools import chain
 
@@ -37,6 +38,7 @@ from trisched.serialize import (
     schedule_to_obj,
     tdm_from_obj,
     write_json,
+    write_text,
 )
 
 
@@ -305,6 +307,30 @@ class TestFileFormat:
             write_json(new, to_obj(value))
             assert read_json(old) == read_json(new)
             assert from_obj(read_json(old)) == value
+
+    @pytest.mark.parametrize("held,text", [
+        ("x" * 100, "short\n"),
+        ("ab", "a longer text\n"),
+        ("abcde", "\u00e9\u00e9"),   # 5 bytes held, 2 characters in 4 bytes written
+        ("abc", "\u00e9\u00e9"),
+        ("same\n", "text\n"),
+    ], ids=["shorter", "longer", "shorter-in-bytes", "longer-in-bytes", "same-length"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, held, text):
+        path = tmp_path / "file.json"
+        path.write_bytes(held.encode())
+        write_text(path, text)
+        assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_text(tmp_path / "new", "{}\n")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "new").st_mode == os.stat(tmp_path / "reference").st_mode
 
 
 sizes = st.integers(1, 60)
