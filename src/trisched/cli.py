@@ -52,18 +52,56 @@ def _load(path: str, from_obj):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether `path` is the file stdout writes to, such as /dev/stdout or
+    the file of a `>` redirection; not when stdout has no file."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def _emit(output: str | None, text: str) -> None:
-    """Write `text` to the file `output`, or to stdout when it is None."""
-    if output is None:
+    """Write `text` to the file `output`, or to stdout when it is None.  A
+    file that is stdout's own is written through stdout, after the lines
+    printed before: a second open of it would write over them."""
+    if output is None or _is_stdout(output):
         sys.stdout.write(text)
     else:
         serialize.write_text(output, text)
 
 
+# (flag, the kinds that read it) for gen's flags other than --kind and -o
+_GEN_FLAGS = (
+    ("n", ("random", "ratio-bounded")),
+    ("seed", ("random", "ratio-bounded")),
+    ("max_size", ("random", "ratio-bounded")),
+    ("bound", ("ratio-bounded",)),
+    ("fixture", ("fixture",)),
+    ("tdm", ("reduction",)),
+    ("M", ("reduction",)),
+)
+
+
+def _check_gen_flags(args) -> None:
+    """Refuse a flag the chosen kind needs and lacks, then any flag it would
+    silently ignore."""
+    if args.kind == "reduction" and (args.tdm is None or args.M is None):
+        raise ValueError("--kind reduction needs --tdm and --M")
+    if args.kind == "fixture" and args.fixture is None:
+        raise ValueError("--kind fixture needs --fixture")
+    if args.kind in ("random", "ratio-bounded") and args.n is None:
+        raise ValueError(f"--kind {args.kind} needs --n")
+    if args.kind == "ratio-bounded" and args.bound is None:
+        raise ValueError("--kind ratio-bounded needs --bound")
+    for flag, kinds in _GEN_FLAGS:
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            raise ValueError(f"--{flag.replace('_', '-')} needs --kind {' or '.join(kinds)}")
+
+
 def _cmd_gen(args) -> int:
+    _check_gen_flags(args)
     if args.kind == "reduction":
-        if args.tdm is None or args.M is None:
-            raise ValueError("--kind reduction needs --tdm and --M")
         tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
         _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))
@@ -72,19 +110,14 @@ def _cmd_gen(args) -> int:
             _emit(root + ".labels" + suffix, serialize.labels_json(labels))
         return 0
     if args.kind == "fixture":
-        if args.fixture is None:
-            raise ValueError("--kind fixture needs --fixture")
         instance = generators.fixture_instance(args.fixture)
     else:
-        if args.n is None:
-            raise ValueError(f"--kind {args.kind} needs --n")
         rng = random.Random(_seed(args.seed))
+        max_size = 100 if args.max_size is None else args.max_size
         if args.kind == "random":
-            instance = generators.random_instance(rng, args.n, args.max_size)
+            instance = generators.random_instance(rng, args.n, max_size)
         else:
-            if args.bound is None:
-                raise ValueError("--kind ratio-bounded needs --bound")
-            instance = generators.ratio_bounded_instance(rng, args.n, args.bound, args.max_size)
+            instance = generators.ratio_bounded_instance(rng, args.n, args.bound, max_size)
     _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))
     return 0
 
@@ -136,25 +169,8 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _nonempty_schedule_from_obj(obj) -> Schedule:
-    """A schedule with at least one job, which `check`, `simulate` and
-    `render` need."""
-    schedule = serialize.schedule_from_obj(obj)
-    if not schedule.jobs:
-        raise ValueError("schedule has no jobs")
-    return schedule
-
-
-def _nonempty_trace_from_obj(obj):
-    """An execution trace with at least one record, which `render` needs."""
-    trace = serialize.execution_trace_from_obj(obj)
-    if not trace.records:
-        raise ValueError("trace has no records")
-    return trace
-
-
 def _cmd_check(args) -> int:
-    schedule = _load(args.schedule, _nonempty_schedule_from_obj)
+    schedule = _load(args.schedule, serialize.schedule_from_obj)
     conflict = check_feasible(schedule)
     if conflict is not None:
         print(f"infeasible\n  {conflict_text(schedule, conflict)}")
@@ -164,7 +180,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    schedule = _load(args.schedule, _nonempty_schedule_from_obj)
+    if args.seed is not None and not args.random:
+        raise ValueError("--seed needs --random")
+    schedule = _load(args.schedule, serialize.schedule_from_obj)
     if args.demands is not None:
         demands = _load(args.demands, serialize.demands_from_obj)
     else:
@@ -182,10 +200,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_render(args) -> int:
     trace = None
     if args.trace is not None:
-        trace = _load(args.trace, _nonempty_trace_from_obj)
+        trace = _load(args.trace, serialize.execution_trace_from_obj)
         schedule = Schedule(tuple((r.size, r.start) for r in trace.records))
     else:
-        schedule = _load(args.schedule, _nonempty_schedule_from_obj)
+        schedule = _load(args.schedule, serialize.schedule_from_obj)
     draw = render.render_svg if args.format == "svg" else render.render_ascii
     _emit(args.output, draw(schedule, scale=args.scale, trace=trace))
     return 0
@@ -219,7 +237,7 @@ def _gen_arguments(gen: argparse.ArgumentParser) -> None:
                      help=_one_of(generators.KINDS))
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--max-size", type=int, default=100)
+    gen.add_argument("--max-size", type=int)
     gen.add_argument("--bound", type=_rational)
     fixtures = sorted(generators.FIXTURES)
     gen.add_argument("--fixture", choices=fixtures, metavar="NAME", help=_one_of(fixtures) + " (--kind fixture)")

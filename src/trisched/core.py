@@ -10,12 +10,12 @@ floats are rejected at the boundary so no rounding error can enter any
 solver path.
 
 Values are validated once, where they enter.  The public `Instance` and
-`Schedule` constructors check every value; the JSON loaders in `serialize`
-check a file of plain ints with a few C-level passes and reach the
-per-value checks (and their messages) only for any other file.  Solver
-output whose values are known to be valid ints (greedy, the exact witness,
-the QPTAS's left-shifted schedule, the reduction's certificate) is wrapped
-by `Schedule._trusted` without a second check.
+`Schedule` constructors check every value and refuse zero jobs; the JSON
+loaders in `serialize` check a file of plain ints with a few C-level passes
+and reach the per-value checks (and their messages) only for any other
+file.  Solver output whose values are known to be valid ints (greedy, the
+exact witness, the QPTAS's left-shifted schedule, the reduction's
+certificate) is wrapped by `Schedule._trusted` without a second check.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def new_instance(raw_sizes: Iterable[int]) -> Instance:
 
 
 class Schedule(_Frozen):
-    """Jobs as (size, start) pairs.
+    """Jobs as (size, start) pairs, at least one.
 
     Feasibility is checked, never enforced, so broken schedules can be
     represented and diagnosed.  Sizes are positive ints on every
@@ -117,13 +117,15 @@ class Schedule(_Frozen):
             if start < 0:
                 raise ValueError(f"start times must be non-negative, got {start!r}")
             checked.append((size, start))
+        if not checked:
+            raise ValueError("schedule has no jobs")
         object.__setattr__(self, "jobs", tuple(checked))
 
     @classmethod
     def _trusted(cls, jobs: tuple[tuple[int, int], ...]) -> Schedule:
-        """A schedule of `jobs`, taken as they are: a tuple of (size, start)
-        tuples of plain ints, every size positive and every start
-        non-negative.  Only for values that are valid by construction."""
+        """A schedule of `jobs`, taken as they are: a non-empty tuple of
+        (size, start) tuples of plain ints, every size positive and every
+        start non-negative.  Only for values that are valid by construction."""
         schedule = object.__new__(cls)
         object.__setattr__(schedule, "jobs", jobs)
         return schedule
@@ -178,9 +180,8 @@ def conflict_text(schedule: Schedule, pair: tuple[int, int]) -> str:
 
 
 def makespan(schedule: Schedule) -> ExactNumber:
-    """Latest completion time max_j (s_j + p_j)."""
-    if not schedule.jobs:
-        raise ValueError("makespan of an empty schedule is undefined")
+    """Latest completion time max_j (s_j + p_j), over at least one job, as
+    `Schedule` refuses zero."""
     return max(start + size for size, start in schedule.jobs)
 
 

@@ -4,10 +4,9 @@ Each job draws as a right triangle with vertices (s, 0), (s, h*p),
 (s + p, 0): full criticality at the start, expiring linearly at s + p.
 Execution traces add one row of rectangles under the time axis, one per
 executed interval.  Rendering refuses an infeasible schedule with the
-message `simulate` gives, naming its first conflicting pair; it refuses an
-empty one because it has no makespan; and text rendering refuses a time
-axis longer than MAX_COLUMNS cells rather than write rows as long as the
-largest start.
+message `simulate` gives, naming its first conflicting pair, and text
+rendering refuses a time axis longer than MAX_COLUMNS cells rather than
+write rows as long as the largest start.
 """
 
 from __future__ import annotations

@@ -142,9 +142,10 @@ def schedule_to_obj(schedule: Schedule) -> dict:
 def schedule_from_obj(obj: object) -> Schedule:
     """The schedule.  A file of plain ints, sizes positive and starts
     non-negative, is checked once, by C-level passes, and kept as it is.
-    Any other file takes the per-entry path: it decodes what is not a plain
-    int, and the public constructor checks every value and collapses
-    integral rationals, so a fault gets the message that names it."""
+    Any other file, one with no jobs included, takes the per-entry path: it
+    decodes what is not a plain int, and the public constructor checks every
+    value and collapses integral rationals, so a fault gets the message that
+    names it."""
     entries = _field(obj, "jobs", "schedule JSON", array=True)
     try:
         sizes = list(map(itemgetter("size"), entries))
@@ -153,7 +154,7 @@ def schedule_from_obj(obj: object) -> Schedule:
         pass
     else:
         if (set(map(type, sizes)) | set(map(type, starts)) <= {int}
-                and (not entries or min(sizes) > 0 and min(starts) >= 0)):
+                and min(sizes, default=0) > 0 and min(starts) >= 0):
             return Schedule._trusted(tuple(zip(sizes, starts)))
     jobs = []
     for entry in entries:

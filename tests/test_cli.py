@@ -106,6 +106,31 @@ class TestGen:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--kind", "fixture", "--fixture", "staircase-4", "--n", "5", "--seed", "3", "--bound", "2", "--M", "4"),
+         "--n needs --kind random or ratio-bounded"),
+        (("--kind", "fixture", "--fixture", "staircase-4", "--seed", "3"), "--seed needs --kind random or ratio-bounded"),
+        (("--kind", "reduction", "--tdm", "nothere.json", "--M", "13", "--max-size", "4"),
+         "--max-size needs --kind random or ratio-bounded"),
+        (("--kind", "random", "--n", "3", "--bound", "2"), "--bound needs --kind ratio-bounded"),
+        (("--kind", "random", "--n", "3", "--fixture", "staircase-4", "--tdm", "nothere.json"),
+         "--fixture needs --kind fixture"),
+        (("--kind", "ratio-bounded", "--n", "3", "--bound", "2", "--tdm", "nothere.json"),
+         "--tdm needs --kind reduction"),
+        (("--kind", "random", "--n", "3", "--M", "13"), "--M needs --kind reduction"),
+    ], ids=["n-fixture", "seed-fixture", "max-size-reduction", "bound-random", "fixture-random", "tdm-ratio-bounded",
+            "M-random"])
+    def test_flag_the_kind_never_uses(self, tmp_path, capsys, flags, message):
+        out_file = tmp_path / "out.json"
+        code, out, err = run(capsys, "gen", *flags, "-o", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+    def test_max_size_defaults_to_100_and_zero_is_refused(self, capsys):
+        argv = ("gen", "--kind", "random", "--n", "40", "--seed", "3")
+        assert run(capsys, *argv) == run(capsys, *argv, "--max-size", "100")
+        assert run(capsys, *argv, "--max-size", "0") == (1, "", "error: need n >= 1 and max_size >= 1\n")
+
 
 class TestSolve:
     def test_lower_bound(self, tmp_path, capsys):
@@ -336,6 +361,13 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_seed_needs_random(self, staircase_schedule, tmp_path, capsys):
+        demands = tmp_path / "d.json"
+        demands.write_text('{"demands": [6, 1, 4, 1]}')
+        code, out, err = run(capsys, "simulate", "--schedule", str(staircase_schedule), "--demands", str(demands),
+                             "--seed", "5")
+        assert (code, out, err) == (1, "", "error: --seed needs --random\n")
+
     @pytest.mark.parametrize("source", ["--random", "--demands"])
     def test_empty_schedule(self, tmp_path, capsys, source):
         sched = tmp_path / "s.json"
@@ -368,7 +400,7 @@ class TestRender:
         trace = tmp_path / "t.json"
         trace.write_text('{"completion": 0, "records": []}')
         code, out, err = run(capsys, "render", "--trace", str(trace), "--format", fmt)
-        assert (code, out, err) == (1, "", f"error: {trace}: trace has no records\n")
+        assert (code, out, err) == (1, "", f"error: {trace}: not a trace simulate writes: schedule has no jobs\n")
 
     def test_ascii_schedule(self, staircase_schedule, capsys):
         code, out, _ = run(
@@ -710,6 +742,25 @@ class TestOutputFiles:
         assert not reader.is_alive()
         assert (code, err) == (0, "")
         assert received == [b'{"sizes": [6, 5, 4, 3]}\n']
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("target", ["/dev/stdout", "OUT"], ids=["dev-stdout", "redirected-file"])
+    def test_output_that_is_stdout_follows_the_printed_line(self, tmp_path, capsys, target):
+        """An -o file that is stdout's own, with stdout sent to a file, is
+        written through stdout: a second open of it would write at offset 0
+        over the makespan line."""
+        instance, plain, out = tmp_path / "ratio.json", tmp_path / "plain.json", tmp_path / "out.txt"
+        instance.write_text('{"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2]}')
+        assert run(capsys, "solve", str(instance), "--algo", "greedy", "-o", str(plain))[0] == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        output = str(out) if target == "OUT" else target
+        with open(out, "wb") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "trisched", "solve", str(instance), "--algo", "greedy", "-o", output],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert out.read_bytes() == b"makespan 130\n" + plain.read_bytes()
 
     def test_directory_is_one_error_line(self, tmp_path, capsys):
         code, out, err = run(capsys, "gen", "--kind", "fixture", "--fixture", "staircase-4", "-o", str(tmp_path))

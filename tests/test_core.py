@@ -97,6 +97,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(((0, 3),))
 
+    @pytest.mark.parametrize("jobs", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+    def test_no_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError, match="^schedule has no jobs$"):
+            Schedule(jobs)
+
 
 class TestValueTypes:
     """Instance and Schedule behave like frozen dataclasses:
@@ -116,7 +121,7 @@ class TestValueTypes:
         assert Instance((1,)) != (1,)
         assert Instance((1,)) != ((1,),)
         assert Schedule(((1, 0),)) != ((1, 0),)
-        assert Schedule(()) != ()
+        assert Schedule(((1, 0),)) != (((1, 0),),)
         assert Instance((1,)).sizes == (1,) and Schedule(((1, 0),)).jobs == ((1, 0),)
         assert Instance((1,)) != Schedule(((1, 0),)) and Schedule(((1, 0),)) != Instance((1,))
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -21,6 +22,7 @@ from oracles import (
 from trisched import Instance, Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
 from trisched.bench import RatioSearchReport
 from trisched.serialize import (
+    any_digits,
     decode_exact,
     demands_from_obj,
     dumps,
@@ -450,6 +452,43 @@ def test_text_writers_cover_both_statuses_and_rational_times():
     assert '"status": "canceled"' in text and '"end": 12,' in text
     sched = Schedule(((6, 0), (5, Fraction(27, 4))))
     assert schedule_json(sched) == '{"jobs": [{"size": 6, "start": 0}, {"size": 5, "start": "27/4"}]}\n'
+
+
+# CPython's limit on converting between text and int, 0 for none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# Each library writer, called on data that holds the int `big`
+PAST_THE_LIMIT = {
+    "schedule_json": lambda big: schedule_json(Schedule(((big, 0),))),
+    "greedy_trace_json": lambda big: greedy_trace_json(greedy_schedule(new_instance([big, big]))[1]),
+    "execution_trace_json": lambda big: execution_trace_json(simulate(Schedule(((big, 0),)), [big])),
+    "labels_json": lambda big: labels_json(encode(ThreeDMInstance(D=10, a=(3,), b=(3,), c=(4,)), big)[1]),
+    "dumps": lambda big: dumps({"ratio": big}),
+}
+
+
+def ints_in(obj) -> list:
+    """Every int in a loaded JSON value."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in ints_in(item)]
+    return [obj] if type(obj) is int else []
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-string digit limit")
+@pytest.mark.parametrize("writer", sorted(PAST_THE_LIMIT))
+def test_library_writers_run_under_the_plain_digit_limit(tmp_path, writer):
+    """A library call whose output holds an int one digit past CPython's
+    limit raises ValueError; the same call through `any_digits`, as the CLI
+    runs it, writes text that `read_json` reads back under `any_digits`."""
+    write, big = PAST_THE_LIMIT[writer], 10 ** DIGIT_LIMIT
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        write(big)
+    path = tmp_path / "out.json"
+    path.write_text(any_digits(write, big))
+    assert big in ints_in(any_digits(read_json, path))
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 # What a mutation writes in place of a size or a start: faults (a bool, a
