@@ -5,7 +5,8 @@ Subcommands: gen, solve, check, simulate, render, bench.  Exit codes:
 decode failures), 2 on usage errors.  TS_SEED supplies the default seed
 of the commands that draw random numbers.  A command runs under CPython's
 int-string digit limit plus 20 (`serialize.any_digits`), so what it writes
-reads back.  An error in reading or decoding a file names the file.
+reads back, and with the cyclic collector paused, which `cli_main` alone
+touches.  An error in reading or decoding a file names the file.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _check_gen_flags(args) -> None:
 def _cmd_gen(args) -> int:
     _check_gen_flags(args)
     if args.kind == "reduction":
+        if args.output is not None and _is_stdout(args.output):
+            raise ValueError("--kind reduction writes its labels beside the -o file, so -o cannot be stdout")
         tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
         _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))
@@ -345,6 +348,13 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    """Parse `argv` and run its command with the cyclic collector paused,
+    restoring the caller's collector state on every exit.  A command
+    builds records per job, makes no reference cycles and frees the
+    records when it ends, so the collector would only rescan them as they
+    pile up (see README, "Exactness and performance")."""
+    import gc
+
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv)
@@ -352,11 +362,16 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return serialize.any_digits(args.func, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

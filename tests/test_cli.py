@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import gc
 import io
 import json
 import operator
@@ -766,6 +767,74 @@ class TestOutputFiles:
         code, out, err = run(capsys, "gen", "--kind", "fixture", "--fixture", "staircase-4", "-o", str(tmp_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+    def test_reduction_to_stdout_is_refused_before_it_writes(self, tmp_path):
+        """gen --kind reduction writes its labels beside the -o file, so an
+        -o that is stdout's own (here the file of a `>` redirection) is
+        refused before the instance is printed or a labels file made."""
+        (tmp_path / "tdm.json").write_text('{"D": 10, "a": [3], "b": [3], "c": [4]}')
+        out = tmp_path / "out.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        with open(out, "wb") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "trisched", "gen", "--kind", "reduction", "--tdm", "tdm.json", "--M", "13",
+                 "-o", "out.json"],
+                cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (result.returncode, out.read_bytes()) == (1, b"")
+        assert result.stderr == b"error: --kind reduction writes its labels beside the -o file, so -o cannot be stdout\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "tdm.json"]
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic collector switched on or off, and its state put back."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused; the caller's state
+    comes back on every exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code", [
+        (("gen", "--kind", "fixture", "--fixture", "staircase-4"), 0),
+        (("gen", "--kind", "reduction", "--M", "13"), 1),
+        (("gen", "--kind", "nothing"), 2),
+        (("--help",), 0),
+    ], ids=["success", "domain-error", "usage-error", "help"])
+    def test_state_comes_back(self, capsys, argv, code, enabled):
+        with collector(enabled):
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+
+    def test_paused_while_the_command_runs(self, capsys, monkeypatch, staircase_schedule):
+        seen = []
+        real = cli.check_feasible
+
+        def check(schedule):
+            seen.append(gc.isenabled())
+            return real(schedule)
+
+        monkeypatch.setattr(cli, "check_feasible", check)
+        with collector(True):
+            assert run(capsys, "check", str(staircase_schedule))[0] == 0
+            assert (seen, gc.isenabled()) == ([False], True)
+
+    def test_state_comes_back_past_an_unexpected_exception(self, capsys, monkeypatch, staircase_schedule):
+        def broken(schedule):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "check_feasible", broken)
+        with collector(True):
+            with pytest.raises(RuntimeError, match="boom"):
+                cli_main(["check", str(staircase_schedule)])
+            assert gc.isenabled()
 
 
 HELP_ARGV = [(), ("gen",), ("solve",), ("check",), ("simulate",), ("render",), ("bench",), ("bench", "ratio-search")]

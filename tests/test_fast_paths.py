@@ -6,9 +6,11 @@ and bound it replaced, the QPTAS's grid search against the recursive
 Fraction DP and the layered DP over every reached state that it replaced,
 its left-shifted hand-back against the per-class pairing of grid
 starts shifted by the quadratic canonical schedule, a linear-time gate for
-that shift, and the schedules that skip the public constructor's checks
-against what those checks make of them."""
+that shift, the schedules that skip the public constructor's checks
+against what those checks make of them, and a scale gate for writing and
+loading an execution trace."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -41,9 +43,11 @@ from trisched import (
     optimal_makespan,
     qptas_solve,
     schedule_from_matching,
+    simulate,
 )
 from trisched.greedy import untraced_greedy
 from trisched.qptas import dp_solve, round_sizes
+from trisched.serialize import execution_trace_from_obj, execution_trace_json
 
 int_jobs = st.tuples(st.integers(1, 12), st.integers(0, 60))
 fraction_jobs = st.tuples(
@@ -176,6 +180,21 @@ def test_greedy_and_check_scale_near_linearly():
         elapsed = time.perf_counter() - t0
         assert untraced == schedule
         assert elapsed < 10.0, f"untraced greedy took {elapsed:.1f}s at n={n}"
+
+
+def test_execution_trace_round_trips_near_linearly():
+    # the loader's C-level passes and `simulate` take about 0.1 s together
+    # at n = 3e4; a quadratic regression would take minutes
+    n = 30_000
+    rng = random.Random(5)
+    schedule = untraced_greedy(new_instance([rng.randint(1, 10**6) for _ in range(n)]))
+    trace = simulate(schedule, [rng.randint(1, size) for size, _ in schedule.jobs])
+    assert {r.executed for r in trace.records} == {True, False}
+    t0 = time.perf_counter()
+    loaded = execution_trace_from_obj(json.loads(execution_trace_json(trace)))
+    elapsed = time.perf_counter() - t0
+    assert loaded == trace
+    assert elapsed < 10.0, f"writing and loading the trace took {elapsed:.1f}s at n={n}"
 
 
 @pytest.mark.parametrize("top", [10**6, 3])

@@ -35,3 +35,17 @@ def test_cli_import_loads_no_heavy_stdlib_module():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert result.stdout == "\n"
+
+
+def test_only_the_cli_touches_the_collector():
+    # `cli_main` pauses the cyclic collector around a command; a library
+    # function that switched it would change its callers' process
+    users = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "gc")
+        or (isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+    }
+    assert users == {"cli.py"}
