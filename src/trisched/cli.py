@@ -103,8 +103,12 @@ def _check_gen_flags(args) -> None:
 def _cmd_gen(args) -> int:
     _check_gen_flags(args)
     if args.kind == "reduction":
-        if args.output is not None and _is_stdout(args.output):
-            raise ValueError("--kind reduction writes its labels beside the -o file, so -o cannot be stdout")
+        # the labels go to a new file beside -o, which for a device, a pipe
+        # or stdout's own file would be a stray one such as /dev/stdout.labels
+        if args.output is not None and (
+                _is_stdout(args.output) or os.path.exists(args.output) and not os.path.isfile(args.output)):
+            raise ValueError("--kind reduction writes its labels beside the -o file, "
+                             "so -o must be a regular file other than stdout")
         tdm = _load(args.tdm, serialize.tdm_from_obj)
         instance, labels = encode(tdm, args.M)
         _emit(args.output, serialize.dumps(serialize.instance_to_obj(instance)))

@@ -20,8 +20,8 @@ import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter, not_, sub
+from itertools import chain
+from operator import itemgetter
 
 from .bench import RatioSearchReport
 from .core import ExactNumber, Instance, Schedule, new_instance
@@ -186,23 +186,9 @@ def execution_trace_from_obj(obj: object) -> ExecutionTrace:
     """Load a trace that `simulate` writes.  Record k must be job k, and
     `simulate` must give the same trace when it runs the records' jobs with
     each executed job's demand `end - start` and each canceled job's demand
-    1 (a canceled job uses no time, so its demand does not matter).
-
-    A file of plain ints, jobs 0..n-1 and the two known statuses is read in
-    a few C-level passes (`_plain_int_trace`).  Any other file, and any that
-    `simulate` would not write, takes the per-record path, so a fault gets
-    the message that names it."""
-    entries = _field(obj, "records", "execution trace JSON", array=True)
-    trace = _plain_int_trace(obj, entries)
-    return _trace_record_by_record(obj, entries) if trace is None else trace
-
-
-def _trace_record_by_record(obj, entries: list) -> ExecutionTrace:
-    """The trace, each field of each record read and decoded on its own,
-    then compared with `simulate`'s; a fault raises the ValueError that
-    names it."""
+    1 (a canceled job uses no time, so its demand does not matter)."""
     records = []
-    for k, r in enumerate(entries):
+    for k, r in enumerate(_field(obj, "records", "execution trace JSON", array=True)):
         job = _integer(_field(r, "job", "trace record"), "trace record jobs")
         if job != k:
             raise ValueError(f"trace record {k} must be job {k}, got job {job}")
@@ -229,50 +215,6 @@ def _trace_record_by_record(obj, entries: list) -> ExecutionTrace:
         where = "completion" if k is None else f"record {k}"
         raise ValueError(f"not a trace simulate writes: its {where} differs")
     return trace
-
-
-def _plain_int_trace(obj, entries: list) -> ExecutionTrace | None:
-    """The trace of a file of plain ints that `simulate` writes, built by
-    columns (`_plain_int_columns`); None for any other file.  It holds the
-    file's own values, as the per-record path's trace does."""
-    described = _plain_int_columns(obj, entries)
-    if described is None:
-        return None
-    trace, demands = described
-    schedule = Schedule._trusted(tuple(map(itemgetter(1, 2), trace.records)))
-    try:
-        return trace if trace == simulate(schedule, demands) else None
-    except ValueError:
-        return None
-
-
-def _plain_int_columns(obj, entries: list) -> tuple[ExecutionTrace, list[int]] | None:
-    """The trace the file describes and its jobs' demands, when every
-    record holds the fields its status needs as plain ints, record k is job
-    k, sizes are positive and starts non-negative (as `Schedule._trusted`
-    needs); None otherwise.  Its columns go when it returns, before
-    `simulate` runs.  They are tuples: a collector that is on stops
-    tracking a tuple of ints after one look, but scans a list every time
-    (at 10^6 jobs, lists took the load from 4.4 s to 6.0 s)."""
-    try:
-        statuses = tuple(map(itemgetter("status"), entries))
-        if not set(statuses) <= {"executed", "canceled"}:
-            return None
-        executed = tuple(map("executed".__eq__, statuses))
-        jobs, sizes, starts = (tuple(map(itemgetter(key), entries)) for key in ("job", "size", "start"))
-        ends = tuple(map(itemgetter("end"), compress(entries, executed)))
-        cancelers = tuple(map(itemgetter("canceled_by"), compress(entries, map(not_, executed))))
-        completion = obj["completion"]
-    except (KeyError, TypeError):
-        return None
-    if not (set(map(type, chain(jobs, sizes, starts, ends, cancelers, (completion,)))) <= {int}
-            and all(map(eq, jobs, count())) and min(sizes, default=0) > 0 and min(starts) >= 0):
-        return None
-    spans, end, canceler = map(sub, ends, compress(starts, executed)), iter(ends), iter(cancelers)
-    columns = (jobs, sizes, starts, executed, (next(end) if x else None for x in executed),
-               (None if x else next(canceler) for x in executed))
-    records = tuple(map(tuple.__new__, repeat(ExecutionRecord), zip(*columns)))
-    return ExecutionTrace(records, completion), [next(spans) if x else 1 for x in executed]
 
 
 def demands_from_obj(obj: object) -> tuple[ExactNumber, ...]:

@@ -782,8 +782,31 @@ class TestOutputFiles:
                 cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
             )
         assert (result.returncode, out.read_bytes()) == (1, b"")
-        assert result.stderr == b"error: --kind reduction writes its labels beside the -o file, so -o cannot be stdout\n"
+        assert result.stderr == REDUCTION_OUTPUT_REFUSED.encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "tdm.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_reduction_to_a_fifo_is_refused_before_it_writes(self, tmp_path, capsys):
+        """An -o that exists and is no regular file (a FIFO here, standing
+        for /dev/stderr or a terminal) is refused too, before anything goes
+        into it or a labels file is made beside it."""
+        (tmp_path / "tdm.json").write_text('{"D": 10, "a": [3], "b": [3], "c": [4]}')
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        # an open reader lets a faulty write go through instead of blocking
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run(capsys, "gen", "--kind", "reduction", "--tdm", str(tmp_path / "tdm.json"),
+                                 "--M", "13", "-o", str(fifo))
+            assert os.read(reader, 1 << 16) == b""
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (1, "", REDUCTION_OUTPUT_REFUSED)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "tdm.json"]
+
+
+REDUCTION_OUTPUT_REFUSED = (
+    "error: --kind reduction writes its labels beside the -o file, so -o must be a regular file other than stdout\n")
 
 
 @contextlib.contextmanager

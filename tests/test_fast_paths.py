@@ -183,8 +183,9 @@ def test_greedy_and_check_scale_near_linearly():
 
 
 def test_execution_trace_round_trips_near_linearly():
-    # the loader's C-level passes and `simulate` take about 0.1 s together
-    # at n = 3e4; a quadratic regression would take minutes
+    # writing, parsing and loading record by record, `simulate` included,
+    # take about 0.2 s together at n = 3e4; a quadratic regression would
+    # take minutes
     n = 30_000
     rng = random.Random(5)
     schedule = untraced_greedy(new_instance([rng.randint(1, 10**6) for _ in range(n)]))

@@ -21,7 +21,6 @@ from oracles import (
 )
 from trisched import Instance, Schedule, ThreeDMInstance, encode, greedy_schedule, new_instance, simulate
 from trisched.bench import RatioSearchReport
-from trisched.greedy import untraced_greedy
 from trisched.serialize import (
     any_digits,
     decode_exact,
@@ -43,7 +42,6 @@ from trisched.serialize import (
     write_json,
     write_text,
 )
-from trisched.serialize import _plain_int_trace, _trace_record_by_record
 
 
 class TestExactNumbers:
@@ -669,100 +667,3 @@ class TestTdmLoaderMatchesThePerValueReference:
         tdm = tdm_from_obj({"D": 10, "a": [3, "8/2"], "b": [3, 3], "c": [4, 3]})
         assert tdm == ThreeDMInstance(D=10, a=(3, 4), b=(3, 3), c=(4, 3))
         assert {type(v) for v in chain(tdm.a, tdm.b, tdm.c)} == {int}
-
-
-@st.composite
-def simulated_trace_files(draw):
-    """(file, plain): the file `simulate` writes for a greedy schedule under
-    int or Fraction demands, with up to three faults (a field dropped or
-    retyped, a record's job number changed, two records swapped, an unknown
-    or swapped status, a canceler naming a canceled record, a field its
-    status never reads, an entry replaced, a changed completion), and
-    whether it holds nothing but plain ints and no fault."""
-    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
-    schedule = untraced_greedy(new_instance(sizes))
-    demands = [
-        draw(st.integers(1, size) | st.fractions(min_value=1, max_value=size, max_denominator=4))
-        for size, _ in schedule.jobs
-    ]
-    obj = json.loads(execution_trace_json(simulate(schedule, demands)))
-    records = obj["records"]
-    faults = draw(st.integers(0, 3))
-    for _ in range(faults):
-        k = draw(st.integers(0, len(records) - 1))
-        record = records[k]
-        fault = draw(st.sampled_from(
-            ["value", "drop", "job", "swap", "status", "canceler", "extra", "entry", "completion"]))
-        if fault in ("value", "drop", "job", "status", "canceler", "extra") and not isinstance(record, dict):
-            fault = "completion"
-        if fault == "value":
-            record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from(WIRE_MUTANTS))
-        elif fault == "drop":
-            del record[draw(st.sampled_from(sorted(record)))]
-        elif fault == "job":
-            # another number, or this one as a float, a bool or a string
-            record["job"] = draw(st.sampled_from([k - 1, k + 1, float(k), bool(k), str(k), f"{2 * k}/2"]))
-        elif fault == "swap":
-            m = draw(st.integers(0, len(records) - 1))
-            records[k], records[m] = records[m], record
-        elif fault == "status":
-            record["status"] = draw(st.sampled_from(["executed", "canceled", "done", "Executed", None, 1]))
-        elif fault == "canceler":
-            # name a canceled record, this one included
-            record["status"] = "canceled"
-            canceled = [m for m, r in enumerate(records) if isinstance(r, dict) and r.get("status") == "canceled"]
-            record["canceled_by"] = draw(st.sampled_from(canceled))
-        elif fault == "extra":
-            record["end" if "canceled_by" in record else "canceled_by"] = draw(st.sampled_from([0, 1, 7, "x"]))
-        elif fault == "entry":
-            records[k] = draw(st.sampled_from(ENTRY_MUTANTS))
-        else:
-            obj["completion"] = draw(st.sampled_from([obj["completion"] + 1 if type(obj["completion"]) is int else 1,
-                                                      0, -1, 1.5, True, "7/2", None]))
-    return obj, not faults and all(type(d) is int for d in demands)
-
-
-def trace_outcome(load, obj):
-    """(loaded trace, the type of every value in it) or the ValueError's
-    message, which must be one line."""
-    try:
-        trace = load(obj)
-    except ValueError as exc:
-        assert "\n" not in str(exc)
-        return str(exc)
-    return trace, tuple(map(type, chain(chain.from_iterable(trace.records), (trace.completion,))))
-
-
-class TestTraceLoaderMatchesThePerRecordPath:
-    """`execution_trace_from_obj`'s C-level passes over a file of plain ints
-    give what reading each record on its own gives: the same trace with the
-    same types, or the same one-line ValueError."""
-
-    @given(simulated_trace_files())
-    @example(({"completion": 3, "records": [{"end": 3, "job": 0, "size": 5, "start": 0, "status": "executed"}]}, True))
-    @example(({"completion": 0, "records": []}, False))
-    @example(({"completion": 6, "records": [
-        {"end": 6, "job": 0, "size": 6, "start": 0, "status": "executed"},
-        {"canceled_by": 0, "job": 1, "size": 4, "start": 4, "status": "canceled"}]}, True))
-    @example(({"completion": 6, "records": [
-        {"end": 6, "job": 0, "size": 6, "start": 0, "status": "executed"},
-        {"canceled_by": 1, "job": 1, "size": 4, "start": 4, "status": "canceled"}]}, False))
-    @example(({"completion": 6, "records": [
-        {"end": 6, "job": 0, "size": 6, "start": 0, "status": "executed"},
-        {"canceled_by": 0, "end": 5, "job": 1, "size": 4, "start": 4, "status": "executed"}]}, False))
-    @example(({"completion": 6, "records": [
-        {"end": 6, "job": 0, "size": 6, "start": 0, "status": "executed"},
-        {"canceled_by": 0, "job": 1, "size": 4, "start": 4, "status": "done"}]}, False))
-    @example(({"completion": "7/2", "records": [
-        {"end": "7/2", "job": 0, "size": 5, "start": 0, "status": "executed"}]}, False))
-    @example(({"completion": 6, "records": [
-        {"end": 6, "job": 0, "size": 6, "start": 0, "status": "executed"},
-        {"canceled_by": 0, "job": True, "size": 4, "start": 4, "status": "canceled"}]}, False))
-    @example(({"completion": 3, "records": [{"end": 3.0, "job": 0, "size": 5, "start": 0, "status": "executed"}]}, False))
-    @settings(max_examples=400)
-    def test_files(self, case):
-        obj, plain = case
-        outcome = trace_outcome(execution_trace_from_obj, obj)
-        assert outcome == trace_outcome(lambda o: _trace_record_by_record(o, o["records"]), obj)
-        if plain:
-            assert _plain_int_trace(obj, obj["records"]) == outcome[0]
