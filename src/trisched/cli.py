@@ -72,36 +72,45 @@ def _emit(output: str | None, text: str) -> None:
         serialize.write_text(output, text)
 
 
-# (flag, the kinds that read it) for gen's flags other than --kind and -o
-_GEN_FLAGS = (
-    ("n", ("random", "ratio-bounded")),
-    ("seed", ("random", "ratio-bounded")),
-    ("max_size", ("random", "ratio-bounded")),
-    ("bound", ("ratio-bounded",)),
-    ("fixture", ("fixture",)),
-    ("tdm", ("reduction",)),
-    ("M", ("reduction",)),
-)
+# For each subcommand: its selector flag, the flags each mode needs, and the
+# modes that read each optional flag, in the order refusals name them.
+# Flags are argparse dests.
+_MODES = {
+    "gen": ("kind",
+            {"random": ("n",), "ratio-bounded": ("n", "bound"), "fixture": ("fixture",),
+             "reduction": ("tdm", "M")},
+            {"n": ("random", "ratio-bounded"), "seed": ("random", "ratio-bounded"),
+             "max_size": ("random", "ratio-bounded"), "bound": ("ratio-bounded",),
+             "fixture": ("fixture",), "tdm": ("reduction",), "M": ("reduction",),
+             "output": generators.KINDS}),
+    "solve": ("algo",
+              {"qptas": ("eps",)},
+              {"trace": ("greedy",), "tree": ("greedy",), "eps": ("qptas",), "limit": ("exact",),
+               "output": ("greedy", "exact", "qptas")}),
+}
 
 
-def _check_gen_flags(args) -> None:
-    """Refuse a flag the chosen kind needs and lacks, then any flag it would
-    silently ignore."""
-    if args.kind == "reduction" and (args.tdm is None or args.M is None):
-        raise ValueError("--kind reduction needs --tdm and --M")
-    if args.kind == "fixture" and args.fixture is None:
-        raise ValueError("--kind fixture needs --fixture")
-    if args.kind in ("random", "ratio-bounded") and args.n is None:
-        raise ValueError(f"--kind {args.kind} needs --n")
-    if args.kind == "ratio-bounded" and args.bound is None:
-        raise ValueError("--kind ratio-bounded needs --bound")
-    for flag, kinds in _GEN_FLAGS:
-        if getattr(args, flag) is not None and args.kind not in kinds:
-            raise ValueError(f"--{flag.replace('_', '-')} needs --kind {' or '.join(kinds)}")
+def _flag(dest: str) -> str:
+    """The option text of an argparse dest, such as -o for output."""
+    return "-o" if dest == "output" else "--" + dest.replace("_", "-")
+
+
+def _check_flags(command: str, args) -> None:
+    """Refuse the flags the chosen mode needs and lacks, naming only those,
+    then the first flag it would silently ignore."""
+    selector, needs, reads = _MODES[command]
+    mode = getattr(args, selector)
+    missing = [_flag(dest) for dest in needs.get(mode, ()) if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"{_flag(selector)} {mode} needs {' and '.join(missing)}")
+    for dest, modes in reads.items():
+        if getattr(args, dest) is not None and mode not in modes:
+            names = " or ".join(", ".join(modes).rsplit(", ", 1))
+            raise ValueError(f"{_flag(dest)} needs {_flag(selector)} {names}")
 
 
 def _cmd_gen(args) -> int:
-    _check_gen_flags(args)
+    _check_flags("gen", args)
     if args.kind == "reduction":
         # the labels go to a new file beside -o, which for a device, a pipe
         # or stdout's own file would be a stray one such as /dev/stdout.labels
@@ -129,25 +138,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_solve_flags(args) -> None:
-    """Refuse a missing `--eps` and any flag the chosen algorithm would
-    silently ignore."""
-    if args.algo != "greedy":
-        for flag in ("trace", "tree"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} needs --algo greedy")
-    if args.algo == "qptas" and args.eps is None:
-        raise ValueError("--algo qptas needs --eps")
-    if args.eps is not None and args.algo != "qptas":
-        raise ValueError("--eps needs --algo qptas")
-    if args.limit is not None and args.algo != "exact":
-        raise ValueError("--limit needs --algo exact")
-    if args.output is not None and args.algo == "lb":
-        raise ValueError("-o needs --algo greedy, exact or qptas")
-
-
 def _cmd_solve(args) -> int:
-    _check_solve_flags(args)
+    _check_flags("solve", args)
     instance = _load(args.instance, serialize.instance_from_obj)
     if args.algo == "lb":
         print(f"lower bound {lower_bound(instance)}")

@@ -9,7 +9,7 @@ The search is a sequence of decision questions, each one a call of
 `decide(instance, target)`: does some order end every job by `target`?
 Greedy seeds the incumbent; then `optimal_makespan` asks for one less than
 the incumbent, takes any order it finds as the new incumbent, and asks
-again, until the answer is no or the incumbent reaches `lower_bound`.
+again, until the answer is no.
 
 `decide` is `_search` with the separation caps min(p, q).  The QPTAS asks
 the same search about its grid, with each cap rounded up to whole grid
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from operator import le, lt
 
-from .core import Instance, Schedule, _half_sum_bound, lower_bound, makespan
+from .core import Instance, Schedule, _half_sum_bound, makespan
 from .greedy import greedy_schedule
 
 DEFAULT_SIZE_LIMIT = 12
@@ -158,11 +158,10 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
     # the trace costs a few microseconds.
     best, _ = greedy_schedule(instance)
     best_val = makespan(best)
-    floor = lower_bound(instance)
-    # Ask for an order ending one below the incumbent until none exists.
-    while best_val > floor:
+    # Ask for an order ending one below the incumbent until none exists; an
+    # incumbent at `lower_bound` gets its no from the search's root cut.
+    while True:
         better = decide(instance, best_val - 1)
         if better is None:
-            break
+            return best_val, best
         best, best_val = better, makespan(better)
-    return best_val, best

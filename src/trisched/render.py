@@ -13,20 +13,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Schedule, check_feasible, conflict_text, makespan
+from .core import ExactNumber, Schedule, as_exact, check_feasible, conflict_text, makespan
 from .simulate import ExecutionTrace
 
 # Widest time axis render_ascii draws, in text columns.
 MAX_COLUMNS = 10_000
 
 
-def _drawing_scale(schedule: Schedule, scale) -> Fraction:
-    """`scale` as a Fraction; refuses an infeasible schedule, then a scale
-    that is not positive."""
+def _drawing_scale(schedule: Schedule, scale) -> ExactNumber:
+    """`scale` as an exact number, an int when integral, so the default
+    scale costs no Fraction arithmetic; refuses an infeasible schedule, then
+    a scale that is not positive."""
     conflict = check_feasible(schedule)
     if conflict is not None:
         raise ValueError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
-    scale = Fraction(scale)
+    scale = as_exact(Fraction(scale))
     if scale <= 0:
         raise ValueError("scale must be positive")
     return scale
@@ -55,35 +56,32 @@ def render_svg(schedule: Schedule, scale=1, trace: ExecutionTrace | None = None)
     span = makespan(schedule)
     peak = max(size for size, _ in schedule.jobs)
     axis_y = peak * scale
-    row_h = max(peak * scale / 6, Fraction(4))
+    row_h = max(Fraction(peak * scale, 6), 4)
     height = axis_y + (row_h + 2 if trace else 0) + 2
     width = span * scale
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
     ]
+    # the coordinates every job shares are formatted once; each is at most
+    # the height, which the viewBox has already formatted
+    base = _fmt(axis_y)
     for size, start in schedule.jobs:
-        x0 = start * scale
-        x1 = (start + size) * scale
-        top = axis_y - size * scale
+        x0 = _fmt(start * scale)
         parts.append(
-            f'  <polygon class="job" points="{_fmt(x0)},{_fmt(axis_y)} '
-            f'{_fmt(x0)},{_fmt(top)} {_fmt(x1)},{_fmt(axis_y)}" '
+            f'  <polygon class="job" points="{x0},{base} '
+            f'{x0},{_fmt(axis_y - size * scale)} {_fmt((start + size) * scale)},{base}" '
             'fill="none" stroke="black"/>'
         )
-    parts.append(
-        f'  <line x1="0" y1="{_fmt(axis_y)}" x2="{_fmt(width)}" y2="{_fmt(axis_y)}" stroke="black"/>'
-    )
+    parts.append(f'  <line x1="0" y1="{base}" x2="{_fmt(width)}" y2="{base}" stroke="black"/>')
     if trace is not None:
+        row_y, row_height = _fmt(axis_y + 2), _fmt(row_h)
         for record in trace.records:
-            if not record.executed:
-                continue
-            x0 = record.start * scale
-            w = (record.end - record.start) * scale
-            parts.append(
-                f'  <rect class="run" x="{_fmt(x0)}" y="{_fmt(axis_y + 2)}" '
-                f'width="{_fmt(w)}" height="{_fmt(row_h)}" fill="gray"/>'
-            )
+            if record.executed:
+                parts.append(
+                    f'  <rect class="run" x="{_fmt(record.start * scale)}" y="{row_y}" '
+                    f'width="{_fmt((record.end - record.start) * scale)}" height="{row_height}" fill="gray"/>'
+                )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -292,6 +292,33 @@ class TestSolve:
         assert plain.read_bytes() == traced.read_bytes()
 
 
+class TestModeTable:
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    def test_every_optional_flag_is_in_the_table(self, command):
+        # a flag the table leaves out would be read silently by every mode;
+        # one that every mode reads (gen -o) is listed with all of them
+        parser = build_parser([command])
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+        selector, needs, reads = cli._MODES[command]
+        optional = {a.dest for a in sub._actions if a.option_strings and a.dest not in ("help", selector)}
+        assert optional == set(reads)
+        for mode, flags in needs.items():
+            assert all(mode in reads[flag] for flag in flags)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "--kind", "reduction", "--M", "13"), "--kind reduction needs --tdm"),
+        (("gen", "--kind", "reduction", "--tdm", "t.json"), "--kind reduction needs --M"),
+        (("gen", "--kind", "ratio-bounded"), "--kind ratio-bounded needs --n and --bound"),
+        (("gen", "--kind", "ratio-bounded", "--bound", "2", "--M", "4"), "--kind ratio-bounded needs --n"),
+        (("solve", "INSTANCE", "--algo", "qptas", "--trace", "t"), "--algo qptas needs --eps"),
+    ], ids=["reduction-M", "reduction-tdm", "ratio-bounded-neither", "ratio-bounded-bound", "qptas-trace"])
+    def test_missing_flags_come_first_and_alone(self, tmp_path, capsys, argv, message):
+        instance = tmp_path / "i.json"
+        instance.write_text('{"sizes": [6, 5, 4, 3]}')
+        code, out, err = run(capsys, *[str(instance) if arg == "INSTANCE" else arg for arg in argv])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestCheck:
     def test_feasible(self, tmp_path, capsys):
         sched = tmp_path / "s.json"

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_schedule_for_order, grid_exhaustive_optimum, order_brute_force_optimum
@@ -112,6 +112,17 @@ class TestOptimalMakespan:
         else:
             in_start_order = sorted(witness.jobs, key=lambda job: job[1])
             assert witness == canonical_schedule_for_order([p for p, _ in in_start_order])
+
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=10))
+    @example([5] * 10)
+    @example([6, 5, 4, 3])
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_at_the_lower_bound_is_the_witness(self, sizes):
+        # the search's root cut answers the one question below the bound
+        inst = new_instance(sizes)
+        greedy, _ = greedy_schedule(inst)
+        assume(makespan(greedy) == lower_bound(inst))
+        assert optimal_makespan(inst) == (makespan(greedy), greedy)
 
     def test_size_limit(self):
         inst = new_instance([1] * 13)

@@ -93,3 +93,13 @@ class TestAscii:
         with pytest.raises(ValueError, match=r"100000\.\.\. \(301 digits\) columns wide.*"
                                              r"--scale 1/100000\.\.\. \(297 digits\) or"):
             render_ascii(Schedule(((3, 10**300),)))
+
+
+@pytest.mark.parametrize("draw", [render_svg, render_ascii])
+@pytest.mark.parametrize("scale", [1, 2, 5])
+@pytest.mark.parametrize("traced", [False, True], ids=["schedule", "trace"])
+def test_integral_scale_draws_alike_as_int_and_fraction(draw, scale, traced):
+    # at scale 5 the peak of 7 gives the trace row a height of 35/6
+    schedule = Schedule(((7, 0), (4, 4), (3, 8)))
+    trace = simulate(schedule, (6, 1, 3)) if traced else None
+    assert draw(schedule, scale=scale, trace=trace) == draw(schedule, scale=Fraction(scale), trace=trace)
