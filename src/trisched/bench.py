@@ -55,14 +55,11 @@ def ratio_search(
     if bound is not None and iterations == 0:
         raise ValueError("a ratio-bounded search needs at least one iteration")
     rng = random.Random(seed)
-    pool = []
     if bound is None:
-        pool.append(fixture_instance("greedy-gap-9"))
-    for _ in range(iterations):
-        if bound is None:
-            pool.append(random_instance(rng, n, max_size))
-        else:
-            pool.append(ratio_bounded_instance(rng, n, bound, max_size))
+        pool = [fixture_instance("greedy-gap-9")]
+        pool += [random_instance(rng, n, max_size) for _ in range(iterations)]
+    else:
+        pool = [ratio_bounded_instance(rng, n, bound, max_size) for _ in range(iterations)]
 
     evaluated = [(evaluate_ratio(instance), instance.sizes) for instance in pool]
     ratio, witness = min(evaluated, key=lambda pair: (-pair[0], pair[1]))

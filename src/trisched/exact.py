@@ -11,12 +11,12 @@ Greedy seeds the incumbent; then `optimal_makespan` asks for one less than
 the incumbent, takes any order it finds as the new incumbent, and asks
 again, until the answer is no.
 
-`decide` is `_search` with the separation caps min(p, q).  The QPTAS asks
-the same search about its grid, with each cap rounded up to whole grid
-steps; every cut below holds for any caps at least min(p, q) that fall
-with the size as it does.  The search branches on distinct sizes (equal
-sizes are interchangeable), depth first in size order on its own stack,
-so no recursion limit caps the job count, and cuts:
+Two jobs start min(p, q) apart, the cap of the smaller one, so `_search`
+takes one cap per size class, at least that size and never rising as the
+sizes fall; `decide` passes the sizes, the QPTAS rounds them up to whole
+grid steps, and every cut below holds for any such caps.  The search branches
+on distinct sizes (equal sizes are interchangeable), depth first in size
+order on its own stack, so no recursion limit caps the job count, and cuts:
 
 - a prefix whose unplaced jobs of size >= some live size d already cannot
   fit: they all start at or after the next start for d, and among
@@ -36,6 +36,7 @@ the cuts are strong rather than the nodes cheap.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import le, lt
 
 from .core import Instance, Schedule, _half_sum_bound, makespan
@@ -48,17 +49,20 @@ class InstanceTooLargeError(ValueError):
     """The exact search refuses instances beyond its configured size."""
 
 
-def _search(sizes: list[int], counts: list[int], caps: list[list[int]], target: int,
+def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
             suffix_bounds: dict, budget: float = math.inf) -> tuple[list[tuple[int, int]] | None, int]:
     """The first order, in class order, whose jobs all end by `target`.
 
-    Class j has `counts[j]` jobs of size `sizes[j]`, sizes falling with j.
-    A job of class j at s pushes the next start of class r to s + caps[j][r]
-    or later; caps[j][r] is at least min(sizes[j], sizes[r]) and falls with
-    r as that does.  `suffix_bounds` memoizes a bound of the sizes and
-    counts alone, which questions on the same classes may share.  Returns
-    the placements, (class index, start) in start order, or None, and the
-    count of prefixes visited; more than `budget` of them give up with None.
+    Class j has `counts[j]` jobs of size `sizes[j]`, sizes falling with j;
+    jobs of classes j <= r start at least caps[r] apart, where caps[r] is at
+    least sizes[r] and never rises with r.  Next starts never rise with the
+    class either, so a job of class j at s = next_start[j] sets each class
+    r >= j to exactly s + caps[r], with no max over the tail, and lifts each
+    earlier class to at least s + caps[j].  `suffix_bounds` memoizes a bound
+    of the sizes and counts alone, which questions on the same classes may
+    share.  Returns the placements, (class index, start) in start order, or
+    None, and the count of prefixes visited; more than `budget` of them give
+    up with None.
     """
     n = sum(counts)
     m = len(sizes)
@@ -124,16 +128,16 @@ def _search(sizes: list[int], counts: list[int], caps: list[list[int]], target: 
         cnt[j] -= 1
         jobs.append((j, s))
         saved.append(next_start)
-        next_start = [a if a > b else b for a, b in zip(next_start, [s + c for c in caps[j]])]
+        lift = s + caps[j]
+        next_start = [a if a > lift else lift for a in next_start[:j]] + [s + c for c in caps[j:]]
 
 
 def decide(instance: Instance, target: int) -> Schedule | None:
     """A canonical schedule whose jobs all end by `target`, or None when no
     order of the sizes fits.  Unlike `optimal_makespan` it has no size cap."""
-    distinct = sorted(set(instance.sizes), reverse=True)
-    counts = [instance.sizes.count(p) for p in distinct]
-    caps = [[min(p, q) for q in distinct] for p in distinct]
-    jobs, _ = _search(distinct, counts, caps, target, {})
+    tally = Counter(instance.sizes)
+    distinct = list(tally)
+    jobs, _ = _search(distinct, list(tally.values()), distinct, target, {})
     if jobs is None:
         return None
     return Schedule._trusted(tuple([(distinct[j], s) for j, s in jobs]))

@@ -9,11 +9,9 @@ instance and the binary tree ratio stays within the bound.
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 
-from .core import Instance, new_instance
+from .core import Instance, as_exact, new_instance
 
 FIXTURES = {
     # This implementation's greedy pays 42 against an optimum of 40 here,
@@ -40,13 +38,13 @@ def random_instance(rng: random.Random, n: int, max_size: int) -> Instance:
 def ratio_bounded_instance(rng: random.Random, n: int, bound, max_size: int) -> Instance:
     if n < 1 or max_size < 1:
         raise ValueError("need n >= 1 and max_size >= 1")
-    bound = Fraction(bound)
+    bound = as_exact(bound)
     if bound < 1:
         raise ValueError(f"ratio bound must be at least 1, got {bound}")
     drawn = [rng.randint(1, max_size)]
     for i in range(2, n + 1):
         anchor = drawn[(i + 1) // 2 - 1]
-        low = math.ceil(Fraction(anchor) / bound)
+        low = -(-anchor // bound)
         # the previous draw already sits above its own (weaker) floor, so
         # the range stays non-empty and the sequence non-increasing
         drawn.append(rng.randint(low, min(anchor, drawn[-1])))

@@ -22,7 +22,7 @@ never a float.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .core import Instance, Schedule, as_exact, new_instance
@@ -122,11 +122,12 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     K (see `grid_points`).  A job of class z goes to the first grid point at
     or after s + min(x, z) for every earlier job of class x at s, which
     keeps it feasible against all of them (left-shifting shows no grid
-    schedule does better).  With every start on the grid that is s plus the
-    cap K*ceil(min(x, z)/K), so this is `exact`'s search with those caps in
-    place of min(x, z), and start // K is the grid index.  With eps = a/b
-    and top the largest exponent, every size and K times n*b^(top+1)/unit is
-    an int: n*(a+b)^k*b^(top+1-k) for class k and a*(a+b)^top for K.
+    schedule does better).  On the grid that is s plus K*ceil(p/K) for the
+    smaller size p, a cap per class that is at least p and never rises as p
+    falls, so this is `exact`'s search with those caps, and start // K is
+    the grid index.  With eps = a/b and top the largest exponent, every
+    size and K times n*b^(top+1)/unit is an int: n*(a+b)^k*b^(top+1-k) for
+    class k and a*(a+b)^top for K.
 
     The search branches on classes in class order and cuts only prefixes
     proved to fail, so each question returns the lexicographically first
@@ -141,14 +142,14 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     search nodes over all questions raise StateBudgetExceeded with the
     count reached.
     """
-    classes = rounded.classes
     a, b = rounded.eps.numerator, rounded.eps.denominator
-    top = classes[0]
+    top = rounded.classes[0]
     tick = a * (a + b) ** top
-    sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in classes]
-    caps = [[tick * -(-min(p, q) // tick) for q in sizes] for p in sizes]
-    counts = [sum(1 for _, k in rounded.large if k == z) for z in classes]
-    target = sum(c * caps[j][j] for j, c in enumerate(counts))
+    sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in rounded.classes]
+    caps = [tick * -(-p // tick) for p in sizes]
+    # `large` runs by non-increasing exponent, so the tally is in class order
+    counts = list(Counter(k for _, k in rounded.large).values())
+    target = sum(c * cap for c, cap in zip(counts, caps))
     suffix_bounds: dict = {}
     states = 0
     while True:

@@ -23,11 +23,11 @@ MAX_COLUMNS = 10_000
 def _drawing_scale(schedule: Schedule, scale) -> ExactNumber:
     """`scale` as an exact number, an int when integral, so the default
     scale costs no Fraction arithmetic; refuses an infeasible schedule, then
-    a scale that is not positive."""
+    a scale that is not an int or Fraction, then one that is not positive."""
     conflict = check_feasible(schedule)
     if conflict is not None:
         raise ValueError(f"schedule is infeasible: {conflict_text(schedule, conflict)}")
-    scale = as_exact(Fraction(scale))
+    scale = as_exact(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
     return scale

@@ -81,6 +81,11 @@ class TestRatioSearch:
         with pytest.raises(ValueError, match="iteration"):
             ratio_search(n=3, iterations=iterations, seed=0, bound=bound)
 
+    @pytest.mark.parametrize("bound", [1.1, True])
+    def test_float_and_bool_bounds_rejected(self, bound):
+        with pytest.raises(TypeError):
+            ratio_search(n=3, iterations=1, seed=0, bound=bound)
+
     def test_zero_iterations_report_the_fixture(self):
         report = ratio_search(n=3, iterations=0, seed=0)
         assert report.ratio == FIXTURE_RATIO and report.iterations == 0

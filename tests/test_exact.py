@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -187,6 +188,42 @@ class TestDecide:
                     assert sorted(found.sizes, reverse=True) == list(inst.sizes)
                     assert check_feasible(found) is None
                     assert makespan(found) <= target
+
+    def test_schedules_are_the_canonical_schedules_of_their_orders(self):
+        # the one-cap-per-class update of the next starts against the
+        # quadratic reference, on targets from the optimum up to the sum
+        # of the sizes, where every order fits
+        rng = random.Random(33)
+        for k in range(60):
+            sizes = [rng.randint(1, (3, 50, 10**6)[k % 3]) for _ in range(1 + k % 12)]
+            inst = new_instance(sizes)
+            opt, _ = optimal_makespan(inst)
+            total = sum(sizes)
+            for target in {opt, opt + 1, total, *(rng.randint(opt, total) for _ in range(3))}:
+                found = decide(inst, target)
+                assert makespan(found) <= target
+                in_start_order = sorted(found.jobs, key=lambda job: job[1])
+                assert found == canonical_schedule_for_order([p for p, _ in in_start_order])
+
+    def test_past_the_cap_at_the_sum_of_the_sizes(self):
+        # every order fits, so the first one in class order comes in n nodes
+        rng = random.Random(34)
+        for n, high in ((100, 3), (200, 50), (300, 10**6)):
+            inst = new_instance([rng.randint(1, high) for _ in range(n)])
+            found = decide(inst, sum(inst.sizes))
+            assert found == canonical_schedule_for_order(inst.sizes)
+
+    def test_below_the_bound_answers_in_linear_memory(self):
+        # the root cut refuses before any job is placed; a caps matrix over
+        # the 5000 classes alone would peak near 200 MiB
+        inst = new_instance(random.Random(35).sample(range(1, 10**6), 5000))
+        tracemalloc.start()
+        try:
+            assert decide(inst, lower_bound(inst) - 1) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_n12_scale_gate():

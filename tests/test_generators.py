@@ -64,6 +64,11 @@ class TestRatioBoundedInstance:
         with pytest.raises(ValueError):
             ratio_bounded_instance(random.Random(0), 3, Fraction(1, 2), 50)
 
+    @pytest.mark.parametrize("bound", [1.1, True])
+    def test_float_and_bool_bounds_rejected(self, bound):
+        with pytest.raises(TypeError):
+            ratio_bounded_instance(random.Random(0), 5, bound, 10)
+
 
 class TestFixtures:
     def test_known_names(self):

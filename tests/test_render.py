@@ -48,6 +48,11 @@ class TestSvg:
         with pytest.raises(ValueError):
             render_svg(STAIRCASE, scale=0)
 
+    @pytest.mark.parametrize("scale", [0.1, True])
+    def test_float_and_bool_scales_rejected(self, scale):
+        with pytest.raises(TypeError):
+            render_svg(STAIRCASE, scale=scale)
+
 
 class TestAscii:
     def test_rows_in_start_order(self):
@@ -79,6 +84,11 @@ class TestAscii:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError, match="^scale must be positive$"):
             render_ascii(STAIRCASE, scale=0)
+
+    @pytest.mark.parametrize("scale", [0.1, True])
+    def test_float_and_bool_scales_rejected(self, scale):
+        with pytest.raises(TypeError):
+            render_ascii(STAIRCASE, scale=scale)
 
     def test_time_axis_up_to_the_column_cap(self):
         fits = Schedule(((4, 0), (4, MAX_COLUMNS - 4)))
