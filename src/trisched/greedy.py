@@ -144,14 +144,14 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     """
     sizes = instance.sizes
     starts, trace = _greedy(sizes, True)
-    return Schedule._trusted(tuple(zip(sizes, starts))), tuple(trace)
+    return Schedule(zip(sizes, starts)), tuple(trace)
 
 
 def untraced_greedy(instance: Instance) -> Schedule:
     """The schedule of `greedy_schedule`, without building its trace."""
     sizes = instance.sizes
     starts, _ = _greedy(sizes, False)
-    return Schedule._trusted(tuple(zip(sizes, starts)))
+    return Schedule(zip(sizes, starts))
 
 
 def tree_to_dot(trace: GreedyTrace) -> str:

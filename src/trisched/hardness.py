@@ -48,11 +48,7 @@ JOB_TYPES = ("E", "F", "A", "B", "C")
 
 class ThreeDMInstance(namedtuple("ThreeDMInstance", "D a b c")):
     """Numerical 3DM input: target D and value columns a, b, c (1-based),
-    stored as tuples.
-
-    Every value is a plain int, so the encoded sizes and the certificate
-    schedule are ints by construction.
-    """
+    stored as tuples of plain ints."""
 
     __slots__ = ()
 
@@ -173,7 +169,7 @@ def schedule_from_matching(tdm: ThreeDMInstance, M: int, matching: Matching) -> 
         jobs += (
             (window, offset), (size_a, offset + size_a), (size_c, f - size_c), (size_f, f), (size_b, f + size_b),
         )
-    return Schedule._trusted(tuple(jobs))
+    return Schedule(jobs)
 
 
 class DecodeError(ValueError):

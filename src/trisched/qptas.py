@@ -229,7 +229,7 @@ def qptas_solve(instance: Instance, eps) -> tuple[Schedule, QptasStats]:
     starts = left_shifted_starts(sizes + list(small))
     jobs = [(original, starts[k]) for original, k in zip(large, order)]
     jobs += zip(small, starts[len(large):])
-    schedule = Schedule._trusted(tuple(jobs))
+    schedule = Schedule(jobs)
     stats = QptasStats(
         eps=eps,
         threshold=threshold,

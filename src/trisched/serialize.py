@@ -140,12 +140,9 @@ def schedule_to_obj(schedule: Schedule) -> dict:
 
 
 def schedule_from_obj(obj: object) -> Schedule:
-    """The schedule.  A file of plain ints, sizes positive and starts
-    non-negative, is checked once, by C-level passes, and kept as it is.
-    Any other file, one with no jobs included, takes the per-entry path: it
-    decodes what is not a plain int, and the public constructor checks every
-    value and collapses integral rationals, so a fault gets the message that
-    names it."""
+    """The schedule.  A file of plain ints goes to the constructor as its two
+    columns; any other file is decoded entry by entry.  The constructor checks
+    every value, so a fault gets the message that names it."""
     entries = _field(obj, "jobs", "schedule JSON", array=True)
     try:
         sizes = list(map(itemgetter("size"), entries))
@@ -153,17 +150,13 @@ def schedule_from_obj(obj: object) -> Schedule:
     except (KeyError, TypeError):
         pass
     else:
-        if (set(map(type, sizes)) | set(map(type, starts)) <= {int}
-                and min(sizes, default=0) > 0 and min(starts) >= 0):
-            return Schedule._trusted(tuple(zip(sizes, starts)))
+        if set(map(type, sizes)) | set(map(type, starts)) <= {int}:
+            return Schedule(zip(sizes, starts))
     jobs = []
     for entry in entries:
         size, start = _field(entry, "size", "schedule job"), _field(entry, "start", "schedule job")
-        jobs.append((
-            size if type(size) is int else decode_exact(size),
-            start if type(start) is int else decode_exact(start),
-        ))
-    return Schedule(tuple(jobs))
+        jobs.append((decode_exact(size), decode_exact(start)))
+    return Schedule(jobs)
 
 
 def tdm_from_obj(obj: object) -> ThreeDMInstance:

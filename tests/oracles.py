@@ -19,7 +19,9 @@ order is the reference for the exact oracle's witness, the `*_to_obj`
 functions below are the reference for the text writers that replaced them
 (`dumps` of their dict is the file a writer must match byte for byte), and
 the two strict readers load the greedy trace and ratio-search report files
-that the CLI writes but never reads.  The per-entry instance, schedule and
+that the CLI writes but never reads.  The per-job loop of the `Schedule`
+constructor is the reference for the one pass that keeps valid plain-int
+jobs as they are.  The per-entry instance, schedule and
 3DM readers are the reference for the loaders' C-level pass over files of
 plain ints: they decode every value and leave every check, and its message,
 to the public constructor.  The reduction's decoder that re-encodes the
@@ -54,7 +56,7 @@ from trisched import (
     new_instance,
 )
 from trisched.bench import RatioSearchReport, evaluate_ratio
-from trisched.core import conflict_text
+from trisched.core import as_exact, conflict_text
 from trisched.cli import SUBCOMMANDS, build_parser
 from trisched.exact import InstanceTooLargeError
 from trisched.greedy import GreedyTrace, TraceStep
@@ -598,6 +600,24 @@ def report_from_obj(obj: Any) -> RatioSearchReport:
             for f in findings
         ),
     )
+
+
+def schedule_reference(jobs) -> tuple[tuple[ExactNumber, ExactNumber], ...]:
+    """The jobs `Schedule(jobs)` holds, checked one job at a time: each value
+    through `as_exact`, which collapses integral Fractions, sizes positive,
+    starts non-negative and at least one job, the first fault raised."""
+    checked = []
+    for size, start in jobs:
+        size = as_exact(size)
+        start = as_exact(start)
+        if size <= 0:
+            raise ValueError(f"job sizes must be positive, got {size!r}")
+        if start < 0:
+            raise ValueError(f"start times must be non-negative, got {start!r}")
+        checked.append((size, start))
+    if not checked:
+        raise ValueError("schedule has no jobs")
+    return tuple(checked)
 
 
 def instance_from_obj_reference(obj: Any) -> Instance:

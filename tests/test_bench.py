@@ -86,6 +86,12 @@ class TestRatioSearch:
         with pytest.raises(TypeError):
             ratio_search(n=3, iterations=1, seed=0, bound=bound)
 
+    @pytest.mark.parametrize("n, iterations, name", [(3, True, "iterations"), (3, 1.0, "iterations"), (2.0, 0, "n")])
+    def test_float_and_bool_counts_rejected(self, n, iterations, name):
+        # iterations=True ran one iteration and reported "iterations": true
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            ratio_search(n=n, iterations=iterations, seed=0)
+
     def test_zero_iterations_report_the_fixture(self):
         report = ratio_search(n=3, iterations=0, seed=0)
         assert report.ratio == FIXTURE_RATIO and report.iterations == 0

@@ -132,6 +132,12 @@ class TestOptimalMakespan:
         value, _ = optimal_makespan(inst, limit=13)
         assert value == 13
 
+    @pytest.mark.parametrize("limit", [2.5, 13.0, True])
+    def test_float_and_bool_limits_rejected(self, limit):
+        # a float cap was compared and the search ran
+        with pytest.raises(TypeError, match=f"^limit must be an int, got {type(limit).__name__}$"):
+            optimal_makespan(new_instance([3, 2, 1]), limit=limit)
+
     def test_bounded_by_greedy_and_lower_bound(self):
         rng = random.Random(4)
         for _ in range(80):

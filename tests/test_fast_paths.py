@@ -6,9 +6,10 @@ and bound it replaced, the QPTAS's grid search against the recursive
 Fraction DP and the layered DP over every reached state that it replaced,
 its left-shifted hand-back against the per-class pairing of grid
 starts shifted by the quadratic canonical schedule, a linear-time gate for
-that shift, the schedules that skip the public constructor's checks
-against what those checks make of them, and a scale gate for writing and
-loading an execution trace."""
+that shift, the `Schedule` constructor's one pass against its per-job
+reference, each solver's schedule against what the per-job checks make of
+it, solver faults that the constructor refuses, and a scale gate for
+writing and loading an execution trace."""
 
 import json
 import random
@@ -30,6 +31,7 @@ from oracles import (
     optimal_makespan_oracle,
     order_brute_force_optimum,
     qptas_solve_oracle,
+    schedule_reference,
 )
 from trisched import (
     Schedule,
@@ -45,6 +47,8 @@ from trisched import (
     schedule_from_matching,
     simulate,
 )
+from trisched import exact, greedy
+from trisched.exact import decide
 from trisched.greedy import untraced_greedy
 from trisched.qptas import dp_solve, round_sizes
 from trisched.serialize import execution_trace_from_obj, execution_trace_json
@@ -349,13 +353,70 @@ def test_qptas_left_shift_is_linear():
 
 
 def assert_trusted(schedule):
-    """A schedule built by `Schedule._trusted` is what the public
-    constructor makes of its jobs: a tuple of (size, start) tuples of plain
-    ints, sizes positive and starts non-negative."""
+    """A solver's schedule is what the constructor's per-job checks make of
+    its jobs: a tuple of (size, start) tuples of plain ints, sizes positive
+    and starts non-negative."""
     assert Schedule(schedule.jobs) == schedule
     assert type(schedule.jobs) is tuple
     assert all(type(job) is tuple and len(job) == 2 for job in schedule.jobs)
     assert {type(x) for job in schedule.jobs for x in job} <= {int}
+
+
+job_values = st.one_of(
+    st.integers(0, 10**20),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=30, max_denominator=4),
+    st.booleans(),
+    st.floats(-3, 30),
+)
+# every kind of job the constructor sees; schedules of valid plain-int
+# tuples alone, which take its one pass, come as often as mixed ones
+constructor_jobs = st.one_of(
+    int_jobs,
+    st.tuples(job_values, job_values),
+    st.lists(job_values, min_size=2, max_size=2),
+    st.lists(job_values, max_size=3).map(tuple),
+)
+constructor_inputs = st.one_of(st.lists(int_jobs, min_size=1, max_size=8), st.lists(constructor_jobs, max_size=8))
+
+
+class TestScheduleConstructor:
+    @given(constructor_inputs, st.sampled_from([tuple, list, iter]))
+    @settings(max_examples=600)
+    @example([(1, 0), [2, 5]], tuple)
+    @example([(1, 0), (True, 5)], list)
+    @example([(1, 0), (2, -1)], iter)
+    @example([(0, 0)], tuple)
+    @example([(1, 0, 2)], tuple)
+    @example([], iter)
+    def test_matches_per_job_reference(self, jobs, container):
+        def outcome(build):
+            try:
+                held = build(container(jobs))
+            except (TypeError, ValueError) as error:
+                return type(error), str(error)
+            return held, [(type(job), *map(type, job)) for job in held]
+
+        assert outcome(lambda js: Schedule(js).jobs) == outcome(schedule_reference)
+        # valid plain-int tuples are kept as the very tuple handed in
+        plain = tuple(jobs)
+        if all(type(job) is tuple and set(map(type, job)) == {int} for job in plain):
+            if outcome(schedule_reference)[0] == plain:
+                assert Schedule(plain).jobs is plain
+
+
+class TestSolverFaultsRefused:
+    def test_negative_greedy_start(self, monkeypatch):
+        monkeypatch.setattr(greedy, "_greedy", lambda sizes, record: ((-1,) * len(sizes), []))
+        instance = new_instance([3, 2, 1])
+        for solve in (untraced_greedy, greedy_schedule):
+            with pytest.raises(ValueError, match="start times must be non-negative, got -1"):
+                solve(instance)
+
+    def test_bool_exact_start(self, monkeypatch):
+        monkeypatch.setattr(exact, "_search", lambda *args: ([(0, True)], 1))
+        with pytest.raises(TypeError, match="got bool"):
+            decide(new_instance([3]), 10)
 
 
 @st.composite

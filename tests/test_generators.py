@@ -30,6 +30,12 @@ class TestRandomInstance:
         with pytest.raises(ValueError):
             random_instance(random.Random(0), 3, 0)
 
+    @pytest.mark.parametrize("n, max_size, name", [(True, 10, "n"), (2.0, 10, "n"), (3, True, "max_size"), (3, 10.0, "max_size")])
+    def test_float_and_bool_counts_rejected(self, n, max_size, name):
+        # a bool would count as 1: random_instance(rng, True, 10) drew one job
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            random_instance(random.Random(0), n, max_size)
+
 
 class TestRatioBoundedInstance:
     @given(st.integers(0, 10**6), st.integers(1, 25))
@@ -68,6 +74,11 @@ class TestRatioBoundedInstance:
     def test_float_and_bool_bounds_rejected(self, bound):
         with pytest.raises(TypeError):
             ratio_bounded_instance(random.Random(0), 5, bound, 10)
+
+    @pytest.mark.parametrize("n, max_size, name", [(True, 10, "n"), (4.0, 10, "n"), (4, True, "max_size"), (0, 2.0, "max_size")])
+    def test_float_and_bool_counts_rejected(self, n, max_size, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            ratio_bounded_instance(random.Random(0), n, 2, max_size)
 
 
 class TestFixtures:
