@@ -27,7 +27,8 @@ def main() -> None:
     )
     parser.add_argument("--instances", type=int, default=40)
     parser.add_argument(
-        "--n", type=int, default=7, help=f"jobs per instance (max {DEFAULT_SIZE_LIMIT})"
+        "--n", type=int, default=7,
+        help=f"jobs per instance; the exact oracle refuses a search past {DEFAULT_SIZE_LIMIT}",
     )
     parser.add_argument("--max-size", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)

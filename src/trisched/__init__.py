@@ -16,7 +16,7 @@ from .core import (
     makespan,
     new_instance,
 )
-from .exact import InstanceTooLargeError, optimal_makespan
+from .exact import SearchRefused, optimal_makespan
 from .generators import FIXTURES, fixture_instance, random_instance, ratio_bounded_instance
 from .greedy import GreedyTrace, greedy_schedule, tree_to_dot
 from .hardness import (
@@ -31,7 +31,7 @@ from .hardness import (
     schedule_from_matching,
     solve_3dm_bruteforce,
 )
-from .qptas import QptasStats, StateBudgetExceeded, qptas_solve
+from .qptas import QptasStats, qptas_solve
 from .simulate import ExecutionRecord, ExecutionTrace, simulate
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "lower_bound",
     "makespan",
     "new_instance",
-    "InstanceTooLargeError",
+    "SearchRefused",
     "optimal_makespan",
     "FIXTURES",
     "fixture_instance",
@@ -64,7 +64,6 @@ __all__ = [
     "schedule_from_matching",
     "solve_3dm_bruteforce",
     "QptasStats",
-    "StateBudgetExceeded",
     "qptas_solve",
     "ExecutionRecord",
     "ExecutionTrace",

@@ -213,12 +213,26 @@ def lower_bound(instance: Instance) -> int:
     floor(n/2) jobs at most twice, plus the median size m once when n is
     odd.
     """
-    return _half_sum_bound(instance.sizes)
-
-
-def _half_sum_bound(p: Sequence[int]) -> int:
-    """`lower_bound` of the sizes `p`, given sorted non-increasing."""
+    p = instance.sizes
     n = len(p)
-    half_sum = sum(p[(n + 1) // 2:])
-    middle = p[n // 2] if n % 2 else 0
-    return middle + 2 * half_sum
+    return (p[n // 2] if n % 2 else 0) + 2 * sum(p[(n + 1) // 2:])
+
+
+def class_end_bounds(sizes: Sequence[int], counts: Sequence[int]) -> list[tuple[int, int]]:
+    """(r, `lower_bound` of the N jobs of classes 0..r) for each class r of
+    counts[r] > 0 jobs of size sizes[r], sizes falling: twice the sum past
+    job ceil(N/2), plus its size when N is odd.  One O(m) pass over the m
+    classes, with a trailing index q at the class of job ceil(N/2): twice
+    the sum past the `head` jobs before q, less (N - 2*head) * sizes[q]."""
+    bounds = []
+    n = total = q = head = head_sum = 0
+    for r, c in enumerate(counts):
+        if c:
+            n += c
+            total += sizes[r] * c
+            while 2 * (head + counts[q]) < n:
+                head += counts[q]
+                head_sum += sizes[q] * counts[q]
+                q += 1
+            bounds.append((r, 2 * (total - head_sum) - (n - 2 * head) * sizes[q]))
+    return bounds

@@ -7,9 +7,10 @@ the best canonical makespan over all orders of the size multiset.
 
 The search is a sequence of decision questions, each one a call of
 `decide(instance, target)`: does some order end every job by `target`?
-Greedy seeds the incumbent; then `optimal_makespan` asks for one less than
-the incumbent, takes any order it finds as the new incumbent, and asks
-again, until the answer is no.
+Greedy seeds the incumbent, optimal at any n when it meets the largest
+half-sum bound at a class end (`core.class_end_bounds`); otherwise
+`optimal_makespan` refuses more than `limit` jobs, then asks for one less
+than the incumbent, takes any order found as the new one, and asks again.
 
 Two jobs start min(p, q) apart, the cap of the smaller one, so `_search`
 takes one cap per size class, at least that size and never rising as the
@@ -20,7 +21,7 @@ order on its own stack, so no recursion limit caps the job count, and cuts:
 
 - a prefix whose unplaced jobs of size >= some live size d already cannot
   fit: they all start at or after the next start for d, and among
-  themselves they need the half-sum bound of `lower_bound`.  That bound is
+  themselves they need the half-sum bound at the end of d's class.  It is
   at least d (one job gives d, two or more at least 2d), so a prefix that
   passes can place a job of every live size and end it by the target;
 - a prefix dominated by an explored one.  With the target fixed, a prefix
@@ -39,18 +40,18 @@ import math
 from collections import Counter
 from operator import le, lt
 
-from .core import Instance, Schedule, _half_sum_bound, as_count, makespan
+from .core import Instance, Schedule, as_count, class_end_bounds, makespan
 from .greedy import greedy_schedule
 
 DEFAULT_SIZE_LIMIT = 12
 
 
-class InstanceTooLargeError(ValueError):
-    """The exact search refuses instances beyond its configured size."""
+class SearchRefused(ValueError):
+    """A search past its job cap (`optimal_makespan`) or node budget (QPTAS)."""
 
 
 def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
-            suffix_bounds: dict, budget: float = math.inf) -> tuple[list[tuple[int, int]] | None, int]:
+            class_bounds: dict, budget: float = math.inf) -> tuple[list[tuple[int, int]] | None, int]:
     """The first order, in class order, whose jobs all end by `target`.
 
     Class j has `counts[j]` jobs of size `sizes[j]`, sizes falling with j;
@@ -58,17 +59,15 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
     least sizes[r] and never rises with r.  Next starts never rise with the
     class either, so a job of class j at s = next_start[j] sets each class
     r >= j to exactly s + caps[r], with no max over the tail, and lifts each
-    earlier class to at least s + caps[j].  `suffix_bounds` memoizes a bound
-    of the sizes and counts alone, which questions on the same classes may
-    share.  Returns the placements, (class index, start) in start order, or
-    None, and the count of prefixes visited; more than `budget` of them give
-    up with None.
+    earlier class to at least s + caps[j].  Returns the placements, (class
+    index, start) in start order, or None, and the count of prefixes
+    visited; more than `budget` of them give up with None.
     """
     n = sum(counts)
     m = len(sizes)
     cnt = list(counts)
-    # suffix_bounds: unplaced multiset -> [(r, half-sum bound of the
-    # unplaced jobs of size >= sizes[r])] over the live classes r
+    # class_bounds, which questions on the same classes may share: unplaced
+    # multiset -> its class_end_bounds, (r, bound) over the live classes r
     # next_start[r]: earliest start of a job of class r after the placed
     # prefix, non-increasing in r; `saved` holds it before each placement
     next_start = [0] * m
@@ -87,14 +86,9 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
         if nodes > budget:
             return None, nodes
         key = tuple(cnt)
-        bounds = suffix_bounds.get(key)
+        bounds = class_bounds.get(key)
         if bounds is None:
-            bounds = suffix_bounds[key] = []
-            suffix: list[int] = []
-            for r in range(m):
-                if key[r]:
-                    suffix += [sizes[r]] * key[r]
-                    bounds.append((r, _half_sum_bound(suffix)))
+            bounds = class_bounds[key] = class_end_bounds(sizes, key)
         # the prefix gets children unless a cut proves it fails
         tries.append(m)
         for r, bound in bounds:
@@ -133,8 +127,9 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
 
 
 def decide(instance: Instance, target: int) -> Schedule | None:
-    """A canonical schedule whose jobs all end by `target`, or None when no
-    order of the sizes fits.  Unlike `optimal_makespan` it has no size cap."""
+    """A canonical schedule whose jobs all end by `target`, an int, or None
+    when no order of the sizes fits.  It has no job cap."""
+    as_count(target, "target")
     tally = Counter(instance.sizes)
     distinct = list(tally)
     jobs, _ = _search(distinct, list(tally.values()), distinct, target, {})
@@ -144,26 +139,24 @@ def decide(instance: Instance, target: int) -> Schedule | None:
 
 
 def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
-    """Exact optimum makespan with a witness schedule.
-
-    `limit` caps the instance size (the search is factorial in the worst
-    case, though the bound and the dominance table make typical instances
-    far cheaper).
-    """
-    n = instance.n
-    if n > as_count(limit, "limit"):
-        raise InstanceTooLargeError(
-            f"exact search limited to {limit} jobs, got {n}; raise `limit` to override"
-        )
+    """Exact optimum makespan with a witness schedule: greedy's, at any n,
+    when it meets the largest class-end bound; otherwise a search, factorial
+    in the worst case, which refuses more than `limit` jobs (SearchRefused)."""
+    as_count(limit, "limit")
     # `greedy_schedule`, not `untraced_greedy`, though the trace goes
     # unused: perfbench/tracing.py `layer_metrics` finds each exact span's
     # seed through its `greedy.greedy_schedule` child span, so a traced
-    # oracle-pool run raises KeyError without it.  On instances this small
-    # the trace costs a few microseconds.
+    # oracle-pool run raises KeyError without it.  The trace costs a few
+    # microseconds at n <= 12, but doubles greedy's time at 10^5 jobs.
     best, _ = greedy_schedule(instance)
     best_val = makespan(best)
-    # Ask for an order ending one below the incumbent until none exists; an
-    # incumbent at `lower_bound` gets its no from the search's root cut.
+    # greedy meets a lower bound: the search's root cut refuses its first question
+    tally = Counter(instance.sizes)
+    if max(bound for _, bound in class_end_bounds(list(tally), list(tally.values()))) == best_val:
+        return best_val, best
+    if instance.n > limit:
+        raise SearchRefused(f"exact search limited to {limit} jobs, got {instance.n}; raise `limit` to override")
+    # Ask for an order ending one below the incumbent until none exists.
     while True:
         better = decide(instance, best_val - 1)
         if better is None:

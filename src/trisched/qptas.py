@@ -26,18 +26,10 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .core import Instance, Schedule, as_exact, new_instance
-from .exact import _search
+from .exact import SearchRefused, _search
 
 # search nodes `dp_solve` may visit over all its questions
 DEFAULT_STATE_BUDGET = 5_000_000
-
-
-class StateBudgetExceeded(ValueError):
-    """The grid search visited more nodes than its budget allows."""
-
-    def __init__(self, states: int):
-        super().__init__(f"dp state budget exceeded after {states} states")
-        self.states = states
 
 
 def _rational_eps(eps) -> Fraction:
@@ -114,7 +106,7 @@ def grid_points(rounded: RoundedInstance, n: int) -> int:
 DPResult = namedtuple("DPResult", "order states")
 
 
-def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGET) -> DPResult:
+def dp_solve(rounded: RoundedInstance, n: int) -> DPResult:
     """Best grid-restricted schedule of the rounded large jobs, as the
     order in which it places their classes.
 
@@ -138,9 +130,9 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     order found has the optimal value v, as v - 1 is met by none, and its
     target was at least v, so every optimal order met it too: it is the
     first optimal order in class order.  Each placement lands past every
-    earlier start, so that order is the start order.  More than `budget`
-    search nodes over all questions raise StateBudgetExceeded with the
-    count reached.
+    earlier start, so that order is the start order.  More than
+    `DEFAULT_STATE_BUDGET` search nodes over all questions raise
+    SearchRefused with the count reached.
     """
     a, b = rounded.eps.numerator, rounded.eps.denominator
     top = rounded.classes[0]
@@ -150,13 +142,13 @@ def dp_solve(rounded: RoundedInstance, n: int, budget: int = DEFAULT_STATE_BUDGE
     # `large` runs by non-increasing exponent, so the tally is in class order
     counts = list(Counter(k for _, k in rounded.large).values())
     target = sum(c * cap for c, cap in zip(counts, caps))
-    suffix_bounds: dict = {}
+    class_bounds: dict = {}
     states = 0
     while True:
-        jobs, nodes = _search(sizes, counts, caps, target, suffix_bounds, budget - states)
+        jobs, nodes = _search(sizes, counts, caps, target, class_bounds, DEFAULT_STATE_BUDGET - states)
         states += nodes
-        if states > budget:
-            raise StateBudgetExceeded(states)
+        if states > DEFAULT_STATE_BUDGET:
+            raise SearchRefused(f"dp state budget exceeded after {states} states")
         if jobs is None:
             return DPResult(order=tuple([j for j, _ in order]), states=states)
         order = jobs

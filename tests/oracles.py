@@ -8,8 +8,10 @@ the per-class hand-back of grid starts that one sort replaced, and the
 Fraction rungs and grid schedule that the integer exponents and class
 order stand for), the layered DP that stores every state it reaches, which
 the QPTAS's grid search replaced, the heap of gap lengths that gives
-greedy's makespan without its schedule, and a brute force over integer
-start tuples that never uses the exact oracle's canonical form.  Tests
+greedy's makespan without its schedule, the half-sum bound at each class
+end summed from the list of the jobs up to it, which the one running-sum
+pass replaced, and a brute force over integer start tuples that never
+uses the exact oracle's canonical form.  Tests
 cross-check the fast paths against them on small inputs; of the pairs
 the quadratic check lists, `first_pair_oracle` picks the one that
 `check_feasible` returns.  The gap split
@@ -58,7 +60,7 @@ from trisched import (
 from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.core import as_exact, conflict_text
 from trisched.cli import SUBCOMMANDS, build_parser
-from trisched.exact import InstanceTooLargeError
+from trisched.exact import SearchRefused
 from trisched.greedy import GreedyTrace, TraceStep
 from trisched.qptas import DPResult, QptasStats, RoundedInstance, grid_points, round_sizes, split_small
 from trisched.hardness import JOB_TYPES, ReductionLabels
@@ -296,6 +298,26 @@ def order_brute_force_optimum(sizes) -> int:
     return min(makespan(canonical_schedule_for_order(order)) for order in set(itertools.permutations(sizes)))
 
 
+def half_sum_bound(p: Sequence[int]) -> int:
+    """`lower_bound` of the sizes `p`, given sorted non-increasing, summed
+    from the list itself."""
+    n = len(p)
+    return (p[n // 2] if n % 2 else 0) + 2 * sum(p[(n + 1) // 2:])
+
+
+def class_end_bounds_reference(sizes: Sequence[int], counts: Sequence[int]) -> list[int]:
+    """`class_end_bounds` from the list of the jobs up to each live class's
+    end, as the exact search once built and summed them for every unplaced
+    multiset, O(n) per class."""
+    jobs: list[int] = []
+    bounds = []
+    for r, (p, c) in enumerate(zip(sizes, counts)):
+        if c:
+            jobs += [p] * c
+            bounds.append((r, half_sum_bound(jobs)))
+    return bounds
+
+
 def rung(rounded: RoundedInstance, k: int) -> Fraction:
     """The rounded size of exponent k: unit*(1+eps)^k, where the unit is
     the smallest original size, the last of `rounded.large`."""
@@ -473,7 +495,7 @@ def grid_exhaustive_optimum(instance: Instance, horizon: int) -> int:
     the sum of all sizes.  Hard-limited to 4 jobs and horizon 30.
     """
     if instance.n > 4:
-        raise InstanceTooLargeError("grid search limited to 4 jobs")
+        raise SearchRefused("grid search limited to 4 jobs")
     if horizon > 30:
         raise ValueError("grid search limited to horizon 30")
     sizes = instance.sizes

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from oracles import eager_parser, greedy_trace_from_obj, report_from_obj
 from trisched import cli, greedy_schedule, new_instance, optimal_makespan
 from trisched.cli import build_parser, cli_main
-from trisched.qptas import StateBudgetExceeded, dp_solve, round_sizes
 from trisched.serialize import read_json
 
 
@@ -166,23 +165,48 @@ class TestSolve:
         assert out == "makespan 40\n"
 
     def test_exact_respects_limit(self, tmp_path, capsys):
+        # greedy's 130 on the nine jobs of greedy-gap-65-58 is above every
+        # class-end bound, so they need a search, which --limit 8 refuses
         instance = tmp_path / "i.json"
-        instance.write_text(json.dumps({"sizes": [1] * 13}))
-        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact")
-        assert code == 1
-        assert "got 13" in err
-        code, out, _ = run(
-            capsys, "solve", str(instance), "--algo", "exact", "--limit", "13"
-        )
-        assert code == 0
-        assert out == "makespan 13\n"
+        assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-65-58", "-o", str(instance))[0] == 0
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "8")
+        assert (code, err) == (1, "error: exact search limited to 8 jobs, got 9; raise `limit` to override\n")
+        assert run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "9") == (0, "makespan 116\n", "")
 
     def test_exact_limit_defaults_to_the_size_cap(self, tmp_path, capsys):
+        # greedy-gap-65-58 with three or four jobs of size 1 still needs a
+        # search, which the default cap of 12 allows for 12 jobs, not 13
         instance = tmp_path / "i.json"
-        instance.write_text(json.dumps({"sizes": [1] * 12}))
-        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 12\n", "")
-        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "11")
-        assert code == 1 and err.startswith("error: exact search limited to 11 jobs, got 12")
+        instance.write_text(json.dumps({"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2, 1, 1, 1]}))
+        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 116\n", "")
+        instance.write_text(json.dumps({"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2, 1, 1, 1, 1]}))
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact")
+        assert (code, err) == (1, "error: exact search limited to 12 jobs, got 13; raise `limit` to override\n")
+
+    def test_exact_past_the_cap_when_greedy_meets_the_bound(self, tmp_path, capsys):
+        # equal sizes: greedy's makespan is the bound, so no limit applies
+        instance = tmp_path / "i.json"
+        instance.write_text(json.dumps({"sizes": [1] * 13}))
+        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 13\n", "")
+        assert run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "1") == (0, "makespan 13\n", "")
+
+    def test_exact_at_ten_thousand_jobs(self, tmp_path, capsys):
+        # seed 0 is settled by the bound, in about 0.1 s on a 2-vCPU VM;
+        # seed 2 is not, and its search is refused with one line
+        for seed, settled in ((0, True), (2, False)):
+            instance = tmp_path / f"r{seed}.json"
+            gen = ("gen", "--kind", "random", "--n", "10000", "--max-size", "1000000", "--seed", str(seed))
+            assert run(capsys, *gen, "-o", str(instance))[0] == 0
+            _, greedy, _ = run(capsys, "solve", str(instance), "--algo", "greedy")
+            began = time.perf_counter()
+            code, out, err = run(capsys, "solve", str(instance), "--algo", "exact")
+            elapsed = time.perf_counter() - began
+            if settled:
+                assert (code, out, err) == (0, greedy, "")
+                assert elapsed < 1.5, f"{elapsed:.2f} s"
+            else:
+                assert (code, out) == (1, "")
+                assert err == "error: exact search limited to 12 jobs, got 10000; raise `limit` to override\n"
 
     def test_qptas_prints_stats(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
@@ -234,14 +258,9 @@ class TestSolve:
     def test_qptas_past_the_state_budget(self, tmp_path, capsys, monkeypatch):
         # the README fixture takes 335 search nodes, so a budget of 100
         # trips at node 101, and the error names that count
-        sizes = [20, 20, 10, 5, 5, 4, 4, 4, 4]
-        rounded = round_sizes(new_instance(sizes), Fraction(1, 2))
-        with pytest.raises(StateBudgetExceeded) as info:
-            dp_solve(rounded, len(sizes), budget=100)
-        assert info.value.states == 101
-        monkeypatch.setattr("trisched.qptas.dp_solve", functools.partial(dp_solve, budget=100))
+        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", 100)
         instance = tmp_path / "i.json"
-        instance.write_text(json.dumps({"sizes": sizes}))
+        instance.write_text(json.dumps({"sizes": [20, 20, 10, 5, 5, 4, 4, 4, 4]}))
         code, _, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
         assert code == 1
         assert err == "error: dp state budget exceeded after 101 states\n"

@@ -4,14 +4,21 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import canonical_schedule_for_order, grid_exhaustive_optimum, order_brute_force_optimum
+from oracles import (
+    canonical_schedule_for_order,
+    class_end_bounds_reference,
+    grid_exhaustive_optimum,
+    half_sum_bound,
+    order_brute_force_optimum,
+)
 from trisched import (
-    InstanceTooLargeError,
+    SearchRefused,
     Schedule,
     check_feasible,
     greedy_schedule,
@@ -20,8 +27,9 @@ from trisched import (
     new_instance,
     optimal_makespan,
 )
+from trisched.core import class_end_bounds
 from trisched.exact import decide
-from trisched.generators import random_instance
+from trisched.generators import fixture_instance, random_instance
 
 small_sizes = st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8)
 GAP_FIXTURE = (20, 20, 10, 5, 5, 4, 4, 4, 4)   # greedy 42, optimum 40
@@ -126,11 +134,19 @@ class TestOptimalMakespan:
         assert optimal_makespan(inst) == (makespan(greedy), greedy)
 
     def test_size_limit(self):
-        inst = new_instance([1] * 13)
-        with pytest.raises(InstanceTooLargeError):
-            optimal_makespan(inst)
-        value, _ = optimal_makespan(inst, limit=13)
-        assert value == 13
+        # greedy's 130 is above every class-end bound, so the nine jobs
+        # need a search, which a limit of 8 refuses
+        inst = fixture_instance("greedy-gap-65-58")
+        with pytest.raises(SearchRefused, match=r"^exact search limited to 8 jobs, got 9; raise `limit` to override$"):
+            optimal_makespan(inst, limit=8)
+        value, _ = optimal_makespan(inst, limit=9)
+        assert value == 116
+
+    @pytest.mark.parametrize("sizes", [[1] * 13, [5] * 40, [8, 5, 5, 4, 4, 4, 4] * 3], ids=["ones", "fives", "mixed"])
+    def test_no_limit_when_greedy_meets_the_bound(self, sizes):
+        inst = new_instance(sizes)
+        greedy, _ = greedy_schedule(inst)
+        assert optimal_makespan(inst, limit=0) == (makespan(greedy), greedy)
 
     @pytest.mark.parametrize("limit", [2.5, 13.0, True])
     def test_float_and_bool_limits_rejected(self, limit):
@@ -177,6 +193,12 @@ class TestOptimalMakespan:
 
 
 class TestDecide:
+    @pytest.mark.parametrize("target", [True, 7.5, 7.0], ids=["bool", "float", "integral-float"])
+    def test_float_and_bool_targets_rejected(self, target):
+        # True answered for target 1 and 7.5 was compared as a float
+        with pytest.raises(TypeError, match=f"^target must be an int, got {type(target).__name__}$"):
+            decide(new_instance([3, 2]), target)
+
     def test_answers_match_brute_force_orders(self):
         # targets around the optimum, some above the greedy incumbent, which
         # `optimal_makespan` never asks, and one below the largest size
@@ -232,9 +254,50 @@ class TestDecide:
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@st.composite
+def size_classes(draw, max_classes=8, max_count=6):
+    """Distinct sizes falling with the class index, and a count, zero
+    included, for each."""
+    sizes = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=max_classes)), reverse=True)
+    return sizes, draw(st.lists(st.integers(0, max_count), min_size=len(sizes), max_size=len(sizes)))
+
+
+class TestClassEndBounds:
+    @given(size_classes())
+    @example(([5, 1], [1, 1]))
+    @example(([9, 4, 2], [0, 3, 0]))
+    @settings(max_examples=300)
+    def test_matches_the_list_of_each_class_ends_jobs(self, classes):
+        sizes, counts = classes
+        assert class_end_bounds(sizes, counts) == class_end_bounds_reference(sizes, counts)
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=10))
+    @example([5] * 10)
+    @example([20, 20, 10, 5, 5, 4, 4, 4, 4])
+    @settings(max_examples=150, deadline=None)
+    def test_never_above_the_optimum(self, sizes):
+        inst = new_instance(sizes)
+        tally = Counter(inst.sizes)
+        bounds = class_end_bounds(list(tally), list(tally.values()))
+        value, _ = optimal_makespan(inst)
+        # the last class end holds every job
+        assert bounds[-1][1] == lower_bound(inst)
+        assert max(bound for _, bound in bounds) <= value
+
+    @given(st.lists(st.integers(1, 8), min_size=1, max_size=12) | st.lists(st.integers(1, 10**6), min_size=1, max_size=30))
+    @example([10, 1, 1])
+    @settings(max_examples=300)
+    def test_its_largest_is_the_largest_over_every_prefix(self, sizes):
+        # a prefix that ends inside a class never beats the class ends
+        p = sorted(sizes, reverse=True)
+        tally = Counter(p)
+        largest = max(bound for _, bound in class_end_bounds(list(tally), list(tally.values())))
+        assert largest == max(half_sum_bound(p[:k]) for k in range(1, len(p) + 1))
+
+
 def test_n12_scale_gate():
-    # about half a second in total; without the per-class suffix bound the
-    # same thirty instances take over 30 s
+    # about half a second in total; without the class-end bounds in the
+    # search's cut the same thirty instances take over 30 s
     rng = random.Random(12)
     instances = [random_instance(rng, 12, 50) for _ in range(30)]
     t0 = time.perf_counter()
@@ -271,7 +334,7 @@ class TestGridExhaustiveOptimum:
                 assert value == grid_exhaustive_optimum(inst, horizon=15)
 
     def test_size_limit(self):
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(SearchRefused):
             grid_exhaustive_optimum(new_instance([1, 1, 1, 1, 1]), horizon=10)
 
     def test_horizon_limit(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import grid_schedule, grid_step, rung
 from trisched import (
-    StateBudgetExceeded,
+    SearchRefused,
     check_feasible,
     makespan,
     new_instance,
@@ -128,28 +128,29 @@ class TestDpSolve:
             index = start / step
             assert index.denominator == 1 and 0 <= index < grid_points(rounded, inst.n)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # the first question's second node passes a budget of 1
+        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", 1)
         rounded = round_sizes(new_instance([6, 3]), 1)
-        with pytest.raises(StateBudgetExceeded) as info:
-            dp_solve(rounded, 2, budget=1)
-        assert info.value.states == 2
+        with pytest.raises(SearchRefused, match="^dp state budget exceeded after 2 states$"):
+            dp_solve(rounded, 2)
 
     @pytest.mark.parametrize(
         "sizes, eps",
         [([6, 3], 1), ([6, 5, 4, 3], Fraction(1, 2)), ([4, 4, 4], 1), ([9, 7, 7, 2, 2], Fraction(1, 3))],
         ids=["two-classes", "four-jobs", "chain", "five-jobs"],
     )
-    def test_budget_fires_past_the_reachable_states(self, sizes, eps):
+    def test_budget_fires_past_the_reachable_states(self, sizes, eps, monkeypatch):
         # [4, 4, 4] has one class, so each question is a chain; the others branch
         rounded = round_sizes(new_instance(sizes), eps)
         states = dp_solve(rounded, len(sizes)).states
-        assert dp_solve(rounded, len(sizes), budget=states).states == states
+        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", states)
+        assert dp_solve(rounded, len(sizes)).states == states
         for budget in (1, states - 1):
-            with pytest.raises(StateBudgetExceeded) as info:
-                dp_solve(rounded, len(sizes), budget=budget)
+            monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", budget)
             # the search stops at the first node past the budget
-            assert info.value.states == budget + 1
+            with pytest.raises(SearchRefused, match=f"^dp state budget exceeded after {budget + 1} states$"):
+                dp_solve(rounded, len(sizes))
 
 
 class TestQptasPipeline:
