@@ -5,7 +5,8 @@ The algorithm promises makespan <= (1+eps)^3 * OPT.  In practice the
 rounding loses far less.  This sweep solves seeded random instances for a
 range of eps values and reports, per eps, the worst and mean realized
 ratio against the exact oracle next to the proven guarantee, plus the
-search node counts that the accuracy is paid for with.
+search node counts that the accuracy is paid for with.  A search past the
+work budget ends the sweep with one error line and exit status 1.
 """
 
 import argparse
@@ -15,8 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from trisched import makespan, optimal_makespan, qptas_solve, random_instance
-from trisched.exact import DEFAULT_SIZE_LIMIT
+from trisched import SearchRefused, makespan, optimal_makespan, qptas_solve, random_instance
 
 
 def main() -> None:
@@ -26,14 +26,17 @@ def main() -> None:
         help="accuracy parameters, rationals like 1/2",
     )
     parser.add_argument("--instances", type=int, default=40)
-    parser.add_argument(
-        "--n", type=int, default=7,
-        help=f"jobs per instance; the exact oracle refuses a search past {DEFAULT_SIZE_LIMIT}",
-    )
+    parser.add_argument("--n", type=int, default=7, help="most jobs per instance")
     parser.add_argument("--max-size", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        sweep(args)
+    except SearchRefused as exc:
+        sys.exit(f"error: {exc}")
 
+
+def sweep(args) -> None:
     rng = random.Random(args.seed)
     pool = [
         random_instance(rng, rng.randint(2, args.n), args.max_size)

@@ -17,11 +17,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core import Instance, as_count, makespan
-from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
+from .exact import optimal_makespan
 from .generators import fixture_instance, random_instance, ratio_bounded_instance
 from .greedy import untraced_greedy
 
 FIXTURE_RATIO = Fraction(21, 20)
+POOL_SIZE_LIMIT = 12
 
 
 # findings: (sizes, ratio) of each pool instance beating FIXTURE_RATIO
@@ -48,8 +49,8 @@ def ratio_search(
     skipped (it would defeat the restriction), so it needs at least one
     iteration.  Instances beating the fixture's 21/20 land in `findings`.
     """
-    if as_count(n, "n") > DEFAULT_SIZE_LIMIT:
-        raise ValueError(f"n must stay within the exact oracle limit {DEFAULT_SIZE_LIMIT}")
+    if as_count(n, "n") > POOL_SIZE_LIMIT:
+        raise ValueError(f"n must stay within the exact oracle limit {POOL_SIZE_LIMIT}")
     if as_count(iterations, "iterations") < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations}")
     if bound is not None and iterations == 0:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import bench, generators, qptas, render, serialize
 from .core import Schedule, check_feasible, conflict_text, lower_bound, makespan
-from .exact import DEFAULT_SIZE_LIMIT, optimal_makespan
+from .exact import WORK_BUDGET, optimal_makespan
 from .greedy import greedy_schedule, tree_to_dot, untraced_greedy
 from .hardness import encode
 from .simulate import simulate
@@ -154,8 +154,7 @@ def _cmd_solve(args) -> int:
             if args.tree is not None:
                 _emit(args.tree, tree_to_dot(trace))
     elif args.algo == "exact":
-        limit = DEFAULT_SIZE_LIMIT if args.limit is None else args.limit
-        _, schedule = optimal_makespan(instance, limit=limit)
+        _, schedule = optimal_makespan(instance, limit=WORK_BUDGET if args.limit is None else args.limit)
     else:
         schedule, stats = qptas.qptas_solve(instance, args.eps)
     if args.algo == "qptas":
@@ -251,7 +250,7 @@ def _solve_arguments(solve: argparse.ArgumentParser) -> None:
     algos = ("greedy", "exact", "qptas", "lb")
     solve.add_argument("--algo", choices=algos, required=True, metavar="ALGO", help=_one_of(algos))
     solve.add_argument("--eps", type=_rational, help="accuracy for --algo qptas, e.g. 1/2")
-    solve.add_argument("--limit", type=int, help="exact search size cap")
+    solve.add_argument("--limit", type=int, help=f"exact search work budget (default {WORK_BUDGET})")
     solve.add_argument("--trace", help="write the placement trace JSON here (--algo greedy only)")
     solve.add_argument("--tree", help="write the insertion tree DOT here (--algo greedy only)")
     solve.add_argument("-o", "--output", help="write the schedule JSON here")

@@ -5,12 +5,16 @@ every job sits exactly at max_i (s_i + min(p_i, p_k)) over the jobs before
 it.  That canonical form is determined by the order alone, so the optimum is
 the best canonical makespan over all orders of the size multiset.
 
-The search is a sequence of decision questions, each one a call of
-`decide(instance, target)`: does some order end every job by `target`?
-Greedy seeds the incumbent, optimal at any n when it meets the largest
-half-sum bound at a class end (`core.class_end_bounds`); otherwise
-`optimal_makespan` refuses more than `limit` jobs, then asks for one less
-than the incumbent, takes any order found as the new one, and asks again.
+The search answers decision questions, `decide(instance, target)`: does
+some order end every job by `target`?  Greedy seeds the incumbent, optimal
+at any n when it meets the largest half-sum bound at a class end
+(`core.class_end_bounds`); otherwise `optimal_makespan` asks for one less
+than the incumbent, takes any order found as the new one, and asks again
+(`_descend`, shared with the QPTAS).  One call's questions share a budget
+of work, a unit per int the search reads or compares and `STORED` per int
+it keeps, and raise SearchRefused past it.  The count reads no clock, so an
+instance gets the same answer or refusal on every machine, and as it
+charges what the search keeps, it bounds memory as well as time.
 
 Two jobs start min(p, q) apart, the cap of the smaller one, so `_search`
 takes one cap per size class, at least that size and never rising as the
@@ -36,22 +40,22 @@ the cuts are strong rather than the nodes cheap.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from operator import le, lt
 
 from .core import Instance, Schedule, as_count, class_end_bounds, makespan
 from .greedy import greedy_schedule
 
-DEFAULT_SIZE_LIMIT = 12
+WORK_BUDGET = 25_000_000
+STORED = 3
 
 
 class SearchRefused(ValueError):
-    """A search past its job cap (`optimal_makespan`) or node budget (QPTAS)."""
+    """A search past its work budget."""
 
 
 def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
-            class_bounds: dict, budget: float = math.inf) -> tuple[list[tuple[int, int]] | None, int]:
+            class_bounds: dict, budget: int, nodes: int = 0, work: int = 0) -> tuple[list | None, int, int]:
     """The first order, in class order, whose jobs all end by `target`.
 
     Class j has `counts[j]` jobs of size `sizes[j]`, sizes falling with j;
@@ -60,8 +64,8 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
     class either, so a job of class j at s = next_start[j] sets each class
     r >= j to exactly s + caps[r], with no max over the tail, and lifts each
     earlier class to at least s + caps[j].  Returns the placements, (class
-    index, start) in start order, or None, and the count of prefixes
-    visited; more than `budget` of them give up with None.
+    index, start) in start order, or None, and `nodes` and `work` plus the
+    prefixes visited and the units spent; SearchRefused past `budget` units.
     """
     n = sum(counts)
     m = len(sizes)
@@ -78,17 +82,16 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     # the next class to try after each prefix of `jobs`, m for none
     tries: list[int] = []
-    nodes = 0
     while True:
         if len(jobs) == n:
-            return jobs, nodes
+            return jobs, nodes, work
         nodes += 1
-        if nodes > budget:
-            return None, nodes
         key = tuple(cnt)
         bounds = class_bounds.get(key)
         if bounds is None:
             bounds = class_bounds[key] = class_end_bounds(sizes, key)
+            work += STORED * (m + 2 * len(bounds))
+        work += m + len(bounds)  # the key, the next starts and the bound scan
         # the prefix gets children unless a cut proves it fails
         tries.append(m)
         for r, bound in bounds:
@@ -97,6 +100,7 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
         else:
             vec = tuple([next_start[r] for r, _ in bounds])
             bucket = table.setdefault(key, [])
+            work += (len(bucket) + STORED) * len(vec)
             for old in bucket:
                 if all(map(le, old, vec)):
                     break
@@ -104,6 +108,8 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
                 bucket[:] = [old for old in bucket if any(map(lt, old, vec))]
                 bucket.append(vec)
                 tries[-1] = 0
+        if work > budget:
+            raise SearchRefused(f"search refused past its work budget of {budget} units")
         # back out of every prefix with no class left to try
         while True:
             j = tries[-1]
@@ -113,7 +119,7 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
                 break
             tries.pop()
             if not jobs:
-                return None, nodes
+                return None, nodes, work
             j, _ = jobs.pop()
             cnt[j] += 1
             next_start = saved.pop()
@@ -126,39 +132,49 @@ def _search(sizes: list[int], counts: list[int], caps: list[int], target: int,
         next_start = [a if a > lift else lift for a in next_start[:j]] + [s + c for c in caps[j:]]
 
 
+def _descend(sizes: list[int], counts: list[int], caps: list[int], target: int,
+             budget: int | None = None) -> tuple[list | None, int]:
+    """The last order `_search` finds asked for `target`, then for one below
+    each order's makespan until none fits, or None, and the nodes visited.
+    The questions share the class-bounds memo and `budget` (None: `WORK_BUDGET`)."""
+    budget = WORK_BUDGET if budget is None else budget
+    class_bounds: dict = {}
+    found, nodes, work = None, 0, 0
+    while True:
+        jobs, nodes, work = _search(sizes, counts, caps, target, class_bounds, budget, nodes, work)
+        if jobs is None:
+            return found, nodes
+        found, target = jobs, max(s + sizes[j] for j, s in jobs) - 1
+
+
 def decide(instance: Instance, target: int) -> Schedule | None:
     """A canonical schedule whose jobs all end by `target`, an int, or None
-    when no order of the sizes fits.  It has no job cap."""
+    when no order of the sizes fits; SearchRefused past `WORK_BUDGET`."""
     as_count(target, "target")
     tally = Counter(instance.sizes)
     distinct = list(tally)
-    jobs, _ = _search(distinct, list(tally.values()), distinct, target, {})
-    if jobs is None:
-        return None
-    return Schedule([(distinct[j], s) for j, s in jobs])
+    jobs, _, _ = _search(distinct, list(tally.values()), distinct, target, {}, WORK_BUDGET)
+    return None if jobs is None else Schedule([(distinct[j], s) for j, s in jobs])
 
 
-def optimal_makespan(instance: Instance, limit: int = DEFAULT_SIZE_LIMIT) -> tuple[int, Schedule]:
+def optimal_makespan(instance: Instance, limit: int = WORK_BUDGET) -> tuple[int, Schedule]:
     """Exact optimum makespan with a witness schedule: greedy's, at any n,
     when it meets the largest class-end bound; otherwise a search, factorial
-    in the worst case, which refuses more than `limit` jobs (SearchRefused)."""
-    as_count(limit, "limit")
-    # `greedy_schedule`, not `untraced_greedy`, though the trace goes
-    # unused: perfbench/tracing.py `layer_metrics` finds each exact span's
-    # seed through its `greedy.greedy_schedule` child span, so a traced
-    # oracle-pool run raises KeyError without it.  The trace costs a few
-    # microseconds at n <= 12, but doubles greedy's time at 10^5 jobs.
+    in the worst case, refused past `limit` units of work (SearchRefused)."""
+    if as_count(limit, "limit") < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    # `greedy_schedule`, not `untraced_greedy`, though the trace goes unused:
+    # perfbench/tracing.py `layer_metrics` finds each exact span's seed through
+    # its `greedy.greedy_schedule` child span, so a traced oracle-pool run
+    # raises KeyError without it.  The trace doubles greedy's time at 10^5 jobs.
     best, _ = greedy_schedule(instance)
     best_val = makespan(best)
-    # greedy meets a lower bound: the search's root cut refuses its first question
     tally = Counter(instance.sizes)
-    if max(bound for _, bound in class_end_bounds(list(tally), list(tally.values()))) == best_val:
+    distinct, counts = list(tally), list(tally.values())
+    # greedy meets a lower bound: the search's root cut refuses its first question
+    if max(bound for _, bound in class_end_bounds(distinct, counts)) == best_val:
         return best_val, best
-    if instance.n > limit:
-        raise SearchRefused(f"exact search limited to {limit} jobs, got {instance.n}; raise `limit` to override")
-    # Ask for an order ending one below the incumbent until none exists.
-    while True:
-        better = decide(instance, best_val - 1)
-        if better is None:
-            return best_val, best
-        best, best_val = better, makespan(better)
+    jobs, _ = _descend(distinct, counts, distinct, best_val - 1, limit)
+    if jobs is not None:
+        best = Schedule([(distinct[j], s) for j, s in jobs])
+    return makespan(best), best

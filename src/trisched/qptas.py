@@ -3,7 +3,7 @@
 Pipeline: peel off small jobs (below eps*p_1/n), round the remaining sizes
 up to unit*(1+eps)^k where the unit is the smallest surviving size, restrict
 starts to a uniform grid, and find the best grid schedule of the rounded
-size classes with the exact oracle's search (`exact._search`), whose
+size classes with the exact oracle's search (`exact._descend`), whose
 separation caps are rounded up to whole grid steps.  Large jobs take their
 original sizes back in the search's start order and the small jobs follow
 them; each job then starts as early as the jobs before it allow, which
@@ -26,10 +26,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .core import Instance, Schedule, as_exact, new_instance
-from .exact import SearchRefused, _search
-
-# search nodes `dp_solve` may visit over all its questions
-DEFAULT_STATE_BUDGET = 5_000_000
+from .exact import _descend
 
 
 def _rational_eps(eps) -> Fraction:
@@ -123,16 +120,13 @@ def dp_solve(rounded: RoundedInstance, n: int) -> DPResult:
 
     The search branches on classes in class order and cuts only prefixes
     proved to fail, so each question returns the lexicographically first
-    order that meets its target.  The first question, at a target every
-    order meets (no job starts later than the sum of the caps of the jobs
-    before it), returns the plain class order; each later one asks for one
-    less than the value just found, until the answer is no.  The last
-    order found has the optimal value v, as v - 1 is met by none, and its
-    target was at least v, so every optimal order met it too: it is the
-    first optimal order in class order.  Each placement lands past every
-    earlier start, so that order is the start order.  More than
-    `DEFAULT_STATE_BUDGET` search nodes over all questions raise
-    SearchRefused with the count reached.
+    order that meets its target.  `exact._descend` asks first at the sum of
+    the caps, which every order meets, then at one less than each value
+    found, until the answer is no, and raises SearchRefused past
+    `exact.WORK_BUDGET`.  The last order found has the optimal value v, and
+    its target was at least v, so every optimal order met it too: it is the
+    first optimal order in class order, and each placement lands past every
+    earlier start, so it is the start order.
     """
     a, b = rounded.eps.numerator, rounded.eps.denominator
     top = rounded.classes[0]
@@ -141,18 +135,8 @@ def dp_solve(rounded: RoundedInstance, n: int) -> DPResult:
     caps = [tick * -(-p // tick) for p in sizes]
     # `large` runs by non-increasing exponent, so the tally is in class order
     counts = list(Counter(k for _, k in rounded.large).values())
-    target = sum(c * cap for c, cap in zip(counts, caps))
-    class_bounds: dict = {}
-    states = 0
-    while True:
-        jobs, nodes = _search(sizes, counts, caps, target, class_bounds, DEFAULT_STATE_BUDGET - states)
-        states += nodes
-        if states > DEFAULT_STATE_BUDGET:
-            raise SearchRefused(f"dp state budget exceeded after {states} states")
-        if jobs is None:
-            return DPResult(order=tuple([j for j, _ in order]), states=states)
-        order = jobs
-        target = max(s + sizes[j] for j, s in jobs) - 1
+    order, states = _descend(sizes, counts, caps, sum(c * cap for c, cap in zip(counts, caps)))
+    return DPResult(order=tuple([j for j, _ in order]), states=states)
 
 
 # dp_states: the search nodes `dp_solve` visited, 0 with no large job

@@ -31,13 +31,16 @@ instance, sweeps the whole schedule for feasibility and walks each window's
 jobs is the reference for the window-by-window decoder.  The eager parser,
 which gives every subcommand its arguments through the CLI's own
 per-subcommand functions, is the reference for the parser that gives them
-only to the subcommand it runs.
+only to the subcommand it runs.  The two question loops of the exact
+oracle and of the QPTAS, each asking the search with no work budget, are
+the reference for the one loop, `exact._descend`, that carries the budget
+over all the questions of a call.
 """
 
 import argparse
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from heapq import heappush, heapreplace
 from operator import add
@@ -60,7 +63,7 @@ from trisched import (
 from trisched.bench import RatioSearchReport, evaluate_ratio
 from trisched.core import as_exact, conflict_text
 from trisched.cli import SUBCOMMANDS, build_parser
-from trisched.exact import SearchRefused
+from trisched.exact import SearchRefused, _search
 from trisched.greedy import GreedyTrace, TraceStep
 from trisched.qptas import DPResult, QptasStats, RoundedInstance, grid_points, round_sizes, split_small
 from trisched.hardness import JOB_TYPES, ReductionLabels
@@ -293,6 +296,28 @@ def optimal_makespan_oracle(instance: Instance) -> tuple[int, Schedule]:
     return best[0], canonical_schedule_for_order(best_order[0])
 
 
+def decide_unbudgeted(instance: Instance, target: int) -> Schedule | None:
+    """`exact.decide` with no work budget: one question of the search on a
+    fresh class-bounds memo."""
+    tally = Counter(instance.sizes)
+    distinct = list(tally)
+    jobs, _, _ = _search(distinct, list(tally.values()), distinct, target, {}, math.inf)
+    return None if jobs is None else Schedule([(distinct[j], s) for j, s in jobs])
+
+
+def optimal_makespan_by_questions(instance: Instance) -> tuple[int, Schedule]:
+    """The exact oracle's own question loop: greedy seeds the incumbent,
+    and each question, one below the incumbent, is a `decide_unbudgeted`
+    call.  Where greedy meets the class-end bound, the first question's
+    root cut answers no."""
+    best, _ = greedy_schedule(instance)
+    while True:
+        better = decide_unbudgeted(instance, makespan(best) - 1)
+        if better is None:
+            return makespan(best), best
+        best = better
+
+
 def order_brute_force_optimum(sizes) -> int:
     """Minimum canonical makespan over every distinct order of `sizes`."""
     return min(makespan(canonical_schedule_for_order(order)) for order in set(itertools.permutations(sizes)))
@@ -457,6 +482,29 @@ def dp_solve_unpruned(rounded: RoundedInstance, n: int) -> DPResult:
         order.append(zi)
     order.reverse()
     return DPResult(order=tuple(order), states=states)
+
+
+def dp_solve_by_questions(rounded: RoundedInstance, n: int) -> DPResult:
+    """`qptas.dp_solve`'s own question loop: the search with no work
+    budget, first at the sum of the caps, which every order meets, then one
+    below each order's makespan until no order meets it; the questions
+    share one class-bounds memo, and the nodes add up over all of them."""
+    a, b = rounded.eps.numerator, rounded.eps.denominator
+    top = rounded.classes[0]
+    tick = a * (a + b) ** top
+    sizes = [n * (a + b) ** k * b ** (top + 1 - k) for k in rounded.classes]
+    caps = [tick * -(-p // tick) for p in sizes]
+    counts = list(Counter(k for _, k in rounded.large).values())
+    target = sum(c * cap for c, cap in zip(counts, caps))
+    class_bounds: dict = {}
+    states = 0
+    while True:
+        jobs, nodes, _ = _search(sizes, counts, caps, target, class_bounds, math.inf)
+        states += nodes
+        if jobs is None:
+            return DPResult(order=tuple([j for j, _ in order]), states=states)
+        order = jobs
+        target = max(s + sizes[j] for j, s in jobs) - 1
 
 
 def qptas_solve_oracle(instance: Instance, eps) -> tuple[Schedule, QptasStats]:

@@ -97,7 +97,7 @@ class TestRatioSearch:
         assert report.ratio == FIXTURE_RATIO and report.iterations == 0
 
     def test_size_limit_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must stay within the exact oracle limit 12$"):
             ratio_search(n=13, iterations=1, seed=0)
 
 

@@ -166,22 +166,32 @@ class TestSolve:
 
     def test_exact_respects_limit(self, tmp_path, capsys):
         # greedy's 130 on the nine jobs of greedy-gap-65-58 is above every
-        # class-end bound, so they need a search, which --limit 8 refuses
+        # class-end bound, so they need a search, which spends 2957 units
+        # of work: --limit 2956 refuses it
         instance = tmp_path / "i.json"
         assert run(capsys, "gen", "--kind", "fixture", "--fixture", "greedy-gap-65-58", "-o", str(instance))[0] == 0
-        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "8")
-        assert (code, err) == (1, "error: exact search limited to 8 jobs, got 9; raise `limit` to override\n")
-        assert run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "9") == (0, "makespan 116\n", "")
+        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "2956")
+        assert (code, err) == (1, "error: search refused past its work budget of 2956 units\n")
+        assert run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "2957") == (0, "makespan 116\n", "")
 
-    def test_exact_limit_defaults_to_the_size_cap(self, tmp_path, capsys):
-        # greedy-gap-65-58 with three or four jobs of size 1 still needs a
-        # search, which the default cap of 12 allows for 12 jobs, not 13
+    def test_exact_refuses_a_negative_limit(self, tmp_path, capsys):
+        # it was a job cap: -5 refused every search and let settled instances through
         instance = tmp_path / "i.json"
-        instance.write_text(json.dumps({"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2, 1, 1, 1]}))
-        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 116\n", "")
+        for sizes in ([116, 43, 29, 29, 12, 10, 7, 5, 2], [1] * 13):
+            instance.write_text(json.dumps({"sizes": sizes}))
+            code, out, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "-5")
+            assert (code, out, err) == (1, "", "error: limit must be non-negative, got -5\n")
+
+    def test_exact_limit_defaults_to_the_work_budget(self, tmp_path, capsys):
+        # greedy-gap-65-58 with four jobs of size 1, and with every size
+        # taken twice, still need a search, which the default budget lets
+        # answer past 12 jobs
+        instance = tmp_path / "i.json"
         instance.write_text(json.dumps({"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2, 1, 1, 1, 1]}))
-        code, _, err = run(capsys, "solve", str(instance), "--algo", "exact")
-        assert (code, err) == (1, "error: exact search limited to 12 jobs, got 13; raise `limit` to override\n")
+        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 116\n", "")
+        instance.write_text(json.dumps({"sizes": [116, 43, 29, 29, 12, 10, 7, 5, 2] * 2}))
+        assert run(capsys, "solve", str(instance), "--algo", "greedy") == (0, "makespan 260\n", "")
+        assert run(capsys, "solve", str(instance), "--algo", "exact") == (0, "makespan 232\n", "")
 
     def test_exact_past_the_cap_when_greedy_meets_the_bound(self, tmp_path, capsys):
         # equal sizes: greedy's makespan is the bound, so no limit applies
@@ -191,22 +201,23 @@ class TestSolve:
         assert run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "1") == (0, "makespan 13\n", "")
 
     def test_exact_at_ten_thousand_jobs(self, tmp_path, capsys):
-        # seed 0 is settled by the bound, in about 0.1 s on a 2-vCPU VM;
-        # seed 2 is not, and its search is refused with one line
+        # seed 0 is settled by the bound, in about 0.1 s on a 2-vCPU VM,
+        # whatever the limit; seed 2 is not, and a limit of 10^5 units
+        # refuses its search with one line
         for seed, settled in ((0, True), (2, False)):
             instance = tmp_path / f"r{seed}.json"
             gen = ("gen", "--kind", "random", "--n", "10000", "--max-size", "1000000", "--seed", str(seed))
             assert run(capsys, *gen, "-o", str(instance))[0] == 0
             _, greedy, _ = run(capsys, "solve", str(instance), "--algo", "greedy")
             began = time.perf_counter()
-            code, out, err = run(capsys, "solve", str(instance), "--algo", "exact")
+            code, out, err = run(capsys, "solve", str(instance), "--algo", "exact", "--limit", "100000")
             elapsed = time.perf_counter() - began
             if settled:
                 assert (code, out, err) == (0, greedy, "")
                 assert elapsed < 1.5, f"{elapsed:.2f} s"
             else:
                 assert (code, out) == (1, "")
-                assert err == "error: exact search limited to 12 jobs, got 10000; raise `limit` to override\n"
+                assert err == "error: search refused past its work budget of 100000 units\n"
 
     def test_qptas_prints_stats(self, tmp_path, capsys):
         instance = tmp_path / "i.json"
@@ -256,14 +267,17 @@ class TestSolve:
         assert Fraction(out.splitlines()[0].split()[1]) <= (1 + 3) ** 3 * optimum
 
     def test_qptas_past_the_state_budget(self, tmp_path, capsys, monkeypatch):
-        # the README fixture takes 335 search nodes, so a budget of 100
-        # trips at node 101, and the error names that count
-        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", 100)
+        # the README fixture's 335 search nodes spend 4479 units of work,
+        # so the exact oracle's budget lowered to 4478 refuses them
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 4478)
         instance = tmp_path / "i.json"
         instance.write_text(json.dumps({"sizes": [20, 20, 10, 5, 5, 4, 4, 4, 4]}))
-        code, _, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
-        assert code == 1
-        assert err == "error: dp state budget exceeded after 101 states\n"
+        code, out, err = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
+        assert (code, out) == (1, "")
+        assert err == "error: search refused past its work budget of 4478 units\n"
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 4479)
+        code, out, _ = run(capsys, "solve", str(instance), "--algo", "qptas", "--eps", "1/2")
+        assert (code, out.splitlines()[-1]) == (0, "dp-states 335")
 
     def test_qptas_needs_eps(self, tmp_path, capsys):
         instance = tmp_path / "i.json"

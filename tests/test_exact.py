@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from oracles import (
     canonical_schedule_for_order,
     class_end_bounds_reference,
+    decide_unbudgeted,
     grid_exhaustive_optimum,
     half_sum_bound,
+    optimal_makespan_by_questions,
     order_brute_force_optimum,
 )
 from trisched import (
@@ -133,14 +135,26 @@ class TestOptimalMakespan:
         assume(makespan(greedy) == lower_bound(inst))
         assert optimal_makespan(inst) == (makespan(greedy), greedy)
 
-    def test_size_limit(self):
+    def test_work_limit(self):
         # greedy's 130 is above every class-end bound, so the nine jobs
-        # need a search, which a limit of 8 refuses
+        # need a search, which spends 2957 units of work over its questions
         inst = fixture_instance("greedy-gap-65-58")
-        with pytest.raises(SearchRefused, match=r"^exact search limited to 8 jobs, got 9; raise `limit` to override$"):
-            optimal_makespan(inst, limit=8)
-        value, _ = optimal_makespan(inst, limit=9)
+        with pytest.raises(SearchRefused, match="^search refused past its work budget of 2956 units$"):
+            optimal_makespan(inst, limit=2956)
+        value, _ = optimal_makespan(inst, limit=2957)
         assert value == 116
+
+    def test_past_twelve_jobs_within_the_budget(self):
+        # every size of greedy-gap-65-58 twice: greedy's 260 against 232
+        doubled = new_instance(fixture_instance("greedy-gap-65-58").sizes * 2)
+        value, witness = optimal_makespan(doubled)
+        assert (value, makespan(witness), check_feasible(witness)) == (232, 232, None)
+
+    @pytest.mark.parametrize("sizes", [[3, 2, 1], [116, 43, 29, 29, 12, 10, 7, 5, 2]], ids=["settled", "searched"])
+    def test_negative_limit_rejected(self, sizes):
+        # -5 answered a settled instance and refused the search as a job cap
+        with pytest.raises(ValueError, match="^limit must be non-negative, got -5$"):
+            optimal_makespan(new_instance(sizes), limit=-5)
 
     @pytest.mark.parametrize("sizes", [[1] * 13, [5] * 40, [8, 5, 5, 4, 4, 4, 4] * 3], ids=["ones", "fives", "mixed"])
     def test_no_limit_when_greedy_meets_the_bound(self, sizes):
@@ -254,6 +268,56 @@ class TestDecide:
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestOneBudget:
+    """The question loop that carries the work budget against the loops
+    with no budget that it replaced."""
+
+    @given(st.one_of(jittered_fixtures(), small_sizes, st.lists(st.integers(1, 10**6), min_size=1, max_size=10)))
+    @example(list(GAP_FIXTURE))
+    @example([116, 43, 29, 29, 12, 10, 7, 5, 2])
+    @settings(max_examples=200, deadline=None)
+    def test_optimal_makespan_matches_the_question_loop(self, sizes):
+        inst = new_instance(sizes)
+        assert optimal_makespan(inst) == optimal_makespan_by_questions(inst)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=10), st.integers(-3, 40))
+    @example([116, 43, 29, 29, 12, 10, 7, 5, 2], 0)
+    @settings(max_examples=200, deadline=None)
+    def test_decide_matches_one_unbudgeted_question(self, sizes, above):
+        inst = new_instance(sizes)
+        target = lower_bound(inst) + above
+        assert decide(inst, target) == decide_unbudgeted(inst, target)
+
+    @pytest.mark.parametrize("n, max_size, seed", [(20, 50, 18), (100, 10**6, 16), (1000, 10**6, 34)])
+    def test_a_refusal_is_deterministic_and_bounds_memory(self, n, max_size, seed):
+        # greedy on these seeded instances is above every class-end bound,
+        # so each needs a search, which a budget of 10^5 units refuses; the
+        # peak holds the seed's traced greedy as well as the search
+        budget = 10**5
+        inst = random_instance(random.Random(seed), n, max_size)
+        refusals = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                with pytest.raises(SearchRefused) as caught:
+                    optimal_makespan(inst, limit=budget)
+                refusals.append(str(caught.value))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refusals == [f"search refused past its work budget of {budget} units"] * 2
+        assert peak < 20 * budget, f"{peak / budget:.1f} B per unit"
+
+    def test_decide_reads_the_budget(self, monkeypatch):
+        # one question, at greedy's 130 less one, spends 792 units
+        inst = fixture_instance("greedy-gap-65-58")
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 792)
+        assert makespan(decide(inst, 129)) <= 129
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 791)
+        with pytest.raises(SearchRefused, match="^search refused past its work budget of 791 units$"):
+            decide(inst, 129)
+
+
 @st.composite
 def size_classes(draw, max_classes=8, max_count=6):
     """Distinct sizes falling with the class index, and a count, zero
@@ -310,8 +374,8 @@ def test_n12_scale_gate():
 
 def test_three_halves_guarantee_past_the_size_cap():
     # OPT is an int, so greedy <= 3/2 OPT exactly when no schedule ends by
-    # ceil(2 greedy / 3) - 1; n = 20 is past `optimal_makespan`'s cap, and
-    # a target under `lower_bound` needs no search at all
+    # ceil(2 greedy / 3) - 1; one question at n = 20 costs far less than
+    # the optimum, and a target under `lower_bound` needs no search at all
     rng = random.Random(2029)
     settled = searched = 0
     for _ in range(200):

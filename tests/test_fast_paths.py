@@ -414,7 +414,7 @@ class TestSolverFaultsRefused:
                 solve(instance)
 
     def test_bool_exact_start(self, monkeypatch):
-        monkeypatch.setattr(exact, "_search", lambda *args: ([(0, True)], 1))
+        monkeypatch.setattr(exact, "_search", lambda *args: ([(0, True)], 1, 0))
         with pytest.raises(TypeError, match="got bool"):
             decide(new_instance([3]), 10)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_schedule, grid_step, rung
+from oracles import dp_solve_by_questions, grid_schedule, grid_step, rung
 from trisched import (
     SearchRefused,
     check_feasible,
@@ -129,28 +129,39 @@ class TestDpSolve:
             assert index.denominator == 1 and 0 <= index < grid_points(rounded, inst.n)
 
     def test_budget_exhaustion(self, monkeypatch):
-        # the first question's second node passes a budget of 1
-        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", 1)
+        # the first question's first node passes a budget of 10 units
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 10)
         rounded = round_sizes(new_instance([6, 3]), 1)
-        with pytest.raises(SearchRefused, match="^dp state budget exceeded after 2 states$"):
+        with pytest.raises(SearchRefused, match="^search refused past its work budget of 10 units$"):
             dp_solve(rounded, 2)
 
     @pytest.mark.parametrize(
-        "sizes, eps",
-        [([6, 3], 1), ([6, 5, 4, 3], Fraction(1, 2)), ([4, 4, 4], 1), ([9, 7, 7, 2, 2], Fraction(1, 3))],
+        "sizes, eps, work",
+        [([6, 3], 1, 50), ([6, 5, 4, 3], Fraction(1, 2), 512), ([4, 4, 4], 1, 44), ([9, 7, 7, 2, 2], Fraction(1, 3), 514)],
         ids=["two-classes", "four-jobs", "chain", "five-jobs"],
     )
-    def test_budget_fires_past_the_reachable_states(self, sizes, eps, monkeypatch):
-        # [4, 4, 4] has one class, so each question is a chain; the others branch
+    def test_budget_fires_past_the_reachable_states(self, sizes, eps, work, monkeypatch):
+        # [4, 4, 4] has one class, so each question is a chain; the others
+        # branch.  Every question of one call draws on one budget, and the
+        # search spends the same work on every run.
         rounded = round_sizes(new_instance(sizes), eps)
         states = dp_solve(rounded, len(sizes)).states
-        monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", states)
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", work)
         assert dp_solve(rounded, len(sizes)).states == states
-        for budget in (1, states - 1):
-            monkeypatch.setattr("trisched.qptas.DEFAULT_STATE_BUDGET", budget)
-            # the search stops at the first node past the budget
-            with pytest.raises(SearchRefused, match=f"^dp state budget exceeded after {budget + 1} states$"):
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", work - 1)
+        for _ in range(2):
+            with pytest.raises(SearchRefused, match=f"^search refused past its work budget of {work - 1} units$"):
                 dp_solve(rounded, len(sizes))
+
+    @given(random_or_equal_sizes, st.sampled_from(EPS_VALUES + (Fraction(1, 10),)))
+    @example([20, 20, 10, 5, 5, 4, 4, 4, 4], Fraction(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_its_own_question_loop(self, sizes, eps):
+        # the loop shared with the exact oracle against dp_solve's own
+        inst = new_instance(sizes)
+        large, _, _ = split_small(inst, eps)
+        rounded = round_sizes(new_instance(large), eps)
+        assert dp_solve(rounded, inst.n) == dp_solve_by_questions(rounded, inst.n)
 
 
 class TestQptasPipeline:

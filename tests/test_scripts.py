@@ -1,5 +1,6 @@
 """The scripts under scripts/ still run against the package's public names."""
 
+import functools
 import importlib.util
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from trisched import Schedule, ThreeDMInstance
+from trisched import Schedule, ThreeDMInstance, optimal_makespan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,12 +30,16 @@ def test_script_runs(script, args):
     assert result.returncode == 0, result.stderr
 
 
-def reduction_roundtrip():
-    """scripts/reduction_roundtrip.py, imported as a module."""
-    spec = importlib.util.spec_from_file_location("reduction_roundtrip", ROOT / "scripts" / "reduction_roundtrip.py")
+def load(name):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def reduction_roundtrip():
+    return load("reduction_roundtrip")
 
 
 def test_failed_check_exits_with_one_line():
@@ -54,3 +59,18 @@ def test_refused_decode_exits_with_one_line():
     assert caught.value.code == (
         "error: trial 3: the oracle's schedule does not decode: schedule job sizes do not match the encoded instance"
     )
+
+
+@pytest.mark.parametrize("refused", ["optimal_makespan", "qptas_solve"])
+def test_refused_search_exits_with_one_line(refused, monkeypatch):
+    # a traceback ended the sweep; either search past its budget now ends
+    # it with one line and exit status 1
+    script = load("qptas_quality")
+    if refused == "optimal_makespan":
+        monkeypatch.setattr(script, "optimal_makespan", functools.partial(optimal_makespan, limit=10))
+    else:
+        monkeypatch.setattr("trisched.exact.WORK_BUDGET", 10)
+    monkeypatch.setattr(sys, "argv", ["qptas_quality.py", "--instances", "40", "--n", "12", "--eps", "1"])
+    with pytest.raises(SystemExit) as caught:
+        script.main()
+    assert caught.value.code == "error: search refused past its work budget of 10 units"
